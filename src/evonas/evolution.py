@@ -11,23 +11,25 @@ have been trained; the answer is the best-by-fitness individual ever
 trained.
 
 Guided mode off degenerates to the classic aging-evolution baseline:
-init_candidates == pop_size, one child per cycle, placeholder scores
-instead of proxy calls.
+init_candidates == pop_size, one child per cycle, and no proxy calls (every
+individual carries the sentinel score).  Random search is the unguided
+initialization with pop_size == init_candidates == cycles: every sample is
+kept and no cycle runs.
 
 Every random draw comes from a named substream of the run stream, so
-trajectories are reproducible event for event, and children can be scored
-in parallel without changing anything.  Substream layout:
+trajectories are reproducible event for event.  Substream layout:
 
     ("init", i, "arch"), ("init", i, "score")
     ("cycle", c, "tournament")
     ("cycle", c, "child", j, "mut"), ("cycle", c, "child", j, "score")
+
+The "score" streams seed the scorer (guided runs only).
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Collection, Optional
 
@@ -93,8 +95,9 @@ class SearchConfig:
     """All evolution knobs.
 
     `gen_size` defaults to `pop_size` and `init_candidates` to `cycles`.
-    `guided=False` gives baseline aging-evolution semantics: no proxy calls,
-    one child per cycle (gen_size is forced to 1).  `budget_counts_init`
+    `guided=False` gives baseline aging-evolution semantics: no proxy calls
+    (every score is the sentinel), one child per cycle (gen_size is forced
+    to 1), and `init_candidates` defaults to `pop_size`.  `budget_counts_init`
     keeps the total number of trained architectures at `cycles`, counting
     the initial population; switching it off runs `cycles` evolution steps
     on top of the initial population.
@@ -231,7 +234,6 @@ def spawn_generation(
     cfg: SearchConfig,
     score_child: Callable[[ArchEncoding, RngStream], ProxyScore],
     cycle_stream: RngStream,
-    parallel: bool = False,
     trained: Collection[ArchEncoding] = frozenset(),
 ) -> tuple[ArchEncoding, ProxyScore]:
     """Mutate the parent gen_size times, score each child, keep the best.
@@ -240,21 +242,14 @@ def spawn_generation(
     the run has already trained); if every child is in it, the top-scoring
     child overall.  Under a frozen proxy the same parent would otherwise
     yield the same argmax child at every win.  Each child draws from its
-    own indexed substream, so parallel and sequential scoring produce
-    identical results; ties (and the all-sentinel case) go to the lowest
-    child index.
+    own indexed substream; ties (and the all-sentinel case) go to the
+    lowest child index.
     """
-
-    def one(j: int) -> tuple[ArchEncoding, ProxyScore]:
+    results = []
+    for j in range(cfg.gen_size):
         sub = cycle_stream.child("child", j)
         arch = mutate(parent.arch, sub.child("mut"))
-        return arch, score_child(arch, sub.child("score"))
-
-    if parallel and cfg.gen_size > 1:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(one, range(cfg.gen_size)))
-    else:
-        results = [one(j) for j in range(cfg.gen_size)]
+        results.append((arch, score_child(arch, sub.child("score"))))
     results = [r for r in results if r[0] not in trained] or results
     best_arch, best_score = results[0]
     for arch, ps in results[1:]:
@@ -273,13 +268,17 @@ def init_population(
 
     Returns (population, candidates); the population holds the pop_size
     best-by-proxy candidates (ties: lower birth index), in birth order,
-    with fitness filled in from the oracle.
+    with fitness filled in from the oracle.  Unguided candidates all carry
+    the sentinel score, so the first pop_size are kept.
     """
     _require_scorer(cfg, scorer)
     candidates = []
     for i in range(cfg.init_candidates):
         arch = random_arch(rng.child("init", i, "arch"))
-        proxy = _score_or_placeholder(cfg, scorer, arch, rng.child("init", i, "score"))
+        if cfg.guided:
+            proxy = _as_proxy(scorer(arch, rng.child("init", i, "score")))
+        else:
+            proxy = ProxyScore.sentinel()
         candidates.append(Individual(arch, proxy, None, birth_index=i, origin="init"))
     kept = sorted(candidates, key=lambda ind: (-ind.proxy.value, ind.birth_index))[: cfg.pop_size]
     kept.sort(key=lambda ind: ind.birth_index)
@@ -293,11 +292,9 @@ def _require_scorer(cfg: SearchConfig, scorer) -> None:
         raise ConfigError("guided search needs a scorer")
 
 
-def _score_or_placeholder(cfg, scorer, arch, stream) -> ProxyScore:
-    if cfg.guided:
-        return _as_proxy(scorer(arch, stream))
-    # baseline semantics: a placeholder draw instead of a proxy evaluation
-    return ProxyScore(value=float(stream.uniform()))
+def _unscored(arch: ArchEncoding, stream: RngStream) -> ProxyScore:
+    """Child score of unguided runs: no proxy call, the sentinel."""
+    return ProxyScore.sentinel()
 
 
 def run_search(
@@ -306,7 +303,6 @@ def run_search(
     scorer: Optional[Scorer] = None,
     rng: Optional[RngStream] = None,
     initial_population: Optional[list] = None,
-    parallel_children: bool = False,
 ) -> Trajectory:
     """Run one full search and return its trajectory.
 
@@ -325,10 +321,10 @@ def run_search(
     best_record = None
     trained: set = set()
 
-    def log(ind: Individual, parent_arch=None) -> None:
-        nonlocal best, best_record
+    def log(ind: Individual, record, parent_arch=None) -> None:
+        nonlocal clock, best, best_record
+        clock += record.train_time_s
         trained.add(ind.arch)
-        record = query(bench, ind.arch)
         if best is None or ind.fitness > best.fitness:
             best, best_record = ind, record
         traj.events.append(
@@ -351,21 +347,18 @@ def run_search(
             clock += cfg.init_candidates * cfg.proxy_cost_s
         pop, _ = init_population(cfg, bench, scorer, rng)
         births = cfg.init_candidates
-        for ind in pop:
-            clock += query(bench, ind.arch).train_time_s
-            log(ind)
     else:
         if len(initial_population) != cfg.pop_size:
             raise ConfigError(
                 f"initial population has {len(initial_population)} individuals, "
                 f"expected pop_size={cfg.pop_size}"
             )
-        pop = [replace_fitness(ind, query(bench, ind.arch).val_acc) for ind in initial_population]
+        pop = [replace(ind, fitness=query(bench, ind.arch).val_acc) for ind in initial_population]
         births = max(ind.birth_index for ind in pop) + 1
-        for ind in pop:
-            clock += query(bench, ind.arch).train_time_s
-            log(ind)
+    for ind in pop:
+        log(ind, query(bench, ind.arch))
 
+    score_child = (lambda arch, stream: _as_proxy(scorer(arch, stream))) if cfg.guided else _unscored
     target = cfg.cycles if cfg.budget_counts_init else cfg.cycles + cfg.pop_size
     cycle = 0
     while len(traj.events) < target:
@@ -374,22 +367,14 @@ def run_search(
         if cfg.guided:
             traj.n_proxy_evals += cfg.gen_size
             clock += cfg.gen_size * cfg.proxy_cost_s
-        child_arch, child_proxy = spawn_generation(
-            parent,
-            cfg,
-            lambda a, s: _score_or_placeholder(cfg, scorer, a, s),
-            stream,
-            parallel=parallel_children,
-            trained=trained,
-        )
+        child_arch, child_proxy = spawn_generation(parent, cfg, score_child, stream, trained=trained)
         record = query(bench, child_arch)
-        clock += record.train_time_s
         child = Individual(
             child_arch, child_proxy, record.val_acc, birth_index=births, origin=f"cycle:{cycle}"
         )
         births += 1
         pop.append(child)
-        log(child, parent_arch=parent.arch)
+        log(child, record, parent_arch=parent.arch)
         remove_survivor(pop, cfg)
         if len(pop) != cfg.pop_size:
             raise RuntimeError("population size invariant violated")
@@ -402,37 +387,18 @@ def run_search(
     return traj
 
 
-def replace_fitness(ind: Individual, fitness: float) -> Individual:
-    return Individual(ind.arch, ind.proxy, fitness, ind.birth_index, ind.origin)
-
-
 def run_random_search(cfg: SearchConfig, bench: Benchmark, rng: Optional[RngStream] = None) -> Trajectory:
-    """Baseline: `cycles` independent uniform samples, answer is the argmax."""
-    rng = rng if rng is not None else RngStream(cfg.seed)
-    traj = Trajectory()
-    clock = 0.0
-    best = None
-    best_record = None
-    for i in range(cfg.cycles):
-        arch = random_arch(rng.child("init", i, "arch"))
-        record = query(bench, arch)
-        clock += record.train_time_s
-        ind = Individual(arch, ProxyScore.sentinel(), record.val_acc, birth_index=i, origin="init")
-        if best is None or ind.fitness > best.fitness:
-            best, best_record = ind, record
-        traj.events.append(
-            TrajectoryEvent(
-                event_index=i,
-                arch=arch,
-                proxy_value=ind.proxy.value,
-                fitness=ind.fitness,
-                best_so_far=best.fitness,
-                simulated_time_s=clock,
-            )
-        )
-    traj.best = best
-    traj.best_test_acc = best_record.test_acc
-    traj.simulated_time_s = clock
+    """Baseline: `cycles` independent uniform samples, answer is the argmax.
+
+    This is the unguided initialization with every sample kept and no
+    cycle run.  The samples form no population to evolve or transfer, so
+    `final_population` stays empty.
+    """
+    n = cfg.cycles
+    sampling = replace(cfg, guided=False, pop_size=n, init_candidates=n, gen_size=1,
+                       budget_counts_init=True)
+    traj = run_search(sampling, bench, rng=rng)
+    traj.final_population = []
     return traj
 
 

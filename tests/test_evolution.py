@@ -185,14 +185,6 @@ def test_spawn_best_matches_rescoring():
     assert proxy.value == max(rescored)
 
 
-def test_spawn_parallel_equals_sequential():
-    parent = individuals([1.0])[0]
-    cfg = SearchConfig(pop_size=1, cycles=1, init_candidates=1, gen_size=8)
-    seq = spawn_generation(parent, cfg, mock_scorer, RngStream(8, ("c",)), parallel=False)
-    par = spawn_generation(parent, cfg, mock_scorer, RngStream(8, ("c",)), parallel=True)
-    assert seq == par
-
-
 def test_spawn_all_sentinel_takes_first_child():
     parent = individuals([1.0])[0]
     cfg = SearchConfig(pop_size=1, cycles=1, init_candidates=1, gen_size=5)
@@ -304,12 +296,9 @@ def test_run_search_invariants():
     assert abs(traj.simulated_time_s - expected) < 1e-9
 
 
-def test_run_deterministic_and_parallel_identical():
+def test_run_deterministic():
     cfg = SearchConfig(pop_size=4, cycles=20, gen_size=5, init_candidates=25, seed=21)
-    a = run_search(cfg, BENCH, mock_scorer)
-    b = run_search(cfg, BENCH, mock_scorer)
-    c = run_search(cfg, BENCH, mock_scorer, parallel_children=True)
-    assert a == b == c
+    assert run_search(cfg, BENCH, mock_scorer) == run_search(cfg, BENCH, mock_scorer)
 
 
 def test_guided_repeats_only_when_every_child_was_trained():
@@ -320,7 +309,6 @@ def test_guided_repeats_only_when_every_child_was_trained():
     cfg = SearchConfig(pop_size=3, cycles=100, gen_size=3, init_candidates=6, seed=13,
                        parent_mode="highest", removal_mode="lowest")
     traj = run_search(cfg, BENCH, scorer)
-    assert traj == run_search(cfg, BENCH, scorer, parallel_children=True)
     assert traj.n_trained == 100  # a repeat still costs a training slot
     assert traj.n_proxy_evals == 6 + (100 - 3) * 3
     # a transfer run counts its loaded individuals as trained
@@ -379,7 +367,6 @@ def test_rea_reduction_matches_reference_loop():
         history = []
         for i in range(pop_size):
             arch = random_arch(root.child("init", i, "arch"))
-            root.child("init", i, "score").uniform()  # placeholder draw
             fit = BENCH.records[arch].val_acc
             pop.append((arch, fit))
             history.append((arch, fit))
@@ -392,7 +379,6 @@ def test_rea_reduction_matches_reference_loop():
                 if parent is None or pop[int(d)][1] > parent[1]:
                     parent = pop[int(d)]
             child = mutate(parent[0], stream.child("child", 0, "mut"))
-            stream.child("child", 0, "score").uniform()
             fit = BENCH.records[child].val_acc
             pop.append((child, fit))
             history.append((child, fit))
@@ -405,6 +391,41 @@ def test_rea_reduction_matches_reference_loop():
         traj = run_search(cfg, BENCH, None)
         ref = reference_rea(seed, 6, 3, 25)
         assert [(e.arch, e.fitness) for e in traj.events] == ref
+        assert all(e.proxy_value == ProxyScore.sentinel().value for e in traj.events)
+
+
+def test_random_search_matches_reference_loop():
+    """Random search must replay a standalone loop of uniform samples."""
+    timed = Benchmark(
+        space=DEFAULT_SPACE,
+        dataset_name="timed",
+        records={
+            arch: FitnessRecord(rec.val_acc, rec.test_acc, 1.0 + rec.val_acc / 8)
+            for arch, rec in BENCH.records.items()
+        },
+    )
+
+    def reference_rs(seed, cycles):
+        root = RngStream(seed)
+        events = []
+        best, clock = float("-inf"), 0.0
+        for i in range(cycles):
+            arch = random_arch(root.child("init", i, "arch"))
+            rec = timed.records[arch]
+            best = max(best, rec.val_acc)
+            clock += rec.train_time_s
+            events.append((arch, rec.val_acc, best, clock, ProxyScore.sentinel().value))
+        return events
+
+    for seed in (0, 1, 2, 3, 4):
+        cfg = SearchConfig(pop_size=5, cycles=30, gen_size=4, seed=seed)
+        traj = run_random_search(cfg, timed)
+        events = [
+            (e.arch, e.fitness, e.best_so_far, e.simulated_time_s, e.proxy_value)
+            for e in traj.events
+        ]
+        assert events == reference_rs(seed, 30)
+        assert traj.simulated_time_s == events[-1][3]
 
 
 def test_random_search():

@@ -86,6 +86,18 @@ def test_curve_init_only_when_no_cycles():
     assert len(result.runs[0].curve) == 1
 
 
+@pytest.mark.parametrize("method", ["gea", "rea", "rs"])
+def test_curve_points_numbered_from_zero(method):
+    search = SearchConfig(pop_size=6, tournament_size=2, cycles=15, gen_size=3,
+                          init_candidates=20, seed=3)
+    run = run_experiment(small_config(method=method, search=search, num_runs=1)).runs[0]
+    # random search: one point per sample; evolution: the init point, then one per cycle
+    points = 15 if method == "rs" else 15 - 6 + 1
+    assert [cycle for cycle, _, _ in run.curve] == list(range(points))
+    assert run.curve[-1][1] == run.final_val_acc
+    assert run.curve[-1][2] == run.simulated_time_s
+
+
 def test_emit_results_roundtrip(tmp_path):
     result = run_experiment(small_config(num_runs=2, out=str(tmp_path / "r")))
     curves, summary = emit_results(result)
