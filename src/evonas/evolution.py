@@ -263,13 +263,16 @@ def init_population(
     bench: Benchmark,
     scorer: Optional[Scorer],
     rng: RngStream,
+    records: Optional[list] = None,
 ) -> tuple[list, list]:
     """Sample, score and filter the initial population.
 
     Returns (population, candidates); the population holds the pop_size
     best-by-proxy candidates (ties: lower birth index), in birth order,
     with fitness filled in from the oracle.  Unguided candidates all carry
-    the sentinel score, so the first pop_size are kept.
+    the sentinel score, so the first pop_size are kept.  `records`, when
+    given, receives the oracle record of each kept individual in population
+    order, so that a caller needs no second lookup.
     """
     _require_scorer(cfg, scorer)
     candidates = []
@@ -283,7 +286,10 @@ def init_population(
     kept = sorted(candidates, key=lambda ind: (-ind.proxy.value, ind.birth_index))[: cfg.pop_size]
     kept.sort(key=lambda ind: ind.birth_index)
     for ind in kept:
-        ind.fitness = query(bench, ind.arch).val_acc
+        record = query(bench, ind.arch)
+        ind.fitness = record.val_acc
+        if records is not None:
+            records.append(record)
     return kept, candidates
 
 
@@ -341,11 +347,12 @@ def run_search(
         )
 
     pop: list
+    records: list = []
     if initial_population is None:
         if cfg.guided:
             traj.n_proxy_evals += cfg.init_candidates
             clock += cfg.init_candidates * cfg.proxy_cost_s
-        pop, _ = init_population(cfg, bench, scorer, rng)
+        pop, _ = init_population(cfg, bench, scorer, rng, records=records)
         births = cfg.init_candidates
     else:
         if len(initial_population) != cfg.pop_size:
@@ -353,10 +360,11 @@ def run_search(
                 f"initial population has {len(initial_population)} individuals, "
                 f"expected pop_size={cfg.pop_size}"
             )
-        pop = [replace(ind, fitness=query(bench, ind.arch).val_acc) for ind in initial_population]
+        records = [query(bench, ind.arch) for ind in initial_population]
+        pop = [replace(ind, fitness=r.val_acc) for ind, r in zip(initial_population, records)]
         births = max(ind.birth_index for ind in pop) + 1
-    for ind in pop:
-        log(ind, query(bench, ind.arch))
+    for ind, record in zip(pop, records):
+        log(ind, record)
 
     score_child = (lambda arch, stream: _as_proxy(scorer(arch, stream))) if cfg.guided else _unscored
     target = cfg.cycles if cfg.budget_counts_init else cfg.cycles + cfg.pop_size

@@ -37,7 +37,9 @@ class RngStream:
 
     Draw methods advance the stream state; `child` creates an independent
     stream whose output depends only on the root seed and the child path,
-    never on how much the parent has been consumed.
+    never on how much the parent has been consumed.  The key and generator
+    are built on the first draw, so a stream used only to derive child
+    paths costs no hashing.
     """
 
     __slots__ = ("seed", "path", "_gen")
@@ -45,7 +47,12 @@ class RngStream:
     def __init__(self, seed: int, path: tuple = ()):
         self.seed = int(seed)
         self.path = tuple(path)
-        self._gen = np.random.Generator(np.random.Philox(key=_key(self.seed, self.path)))
+        self._gen = None
+
+    def _generator(self) -> np.random.Generator:
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.Philox(key=_key(self.seed, self.path)))
+        return self._gen
 
     def child(self, *path) -> "RngStream":
         """Independent substream addressed by `path` components."""
@@ -55,13 +62,13 @@ class RngStream:
 
     def integers(self, high: int, size=None):
         """Uniform integers in [0, high)."""
-        return self._gen.integers(high, size=size)
+        return self._generator().integers(high, size=size)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        return self._gen.uniform(low, high, size=size)
+        return self._generator().uniform(low, high, size=size)
 
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
-        return self._gen.normal(loc, scale, size=size)
+        return self._generator().normal(loc, scale, size=size)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self.path!r})"

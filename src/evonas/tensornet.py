@@ -7,6 +7,17 @@ gradient of the total logit sum with respect to the input batch, via
 hand-written reverse-mode rules for each layer (including the cross-sample
 coupling introduced by batch-statistics normalization).
 
+Kernels.  The forward convolution is one ``einsum`` over a sliding-window
+view of the padded input.  The convolution input gradient computes every
+kernel tap in a single GEMM, ``W^T (o, c*kh*kw) @ gy (o, n*ho*wo)``, laid
+out as ``(c, kh, kw, n, ho, wo)`` so that each tap's block is contiguous;
+each tap is then added onto a strided slice of a channel-major padded
+buffer, which is cropped and transposed back to NCHW.  The same path serves
+every stride and kernel size.  3x3 average pooling is a separable box sum
+(shifted row slices added, then shifted column slices) divided by 9; the
+box is symmetric, so its backward pass is the same operation on the
+gradient.
+
 Layer protocol: ``forward(x, margins) -> (y, cache)`` and
 ``backward(cache, gy) -> gx``.  ``margins``, when given, collects the
 minimum |preactivation| seen by each ReLU, used to detect near-kink inputs
@@ -110,19 +121,28 @@ def _conv_forward(x, w, stride, pad):
 
 def _conv_backward_input(gy, w, x_shape, stride, pad):
     n, c, h, width = x_shape
-    kh, kw = w.shape[2:]
+    o, _, kh, kw = w.shape
     ho, wo = gy.shape[2:]
-    gxp = np.zeros((n, c, h + 2 * pad, width + 2 * pad))
-    # tap (i, j) of the kernel scatters gy onto a strided slice of the input
-    g_all = np.tensordot(gy, w, axes=(1, 0))  # (n, ho, wo, c, kh, kw)
+    # all taps in one GEMM, laid out (c, kh, kw, n, ho, wo): each tap's block
+    # is contiguous, and tap (i, j) scatters onto a strided slice of the input
+    taps = w.reshape(o, -1).T @ gy.transpose(1, 0, 2, 3).reshape(o, -1)
+    taps = taps.reshape(c, kh, kw, n, ho, wo)
+    gxp = np.zeros((c, n, h + 2 * pad, width + 2 * pad))
     for i in range(kh):
         for j in range(kw):
-            gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
-                g_all[..., i, j].transpose(0, 3, 1, 2)
-            )
-    if pad:
-        return gxp[:, :, pad : pad + h, pad : pad + width]
-    return gxp
+            gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += taps[:, i, j]
+    return np.ascontiguousarray(gxp[:, :, pad : pad + h, pad : pad + width].transpose(1, 0, 2, 3))
+
+
+def _box3(x):
+    """Zero-padded 3x3 box sum, separably: rows, then columns."""
+    rows = x.copy()
+    rows[:, :, 1:] += x[:, :, :-1]
+    rows[:, :, :-1] += x[:, :, 1:]
+    out = rows.copy()
+    out[..., 1:] += rows[..., :-1]
+    out[..., :-1] += rows[..., 1:]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -174,20 +194,16 @@ class _ReLU:
 
 
 class _AvgPool3x3:
-    """3x3 average pooling, stride 1, pad 1, always dividing by 9."""
+    """3x3 average pooling, stride 1, pad 1, always dividing by 9.
+
+    The box sum is symmetric, so the backward pass is the same pooling.
+    """
 
     def forward(self, x, margins=None):
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        win = sliding_window_view(xp, (3, 3), axis=(2, 3))
-        return win.mean(axis=(4, 5)), x.shape
+        return _box3(x) / 9.0, None
 
     def backward(self, cache, gy):
-        n, c, h, w = cache
-        gxp = np.zeros((n, c, h + 2, w + 2))
-        for i in range(3):
-            for j in range(3):
-                gxp[:, :, i : i + h, j : j + w] += gy
-        return gxp[:, :, 1 : 1 + h, 1 : 1 + w] / 9.0
+        return _box3(gy) / 9.0
 
 
 class _Zero:

@@ -531,6 +531,23 @@ def test_transfer_run_counts_and_eviction(tmp_path):
     assert loaded[0].birth_index not in survivors
 
 
+@pytest.mark.parametrize("kind", ["gea", "rea", "rs", "transfer"])
+def test_one_oracle_query_per_trained_architecture(kind, monkeypatch):
+    import evonas.evolution as evolution
+
+    calls = []
+    monkeypatch.setattr(evolution, "query", lambda bench, arch: calls.append(arch) or bench.records[arch])
+    if kind == "rs":
+        traj = run_random_search(SearchConfig(cycles=20, seed=4), BENCH)
+    elif kind == "rea":
+        traj = run_search(rea_config(pop_size=5, cycles=20, seed=4), BENCH)
+    else:
+        initial = individuals([1.0, 2.0, 3.0, 4.0, 5.0]) if kind == "transfer" else None
+        cfg = SearchConfig(pop_size=5, cycles=20, gen_size=3, init_candidates=12, seed=4)
+        traj = run_search(cfg, BENCH, mock_scorer, initial_population=initial)
+    assert calls == [e.arch for e in traj.events]
+
+
 def test_transfer_population_size_mismatch():
     pop = individuals([1.0, 2.0])
     cfg = SearchConfig(pop_size=5, cycles=10, init_candidates=10)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from evonas.rng import RngStream, derive_seed
+from evonas.rng import RngStream, _key, derive_seed
 
 
 def test_same_seed_same_draws():
@@ -46,3 +46,24 @@ def test_derive_seed_stable_and_spread():
     seeds = {derive_seed(123, "run", i) for i in range(1000)}
     assert len(seeds) == 1000
     assert all(0 <= s < 2**63 for s in seeds)
+
+
+def test_lazy_generator_keeps_every_stream():
+    # reference: the generator built eagerly from the (seed, path) key
+    def eager(path):
+        return np.random.Generator(np.random.Philox(key=_key(11, path)))
+
+    # built early: forced before any child is derived
+    early = RngStream(11, ("run",))
+    early._generator()
+    kid_first = early.child("c", 2)
+    assert np.array_equal(early.normal(size=6), eager(("run",)).normal(size=6))
+    # built late: children derived and drawn from before the parent draws
+    late = RngStream(11, ("run",))
+    kid = late.child("c", 2)
+    assert np.array_equal(kid.integers(100, size=6), eager(("run", "c", 2)).integers(100, size=6))
+    assert np.array_equal(late.normal(size=6), eager(("run",)).normal(size=6))
+    # a child derived after the parent's first draw is the same stream
+    assert np.array_equal(late.child("c", 2).uniform(size=6), kid_first.uniform(size=6))
+    # a path-only stream builds no generator
+    assert RngStream(11).child("cycle", 0).child("child", 1)._gen is None

@@ -3,10 +3,15 @@ import pytest
 
 from evonas.cellspace import ArchEncoding, OpKind, random_arch
 from evonas.rng import RngStream
+from numpy.lib.stride_tricks import sliding_window_view
+
 from evonas.tensornet import (
     Cell,
     JacobianBatch,
     SkeletonConfig,
+    _AvgPool3x3,
+    _conv_backward_input,
+    _conv_forward,
     _edge_module,
     build_network,
     finite_diff_jacobian,
@@ -191,3 +196,107 @@ def test_benchmark_scale_config_builds():
     net = build_network(arch, cfg, RngStream(22, ("init",)))
     batch = RngStream(23).normal(size=(2, 3, 32, 32))
     assert forward(net, batch).shape == (2, 10)
+
+
+# ---------------------------------------------------------------------------
+# kernels against the reference kernels they replaced
+
+
+def reference_conv_backward_input(gy, w, x_shape, stride, pad):
+    n, c, h, width = x_shape
+    kh, kw = w.shape[2:]
+    ho, wo = gy.shape[2:]
+    gxp = np.zeros((n, c, h + 2 * pad, width + 2 * pad))
+    # tap (i, j) of the kernel scatters gy onto a strided slice of the input
+    g_all = np.tensordot(gy, w, axes=(1, 0))  # (n, ho, wo, c, kh, kw)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
+                g_all[..., i, j].transpose(0, 3, 1, 2)
+            )
+    if pad:
+        return gxp[:, :, pad : pad + h, pad : pad + width]
+    return gxp
+
+
+def reference_avgpool_forward(x):
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    win = sliding_window_view(xp, (3, 3), axis=(2, 3))
+    return win.mean(axis=(4, 5))
+
+
+def reference_avgpool_backward(x_shape, gy):
+    n, c, h, w = x_shape
+    gxp = np.zeros((n, c, h + 2, w + 2))
+    for i in range(3):
+        for j in range(3):
+            gxp[:, :, i : i + h, j : j + w] += gy
+    return gxp[:, :, 1 : 1 + h, 1 : 1 + w] / 9.0
+
+
+SKELETONS = {
+    "small": SMALL,
+    "desk": SkeletonConfig(),
+    "wide": SkeletonConfig(input_hw=32, stem_channels=16, cells_per_stage=1),
+}
+
+
+def layer_configs():
+    """Every conv and pooling shape a skeleton builds, as pytest params.
+
+    Conv: (c_in, c_out, hw, k, stride); pooling: (channels, hw).
+    """
+    out = []
+    for name, cfg in SKELETONS.items():
+        c, hw = cfg.stem_channels, cfg.input_hw
+        out.append(pytest.param(name, "conv", (cfg.input_channels, c, hw, 3, 1), id=f"{name}-stem"))
+        for stage in range(cfg.num_stages):
+            for k in (1, 3):
+                out.append(pytest.param(name, "conv", (c, c, hw, k, 1), id=f"{name}-s{stage}-conv{k}x{k}"))
+            out.append(pytest.param(name, "pool", (c, hw), id=f"{name}-s{stage}-pool"))
+            if stage < cfg.num_stages - 1:
+                out.append(pytest.param(name, "conv", (c, 2 * c, hw, 3, 2), id=f"{name}-s{stage}-reduce"))
+                c, hw = 2 * c, hw // 2
+    return out
+
+
+def assert_same(new, old):
+    assert new.shape == old.shape
+    assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+
+
+@pytest.mark.parametrize("skeleton,kind,shape", layer_configs())
+def test_kernels_match_reference(skeleton, kind, shape):
+    stream = RngStream(31, ("kernels", skeleton) + shape)
+    n = 4
+    if kind == "pool":
+        c, hw = shape
+        x = stream.normal(size=(n, c, hw, hw))
+        gy = stream.normal(size=(n, c, hw, hw))
+        pool = _AvgPool3x3()
+        y, cache = pool.forward(x)
+        assert_same(y, reference_avgpool_forward(x))
+        assert_same(pool.backward(cache, gy), reference_avgpool_backward(x.shape, gy))
+        return
+    c_in, c_out, hw, k, stride = shape
+    pad = (k - 1) // 2
+    ho = (hw + 2 * pad - k) // stride + 1
+    w = stream.normal(size=(c_out, c_in, k, k))
+    gy = stream.normal(size=(n, c_out, ho, ho))
+    x_shape = (n, c_in, hw, hw)
+    gx = _conv_backward_input(gy, w, x_shape, stride, pad)
+    assert gx.flags.c_contiguous
+    assert_same(gx, reference_conv_backward_input(gy, w, x_shape, stride, pad))
+
+
+@pytest.mark.parametrize("k,stride", [(1, 1), (3, 1), (3, 2)])
+def test_conv_backward_is_adjoint_of_forward(k, stride):
+    stream = RngStream(32, ("adjoint", k, stride))
+    pad = (k - 1) // 2
+    x = stream.normal(size=(3, 4, 8, 8))
+    w = stream.normal(size=(6, 4, k, k))
+    y = _conv_forward(x, w, stride, pad)
+    gy = stream.normal(size=y.shape)
+    lhs = np.vdot(y, gy)
+    rhs = np.vdot(x, _conv_backward_input(gy, w, x.shape, stride, pad))
+    assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(y), np.abs(gy))
