@@ -33,9 +33,8 @@ for tau_target in (1.0, 0.6, 0.0):
     bench = gen_synthetic(
         SyntheticSpec(seed=5, noise_std=2.0, interaction_scale=0.5, target_proxy_tau=tau_target)
     )
-    vals = np.array([bench.records[a].val_acc for a in enumerate_all()])
-    prox = np.array([bench.synthetic_proxy[a] for a in enumerate_all()])
-    print(f"target tau {tau_target:+.1f} -> measured {kendall_tau(prox, vals):+.4f}")
+    measured = kendall_tau(bench.synthetic_proxy, bench.val_acc)
+    print(f"target tau {tau_target:+.1f} -> measured {measured:+.4f}")
 
 # Benchmarks round-trip through the JSON schema used by the CLI.
 bench = gen_synthetic(SyntheticSpec(seed=5, noise_std=2.0, interaction_scale=0.5,
@@ -44,11 +43,12 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "bench.json"
     save_tabular(bench, path)
     loaded = load_tabular(path)
-    probe = next(iter(loaded.records))
+    probe = next(enumerate_all())
     assert query(loaded, probe) == query(bench, probe)
-    print(f"\nsaved and reloaded {len(loaded.records)} records ({path.stat().st_size / 1e6:.1f} MB)")
+    print(f"\nsaved and reloaded {len(loaded.val_acc)} records ({path.stat().st_size / 1e6:.1f} MB)")
 
-vals = np.array([bench.records[a].val_acc for a in enumerate_all()])
+# Fitness arrays are indexed by genotype, in enumerate_all order.
+vals = bench.val_acc
 print("\nfitness distribution over the full space:")
 for q in (0, 25, 50, 75, 100):
     print(f"  p{q:<3} = {np.percentile(vals, q):6.2f}")

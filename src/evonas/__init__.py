@@ -14,7 +14,6 @@ from .batches import SyntheticBatchSpec, load_raw_batch, make_batch
 from .cellspace import (
     ArchEncoding,
     OpKind,
-    SpaceDescriptor,
     decode_str,
     encode_str,
     enumerate_all,
@@ -63,7 +62,6 @@ __all__ = [
     "welch_ttest",
     "ArchEncoding",
     "OpKind",
-    "SpaceDescriptor",
     "decode_str",
     "encode_str",
     "enumerate_all",

@@ -2,8 +2,9 @@
 
 A cell is a DAG over 4 nodes with one operation on each of the 6 edges
 (0->1), (0->2), (1->2), (0->3), (1->3), (2->3).  With 5 operation kinds the
-space holds 5**6 = 15625 genotypes.  The canonical string encoding groups
-edges by destination node, e.g.
+space holds 5**6 = 15625 genotypes, indexed (`ArchEncoding.__index__`) by
+their edge ops read as base-5 digits, edge 0 most significant.  The
+canonical string encoding groups edges by destination node, e.g.
 
     |nor_conv_3x3~0|+|skip_connect~0|none~1|+|skip_connect~0|nor_conv_1x1~1|avg_pool_3x3~2|
 
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Iterator
 
 from .rng import RngStream
@@ -22,10 +24,11 @@ from .rng import RngStream
 __all__ = [
     "OpKind",
     "ArchEncoding",
-    "SpaceDescriptor",
     "ArchParseError",
     "EDGES",
+    "NUM_NODES",
     "NUM_EDGES",
+    "SPACE_SIZE",
     "random_arch",
     "mutate",
     "enumerate_all",
@@ -33,6 +36,7 @@ __all__ = [
     "decode_str",
 ]
 
+NUM_NODES = 4
 # Edge order: grouped by destination node, sources ascending.
 EDGES: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
 NUM_EDGES = len(EDGES)
@@ -57,6 +61,7 @@ OP_NAMES: tuple[str, ...] = (
     "avg_pool_3x3",
 )
 _NAME_TO_OP = {name: OpKind(i) for i, name in enumerate(OP_NAMES)}
+SPACE_SIZE = len(OP_NAMES) ** NUM_EDGES
 
 
 class ArchParseError(ValueError):
@@ -81,27 +86,27 @@ class ArchEncoding:
     def hamming(self, other: "ArchEncoding") -> int:
         return sum(a != b for a, b in zip(self.edge_ops, other.edge_ops))
 
+    def __index__(self) -> int:
+        """Position in enumerate_all order: base 5 over EDGES, edge 0 most significant."""
+        k = 0
+        for op in self.edge_ops:
+            k = k * len(OP_NAMES) + op
+        return k
+
+    @classmethod
+    def from_index(cls, k) -> "ArchEncoding":
+        """Inverse of __index__."""
+        k = operator.index(k)
+        if not 0 <= k < SPACE_SIZE:
+            raise ValueError(f"genotype index must lie in [0, {SPACE_SIZE}), got {k}")
+        ops = []
+        for _ in range(NUM_EDGES):
+            k, op = divmod(k, len(OP_NAMES))
+            ops.append(op)
+        return cls(tuple(reversed(ops)))
+
     def __str__(self) -> str:
         return encode_str(self)
-
-
-@dataclass(frozen=True)
-class SpaceDescriptor:
-    """Shape of the search space; op_names define the string interop."""
-
-    num_nodes: int = 4
-    op_names: tuple[str, ...] = field(default=OP_NAMES)
-
-    @property
-    def num_edges(self) -> int:
-        return self.num_nodes * (self.num_nodes - 1) // 2
-
-    @property
-    def size(self) -> int:
-        return len(self.op_names) ** self.num_edges
-
-
-DEFAULT_SPACE = SpaceDescriptor()
 
 
 def random_arch(rng: RngStream) -> ArchEncoding:
@@ -126,7 +131,7 @@ def mutate(parent: ArchEncoding, rng: RngStream) -> ArchEncoding:
 
 
 def enumerate_all() -> Iterator[ArchEncoding]:
-    """All 15625 genotypes, in lexicographic order of edge op indices."""
+    """All 15625 genotypes, in index order (lexicographic in edge op indices)."""
     for combo in itertools.product(OpKind, repeat=NUM_EDGES):
         yield ArchEncoding(combo)
 
@@ -135,7 +140,7 @@ def encode_str(arch: ArchEncoding) -> str:
     """Canonical string: edges grouped by destination node, '~<source>' suffix."""
     groups = []
     pos = 0
-    for dest in range(1, 4):
+    for dest in range(1, NUM_NODES):
         parts = []
         for src in range(dest):
             op = arch.edge_ops[pos]

@@ -178,12 +178,10 @@ def _cmd_bench_gen(args) -> int:
     )
     bench = gen_synthetic(spec)
     save_tabular(bench, args.out)
-    vals = [bench.records[a].val_acc for a in bench.records]
-    proxies = [bench.synthetic_proxy[a] for a in bench.records]
     print(json.dumps({
         "path": args.out,
-        "architectures": len(bench.records),
-        "measured_tau": round(kendall_tau(proxies, vals), 6),
+        "architectures": len(bench.val_acc),
+        "measured_tau": round(kendall_tau(bench.synthetic_proxy, bench.val_acc), 6),
     }, sort_keys=True))
     return 0
 

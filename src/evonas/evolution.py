@@ -34,9 +34,9 @@ from pathlib import Path
 from typing import Callable, Collection, Optional
 
 from .cellspace import (
-    DEFAULT_SPACE,
+    NUM_NODES,
+    OP_NAMES,
     ArchEncoding,
-    SpaceDescriptor,
     decode_str,
     encode_str,
     mutate,
@@ -186,7 +186,7 @@ class Trajectory:
 def _as_proxy(value) -> ProxyScore:
     if isinstance(value, ProxyScore):
         return value
-    return ProxyScore(value=float(value))
+    return ProxyScore(value=value)
 
 
 def tournament_select(pop: list, cfg: SearchConfig, rng: RngStream) -> Individual:
@@ -421,7 +421,7 @@ def _proxy_to_json(proxy: ProxyScore):
 def save_checkpoint(pop: list, path) -> None:
     """Persist a population, oldest first, for later transfer search."""
     doc = {
-        "space": {"nodes": DEFAULT_SPACE.num_nodes, "ops": list(DEFAULT_SPACE.op_names)},
+        "space": {"nodes": NUM_NODES, "ops": list(OP_NAMES)},
         "individuals": [
             {
                 "arch": encode_str(ind.arch),
@@ -435,14 +435,14 @@ def save_checkpoint(pop: list, path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", "utf-8")
 
 
-def load_checkpoint(path, space: SpaceDescriptor = DEFAULT_SPACE) -> list:
+def load_checkpoint(path) -> list:
     """Load a population saved by save_checkpoint, verifying the space."""
     try:
         doc = json.loads(Path(path).read_text("utf-8"))
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: invalid JSON: {exc}") from None
     space_doc = doc.get("space", {})
-    if space_doc.get("nodes") != space.num_nodes or tuple(space_doc.get("ops", ())) != space.op_names:
+    if space_doc.get("nodes") != NUM_NODES or tuple(space_doc.get("ops", ())) != OP_NAMES:
         raise CheckpointError(f"{path}: checkpoint space {space_doc!r} does not match target space")
     pop = []
     last_birth = None

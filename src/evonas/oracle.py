@@ -1,9 +1,11 @@
 """Fitness oracles: file-backed tabular benchmarks and synthetic landscapes.
 
-A Benchmark maps every one of the 15625 genotypes to validation/test
-accuracy and a simulated training cost, replacing actual training during
-search.  Tabular files follow the JSON schema documented in `save_tabular`;
-`gen_synthetic` builds a seeded landscape with a known global optimum and a
+A Benchmark holds validation/test accuracy and a simulated training cost
+for every one of the 15625 genotypes, replacing actual training during
+search, as float64 arrays indexed by genotype: an ArchEncoding indexes them
+directly (`bench.val_acc[arch]`).  Tabular files follow the JSON schema
+documented in `save_tabular`, one record per genotype, unchanged by that
+layout; `gen_synthetic` builds a seeded landscape with a known global optimum and a
 companion proxy map calibrated to a requested rank correlation with the
 fitness, which stands in for real benchmark data in experiments and tests.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,11 +23,11 @@ import numpy as np
 from .cellspace import (
     EDGES,
     NUM_EDGES,
+    NUM_NODES,
     OP_NAMES,
-    DEFAULT_SPACE,
+    SPACE_SIZE,
     ArchEncoding,
     OpKind,
-    SpaceDescriptor,
     decode_str,
     encode_str,
     enumerate_all,
@@ -47,7 +50,7 @@ __all__ = [
 
 
 class BenchmarkError(ValueError):
-    """Malformed or incomplete tabular benchmark file."""
+    """Malformed or incomplete benchmark."""
 
 
 class CalibrationError(RuntimeError):
@@ -56,34 +59,47 @@ class CalibrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitnessRecord:
+    """One genotype's row of a Benchmark."""
+
     val_acc: float
     test_acc: float
     train_time_s: float
 
-    def __post_init__(self):
-        fields = (self.val_acc, self.test_acc, self.train_time_s)
-        if not all(np.isfinite(fields)):
-            raise ValueError(f"non-finite fitness record: {self}")
-        if not (0.0 <= self.val_acc <= 100.0 and 0.0 <= self.test_acc <= 100.0):
-            raise ValueError(f"accuracies must lie in [0, 100]: {self}")
-        if self.train_time_s < 0.0:
-            raise ValueError(f"train_time_s must be nonnegative: {self}")
-
 
 @dataclass
 class Benchmark:
-    """Total map from every genotype in the space to its fitness record."""
+    """Fitness of every genotype, as float64 arrays indexed by genotype.
 
-    space: SpaceDescriptor
+    Each array holds SPACE_SIZE entries; `synthetic_proxy` is the proxy map
+    of a synthetic landscape, or None.  Accuracies must lie in [0, 100] and
+    training times must be finite and nonnegative.
+    """
+
     dataset_name: str
-    records: dict
-    synthetic_proxy: dict | None = None
+    val_acc: np.ndarray
+    test_acc: np.ndarray
+    train_time_s: np.ndarray
+    synthetic_proxy: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.records) != self.space.size:
+        names = ["val_acc", "test_acc", "train_time_s"]
+        if self.synthetic_proxy is not None:
+            names.append("synthetic_proxy")
+        for name in names:
+            values = np.asarray(getattr(self, name), dtype=np.float64)
+            if values.shape != (SPACE_SIZE,):
+                raise BenchmarkError(
+                    f"benchmark must cover all {SPACE_SIZE} architectures, got {name} of shape {values.shape}"
+                )
+            setattr(self, name, values)
+        val, test, time = self.val_acc, self.test_acc, self.train_time_s
+        ok = (val >= 0.0) & (val <= 100.0) & (test >= 0.0) & (test <= 100.0)
+        ok &= np.isfinite(time) & (time >= 0.0)
+        if not ok.all():
+            k = int(np.argmin(ok))
             raise BenchmarkError(
-                f"benchmark must cover all {self.space.size} architectures, "
-                f"got {len(self.records)}"
+                f"invalid fitness for {ArchEncoding.from_index(k)}: {_record(self, k)}; "
+                "accuracies must lie in [0, 100] and train_time_s must be finite and nonnegative"
             )
 
 
@@ -109,27 +125,26 @@ class SyntheticSpec:
             raise ValueError("target_proxy_tau must lie in [-1, 1]")
 
 
+def _record(bench: Benchmark, k: int) -> FitnessRecord:
+    return FitnessRecord(float(bench.val_acc[k]), float(bench.test_acc[k]), float(bench.train_time_s[k]))
+
+
 def query(bench: Benchmark, arch: ArchEncoding) -> FitnessRecord:
-    """Pure lookup of the stored record."""
-    return bench.records[arch]
+    """Pure lookup of one genotype's row, as Python floats."""
+    return _record(bench, operator.index(arch))
 
 
 def best_of(bench: Benchmark) -> tuple[ArchEncoding, FitnessRecord]:
     """Exhaustive argmax over val_acc; ties go to the lexicographically
     first encoding."""
-    best_arch = None
-    best_rec = None
-    for arch in enumerate_all():
-        rec = bench.records[arch]
-        if best_rec is None or rec.val_acc > best_rec.val_acc:
-            best_arch, best_rec = arch, rec
-    return best_arch, best_rec
+    k = int(np.argmax(bench.val_acc))
+    return ArchEncoding.from_index(k), _record(bench, k)
 
 
 # ---------------------------------------------------------------------------
 # tabular file I/O
 
-_SCHEMA_OPS = list(OP_NAMES)
+_SPACE_DOC = {"nodes": NUM_NODES, "ops": list(OP_NAMES)}
 
 
 def save_tabular(bench: Benchmark, path) -> None:
@@ -141,28 +156,23 @@ def save_tabular(bench: Benchmark, path) -> None:
     benchmark carries a synthetic proxy map, each record additionally holds
     a "proxy" value; plain files without it load fine.
     """
-    records = []
-    for arch in enumerate_all():
-        rec = bench.records[arch]
-        row = {
-            "arch": encode_str(arch),
-            "val_acc": rec.val_acc,
-            "test_acc": rec.test_acc,
-            "train_time_s": rec.train_time_s,
-        }
-        if bench.synthetic_proxy is not None:
-            row["proxy"] = bench.synthetic_proxy[arch]
-        records.append(row)
-    doc = {
-        "space": {"nodes": bench.space.num_nodes, "ops": list(bench.space.op_names)},
-        "dataset": bench.dataset_name,
-        "records": records,
-    }
+    rows = zip(enumerate_all(), bench.val_acc.tolist(), bench.test_acc.tolist(), bench.train_time_s.tolist())
+    records = [
+        {"arch": encode_str(arch), "val_acc": val, "test_acc": test, "train_time_s": time}
+        for arch, val, test, time in rows
+    ]
+    if bench.synthetic_proxy is not None:
+        for row, proxy in zip(records, bench.synthetic_proxy.tolist()):
+            row["proxy"] = proxy
+    doc = {"space": _SPACE_DOC, "dataset": bench.dataset_name, "records": records}
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", "utf-8")
 
 
 def load_tabular(path) -> Benchmark:
-    """Read and validate a tabular benchmark file (see save_tabular)."""
+    """Read and validate a tabular benchmark file (see save_tabular).
+
+    Records may come in any order; each fills its genotype's array slot.
+    """
     text = Path(path).read_text("utf-8")
     try:
         doc = json.loads(text)
@@ -174,45 +184,37 @@ def load_tabular(path) -> Benchmark:
         if key not in doc:
             raise BenchmarkError(f"{path}: missing top-level key {key!r}")
     space_doc = doc["space"]
-    if space_doc.get("nodes") != DEFAULT_SPACE.num_nodes or list(space_doc.get("ops", [])) != _SCHEMA_OPS:
+    if space_doc.get("nodes") != NUM_NODES or list(space_doc.get("ops", [])) != _SPACE_DOC["ops"]:
         raise BenchmarkError(
             f"{path}: space descriptor {space_doc!r} does not match "
-            f"nodes={DEFAULT_SPACE.num_nodes}, ops={_SCHEMA_OPS}"
+            f"nodes={NUM_NODES}, ops={_SPACE_DOC['ops']}"
         )
-    records: dict = {}
-    proxies: dict = {}
-    have_proxy = False
+    table = np.full((4, SPACE_SIZE), np.nan)  # val_acc, test_acc, train_time_s, proxy
+    seen = np.zeros(SPACE_SIZE, dtype=bool)
+    n_proxy = 0
     for idx, row in enumerate(doc["records"]):
         try:
-            arch = decode_str(row["arch"])
-            rec = FitnessRecord(
-                val_acc=float(row["val_acc"]),
-                test_acc=float(row["test_acc"]),
-                train_time_s=float(row["train_time_s"]),
-            )
+            k = operator.index(decode_str(row["arch"]))
+            fields = [float(row["val_acc"]), float(row["test_acc"]), float(row["train_time_s"])]
+            if "proxy" in row:
+                fields.append(float(row["proxy"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise BenchmarkError(f"{path}: record {idx} is malformed: {exc}") from None
-        if arch in records:
+        if seen[k]:
             raise BenchmarkError(f"{path}: duplicate arch string at record {idx}: {row['arch']!r}")
-        records[arch] = rec
-        if "proxy" in row:
-            have_proxy = True
-            proxies[arch] = float(row["proxy"])
-    if len(records) != DEFAULT_SPACE.size:
-        missing = [encode_str(a) for a in itertools.islice(
-            (a for a in enumerate_all() if a not in records), 5)]
+        seen[k] = True
+        table[: len(fields), k] = fields
+        n_proxy += "proxy" in row
+    if not seen.all():
+        missing = [encode_str(ArchEncoding.from_index(k)) for k in np.flatnonzero(~seen)[:5]]
         raise BenchmarkError(
-            f"{path}: incomplete benchmark: {len(records)} of {DEFAULT_SPACE.size} "
+            f"{path}: incomplete benchmark: {int(seen.sum())} of {SPACE_SIZE} "
             f"architectures present; missing e.g. {missing}"
         )
-    if have_proxy and len(proxies) != len(records):
+    if 0 < n_proxy < SPACE_SIZE:
         raise BenchmarkError(f"{path}: proxy values present on some records but not all")
-    return Benchmark(
-        space=DEFAULT_SPACE,
-        dataset_name=str(doc["dataset"]),
-        records=records,
-        synthetic_proxy=proxies if have_proxy else None,
-    )
+    val, test, time, proxy = table
+    return Benchmark(str(doc["dataset"]), val, test, time, proxy if n_proxy else None)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +285,7 @@ def gen_synthetic(spec: SyntheticSpec) -> Benchmark:
     root = RngStream(spec.seed, ("synthetic-benchmark",))
     n_ops = len(OpKind)
     utilities = root.child("edge-utils").normal(size=(NUM_EDGES, n_ops))
+    # row k holds the edge op indices of genotype k (enumerate_all order)
     combos = np.array(list(itertools.product(range(n_ops), repeat=NUM_EDGES)), dtype=np.intp)
     raw = utilities[np.arange(NUM_EDGES), combos].sum(axis=1)
     if spec.interaction_scale:
@@ -299,17 +302,4 @@ def gen_synthetic(spec: SyntheticSpec) -> Benchmark:
     test = np.clip(val + spec.test_noise_std * root.child("test-noise").normal(size=raw.size), 0.0, 100.0)
     times = root.child("train-time").uniform(5.0, 15.0, size=raw.size)
     proxy = _calibrate_proxy(val, root.child("proxy-noise").normal(size=raw.size), spec.target_proxy_tau)
-
-    records = {}
-    proxies = {}
-    for k, arch in enumerate(enumerate_all()):
-        records[arch] = FitnessRecord(
-            val_acc=float(val[k]), test_acc=float(test[k]), train_time_s=float(times[k])
-        )
-        proxies[arch] = float(proxy[k])
-    return Benchmark(
-        space=DEFAULT_SPACE,
-        dataset_name=f"synthetic-{spec.seed}",
-        records=records,
-        synthetic_proxy=proxies,
-    )
+    return Benchmark(f"synthetic-{spec.seed}", val, test, times, proxy)

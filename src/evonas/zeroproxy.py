@@ -70,6 +70,10 @@ class ProxyScore:
     value: float
     per_class: tuple = ()
 
+    def __post_init__(self):
+        # numpy scalars (e.g. a proxy-map entry) are stored as Python floats
+        object.__setattr__(self, "value", float(self.value))
+
     @classmethod
     def sentinel(cls) -> "ProxyScore":
         return cls(value=WORST_SCORE, per_class=())

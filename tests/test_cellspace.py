@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,8 +7,9 @@ from scipy import stats
 from evonas.cellspace import (
     ArchEncoding,
     ArchParseError,
+    NUM_EDGES,
+    SPACE_SIZE,
     OpKind,
-    SpaceDescriptor,
     decode_str,
     encode_str,
     enumerate_all,
@@ -19,10 +22,23 @@ ALL_ZERO = ArchEncoding((OpKind.ZEROIZE,) * 6)
 ALL_SKIP = ArchEncoding((OpKind.SKIP_CONNECT,) * 6)
 
 
-def test_space_descriptor_size():
-    space = SpaceDescriptor()
-    assert space.num_edges == 6
-    assert space.size == 5**6 == 15625
+def test_space_size():
+    assert NUM_EDGES == 6
+    assert SPACE_SIZE == 5**6 == 15625
+
+
+def test_index_roundtrip_in_enumeration_order():
+    for k, arch in enumerate(enumerate_all()):
+        assert ArchEncoding.from_index(k) == arch
+        assert ArchEncoding.from_index(k).__index__() == k
+        assert operator.index(arch) == k
+    assert k == SPACE_SIZE - 1
+    # base 5 over EDGES, edge 0 most significant
+    assert operator.index(ArchEncoding((OpKind.SKIP_CONNECT,) + (OpKind.ZEROIZE,) * 5)) == 5**5
+    assert operator.index(ArchEncoding((OpKind.ZEROIZE,) * 5 + (OpKind.AVGPOOL3X3,))) == 4
+    for bad in (-1, SPACE_SIZE):
+        with pytest.raises(ValueError):
+            ArchEncoding.from_index(bad)
 
 
 def test_arch_encoding_validation():

@@ -17,19 +17,18 @@ from evonas.evolution import (
     spawn_generation,
     tournament_select,
 )
-from evonas.oracle import Benchmark, FitnessRecord, SyntheticSpec, best_of, gen_synthetic
-from evonas.cellspace import DEFAULT_SPACE
+from evonas.oracle import Benchmark, SyntheticSpec, best_of, gen_synthetic, query
 from evonas.rng import RngStream, derive_seed
 from evonas.zeroproxy import ProxyScore
 
 
 def hashed_benchmark():
     """Cheap deterministic landscape: fitness from the genotype digits."""
-    records = {}
-    for arch in enumerate_all():
-        v = sum((3 + 7 * e) * int(op) for e, op in enumerate(arch.edge_ops)) % 97
-        records[arch] = FitnessRecord(val_acc=float(v), test_acc=float(v) / 2, train_time_s=1.0)
-    return Benchmark(space=DEFAULT_SPACE, dataset_name="hashed", records=records)
+    v = np.array(
+        [sum((3 + 7 * e) * int(op) for e, op in enumerate(arch.edge_ops)) % 97 for arch in enumerate_all()],
+        dtype=np.float64,
+    )
+    return Benchmark(dataset_name="hashed", val_acc=v, test_acc=v / 2, train_time_s=np.ones(v.size))
 
 
 BENCH = hashed_benchmark()
@@ -291,7 +290,7 @@ def test_run_search_invariants():
         if e.parent_arch is not None:
             assert e.parent_arch.hamming(e.arch) == 1
     # simulated time: one train per event plus proxy cost
-    expected = sum(BENCH.records[e.arch].train_time_s for e in traj.events)
+    expected = sum(query(BENCH, e.arch).train_time_s for e in traj.events)
     expected += cfg.proxy_cost_s * traj.n_proxy_evals
     assert abs(traj.simulated_time_s - expected) < 1e-9
 
@@ -367,7 +366,7 @@ def test_rea_reduction_matches_reference_loop():
         history = []
         for i in range(pop_size):
             arch = random_arch(root.child("init", i, "arch"))
-            fit = BENCH.records[arch].val_acc
+            fit = query(BENCH, arch).val_acc
             pop.append((arch, fit))
             history.append((arch, fit))
         c = 0
@@ -379,7 +378,7 @@ def test_rea_reduction_matches_reference_loop():
                 if parent is None or pop[int(d)][1] > parent[1]:
                     parent = pop[int(d)]
             child = mutate(parent[0], stream.child("child", 0, "mut"))
-            fit = BENCH.records[child].val_acc
+            fit = query(BENCH, child).val_acc
             pop.append((child, fit))
             history.append((child, fit))
             pop.pop(0)
@@ -397,12 +396,10 @@ def test_rea_reduction_matches_reference_loop():
 def test_random_search_matches_reference_loop():
     """Random search must replay a standalone loop of uniform samples."""
     timed = Benchmark(
-        space=DEFAULT_SPACE,
         dataset_name="timed",
-        records={
-            arch: FitnessRecord(rec.val_acc, rec.test_acc, 1.0 + rec.val_acc / 8)
-            for arch, rec in BENCH.records.items()
-        },
+        val_acc=BENCH.val_acc,
+        test_acc=BENCH.test_acc,
+        train_time_s=1.0 + BENCH.val_acc / 8,
     )
 
     def reference_rs(seed, cycles):
@@ -411,7 +408,7 @@ def test_random_search_matches_reference_loop():
         best, clock = float("-inf"), 0.0
         for i in range(cycles):
             arch = random_arch(root.child("init", i, "arch"))
-            rec = timed.records[arch]
+            rec = query(timed, arch)
             best = max(best, rec.val_acc)
             clock += rec.train_time_s
             events.append((arch, rec.val_acc, best, clock, ProxyScore.sentinel().value))
@@ -523,7 +520,7 @@ def test_transfer_run_counts_and_eviction(tmp_path):
     assert traj.n_trained == 15
     assert [e.arch for e in traj.events[:5]] == [ind.arch for ind in loaded]
     for e in traj.events[:5]:
-        assert e.fitness == target.records[e.arch].val_acc
+        assert e.fitness == query(target, e.arch).val_acc
     # proxy evaluations happen only for the evolution cycles
     assert traj.n_proxy_evals == (15 - 5) * 2
     # the first eviction removes the loaded leftmost individual
@@ -536,7 +533,7 @@ def test_one_oracle_query_per_trained_architecture(kind, monkeypatch):
     import evonas.evolution as evolution
 
     calls = []
-    monkeypatch.setattr(evolution, "query", lambda bench, arch: calls.append(arch) or bench.records[arch])
+    monkeypatch.setattr(evolution, "query", lambda bench, arch: calls.append(arch) or query(bench, arch))
     if kind == "rs":
         traj = run_random_search(SearchConfig(cycles=20, seed=4), BENCH)
     elif kind == "rea":

@@ -1,9 +1,15 @@
 import json
+import operator
+import random
+import re
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from evonas.cellspace import ArchEncoding, OpKind, encode_str, enumerate_all, random_arch
+from evonas.evolution import SearchConfig, run_search
 from evonas.oracle import (
     Benchmark,
     BenchmarkError,
@@ -17,33 +23,47 @@ from evonas.oracle import (
 )
 from evonas.rng import RngStream
 from evonas.stats import kendall_tau
-from evonas.cellspace import DEFAULT_SPACE, NUM_EDGES
+from evonas.zeroproxy import ProxyScore
+from evonas.cellspace import NUM_EDGES, NUM_NODES, OP_NAMES, SPACE_SIZE
 
 
 def constant_benchmark(val=50.0):
-    records = {
-        arch: FitnessRecord(val_acc=val, test_acc=val, train_time_s=1.0)
-        for arch in enumerate_all()
-    }
-    return Benchmark(space=DEFAULT_SPACE, dataset_name="const", records=records)
+    full = np.full(SPACE_SIZE, val)
+    return Benchmark(dataset_name="const", val_acc=full, test_acc=full, train_time_s=np.ones(SPACE_SIZE))
 
 
-def test_fitness_record_validation():
-    with pytest.raises(ValueError):
-        FitnessRecord(val_acc=101.0, test_acc=50.0, train_time_s=1.0)
-    with pytest.raises(ValueError):
-        FitnessRecord(val_acc=float("nan"), test_acc=50.0, train_time_s=1.0)
-    with pytest.raises(ValueError):
-        FitnessRecord(val_acc=50.0, test_acc=50.0, train_time_s=-1.0)
+def assert_benchmarks_equal(a, b):
+    assert a.dataset_name == b.dataset_name
+    for name in ("val_acc", "test_acc", "train_time_s", "synthetic_proxy"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert np.array_equal(x, y), name
+
+
+def test_benchmark_validation(tmp_path):
+    bad_arch = ArchEncoding.from_index(1234)
+    for field, bad in (("val_acc", 101.0), ("val_acc", float("nan")), ("train_time_s", -1.0)):
+        columns = {name: np.full(SPACE_SIZE, 50.0) for name in ("val_acc", "test_acc", "train_time_s")}
+        columns[field][operator.index(bad_arch)] = bad
+        with pytest.raises(BenchmarkError, match=re.escape(str(bad_arch))):
+            Benchmark(dataset_name="x", **columns)
+
+        path = tmp_path / "bench.json"
+        save_tabular(constant_benchmark(), path)
+        doc = json.loads(path.read_text())
+        row = doc["records"][operator.index(bad_arch)]
+        assert row["arch"] == str(bad_arch)
+        row[field] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BenchmarkError, match=re.escape(str(bad_arch))):
+            load_tabular(path)
 
 
 def test_benchmark_must_be_total():
-    records = {
-        arch: FitnessRecord(val_acc=1.0, test_acc=1.0, train_time_s=1.0)
-        for arch in list(enumerate_all())[:100]
-    }
+    ones = np.ones(100)
     with pytest.raises(BenchmarkError):
-        Benchmark(space=DEFAULT_SPACE, dataset_name="x", records=records)
+        Benchmark(dataset_name="x", val_acc=ones, test_acc=ones, train_time_s=ones)
 
 
 def test_synthetic_spec_validation():
@@ -60,7 +80,7 @@ def test_gen_synthetic_deterministic():
     assert a.dataset_name == b.dataset_name
     probe = list(enumerate_all())[::1000]
     for arch in probe:
-        assert a.records[arch] == b.records[arch]
+        assert query(a, arch) == query(b, arch)
         assert a.synthetic_proxy[arch] == b.synthetic_proxy[arch]
 
 
@@ -79,32 +99,24 @@ def test_separable_landscape_optimum_is_per_edge_argmax():
 
 def test_target_tau_one_is_exact():
     bench = gen_synthetic(SyntheticSpec(seed=4, target_proxy_tau=1.0))
-    vals = [bench.records[a].val_acc for a in enumerate_all()]
-    proxies = [bench.synthetic_proxy[a] for a in enumerate_all()]
-    assert kendall_tau(proxies, vals) > 1.0 - 1e-12
+    assert kendall_tau(bench.synthetic_proxy, bench.val_acc) > 1.0 - 1e-12
 
 
 def test_target_tau_calibration():
     bench = gen_synthetic(
         SyntheticSpec(seed=5, noise_std=2.0, target_proxy_tau=0.6, interaction_scale=0.5)
     )
-    vals = [bench.records[a].val_acc for a in enumerate_all()]
-    proxies = [bench.synthetic_proxy[a] for a in enumerate_all()]
-    assert 0.55 <= kendall_tau(proxies, vals) <= 0.65
+    assert 0.55 <= kendall_tau(bench.synthetic_proxy, bench.val_acc) <= 0.65
 
 
 def test_target_tau_negative():
     bench = gen_synthetic(SyntheticSpec(seed=6, target_proxy_tau=-0.5))
-    vals = [bench.records[a].val_acc for a in enumerate_all()]
-    proxies = [bench.synthetic_proxy[a] for a in enumerate_all()]
-    assert -0.55 <= kendall_tau(proxies, vals) <= -0.45
+    assert -0.55 <= kendall_tau(bench.synthetic_proxy, bench.val_acc) <= -0.45
 
 
 def test_accuracies_in_range():
     bench = gen_synthetic(SyntheticSpec(seed=7, noise_std=3.0, interaction_scale=1.0))
-    vals = np.array([bench.records[a].val_acc for a in enumerate_all()])
-    tests = np.array([bench.records[a].test_acc for a in enumerate_all()])
-    times = np.array([bench.records[a].train_time_s for a in enumerate_all()])
+    vals, tests, times = bench.val_acc, bench.test_acc, bench.train_time_s
     assert vals.min() == 0.0 and vals.max() == 100.0
     assert tests.min() >= 0.0 and tests.max() <= 100.0
     assert np.all((times >= 5.0) & (times <= 15.0))
@@ -114,7 +126,10 @@ def test_query_is_pure_lookup():
     bench = gen_synthetic(SyntheticSpec(seed=8))
     arch = random_arch(RngStream(1))
     assert query(bench, arch) == query(bench, arch)
-    assert query(bench, arch) is bench.records[arch]
+    k = operator.index(arch)
+    record = query(bench, arch)
+    assert record == FitnessRecord(bench.val_acc[k], bench.test_acc[k], bench.train_time_s[k])
+    assert all(type(x) is float for x in (record.val_acc, record.test_acc, record.train_time_s))
 
 
 def test_best_of_beats_random_sample():
@@ -135,9 +150,7 @@ def test_save_load_roundtrip(tmp_path):
     path = tmp_path / "bench.json"
     save_tabular(bench, path)
     loaded = load_tabular(path)
-    assert loaded.dataset_name == bench.dataset_name
-    assert loaded.records == bench.records
-    assert loaded.synthetic_proxy == bench.synthetic_proxy
+    assert_benchmarks_equal(loaded, bench)
 
 
 def test_save_load_roundtrip_without_proxy(tmp_path):
@@ -145,7 +158,7 @@ def test_save_load_roundtrip_without_proxy(tmp_path):
     path = tmp_path / "bench.json"
     save_tabular(bench, path)
     loaded = load_tabular(path)
-    assert loaded.records == bench.records
+    assert_benchmarks_equal(loaded, bench)
     assert loaded.synthetic_proxy is None
 
 
@@ -204,3 +217,96 @@ def test_simulated_times_loadable_and_positive(tmp_path):
     bench = gen_synthetic(SyntheticSpec(seed=12))
     arch = random_arch(RngStream(3))
     assert query(bench, arch).train_time_s > 0
+
+
+def test_load_accepts_records_in_any_order(tmp_path):
+    bench = gen_synthetic(SyntheticSpec(seed=14, noise_std=1.0, target_proxy_tau=0.7))
+    path = tmp_path / "bench.json"
+    save_tabular(bench, path)
+    doc = json.loads(path.read_text())
+    random.Random(0).shuffle(doc["records"])
+    assert doc["records"][0]["arch"] != encode_str(next(enumerate_all()))
+    path.write_text(json.dumps(doc))
+    assert_benchmarks_equal(load_tabular(path), bench)
+
+
+def test_load_rejects_partial_proxy(tmp_path):
+    bench = gen_synthetic(SyntheticSpec(seed=15))
+    path = tmp_path / "bench.json"
+    save_tabular(bench, path)
+    doc = json.loads(path.read_text())
+    del doc["records"][7]["proxy"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BenchmarkError, match="some records but not all"):
+        load_tabular(path)
+
+
+def test_load_names_missing_architectures(tmp_path):
+    path = tmp_path / "bench.json"
+    save_tabular(constant_benchmark(), path)
+    doc = json.loads(path.read_text())
+    gone = doc["records"].pop(4321)["arch"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BenchmarkError, match=re.escape(f"15624 of 15625 architectures present; missing e.g. ['{gone}']")):
+        load_tabular(path)
+
+
+def reference_save_tabular(bench, path) -> None:
+    """The writer of the dict-of-records benchmark, kept verbatim as the
+    byte-level reference; `bench` is a `legacy_view`."""
+    records = []
+    for arch in enumerate_all():
+        rec = bench.records[arch]
+        row = {
+            "arch": encode_str(arch),
+            "val_acc": rec.val_acc,
+            "test_acc": rec.test_acc,
+            "train_time_s": rec.train_time_s,
+        }
+        if bench.synthetic_proxy is not None:
+            row["proxy"] = bench.synthetic_proxy[arch]
+        records.append(row)
+    doc = {
+        "space": {"nodes": bench.space.num_nodes, "ops": list(bench.space.op_names)},
+        "dataset": bench.dataset_name,
+        "records": records,
+    }
+    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", "utf-8")
+
+
+def legacy_view(bench):
+    """The benchmark as the dict-of-records layout the reference writer reads."""
+    proxy = bench.synthetic_proxy
+    return SimpleNamespace(
+        space=SimpleNamespace(num_nodes=NUM_NODES, op_names=OP_NAMES),
+        dataset_name=bench.dataset_name,
+        records={arch: query(bench, arch) for arch in enumerate_all()},
+        synthetic_proxy=None if proxy is None else {arch: float(proxy[arch]) for arch in enumerate_all()},
+    )
+
+
+@pytest.mark.parametrize("with_proxy", [True, False])
+def test_save_tabular_matches_reference_writer(with_proxy, tmp_path):
+    bench = gen_synthetic(SyntheticSpec(seed=16, noise_std=2.0, target_proxy_tau=0.6, interaction_scale=0.5))
+    if not with_proxy:
+        bench.synthetic_proxy = None
+    save_tabular(bench, tmp_path / "new.json")
+    reference_save_tabular(legacy_view(bench), tmp_path / "reference.json")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+def test_proxy_map_indexed_by_arch_as_scorer():
+    """`bench.synthetic_proxy[arch]` works unwrapped, as the benchmark
+    harness's proxy-map scorer uses it."""
+    bench = gen_synthetic(SyntheticSpec(seed=17, noise_std=1.0, target_proxy_tau=0.6))
+    proxy = bench.synthetic_proxy
+    stream = RngStream(4)
+    for _ in range(100):
+        arch = random_arch(stream)
+        assert proxy[arch] == proxy[operator.index(arch)]
+    cfg = SearchConfig(pop_size=5, tournament_size=3, cycles=40, gen_size=4, init_candidates=20, seed=6)
+    raw = run_search(cfg, bench, lambda arch, stream: ProxyScore(value=proxy[arch]))
+    wrapped = run_search(cfg, bench, lambda arch, stream: ProxyScore(value=float(proxy[arch])))
+    assert raw.events == wrapped.events
+    assert [e.proxy_value for e in raw.events] == [float(proxy[e.arch]) for e in raw.events]
+    assert all(type(e.proxy_value) is float for e in raw.events)
