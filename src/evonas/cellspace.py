@@ -3,8 +3,13 @@
 A cell is a DAG over 4 nodes with one operation on each of the 6 edges
 (0->1), (0->2), (1->2), (0->3), (1->3), (2->3).  With 5 operation kinds the
 space holds 5**6 = 15625 genotypes, indexed (`ArchEncoding.__index__`) by
-their edge ops read as base-5 digits, edge 0 most significant.  The
-canonical string encoding groups edges by destination node, e.g.
+their edge ops read as base-5 digits, edge 0 most significant.  An
+ArchEncoding holds only that index; sampling, mutation, enumeration and
+decoding return canonical instances from a table of all 15625 built on first
+use.  `mutate` puts the r-th other op in OpKind order, `new = r + (r >= op)`,
+on `edge`: the child is `k + (new - op) * 5**(5 - edge)`.  A directly built
+ArchEncoding equals and hashes like its table entry.  The canonical string
+encoding groups edges by destination node, e.g.
 
     |nor_conv_3x3~0|+|skip_connect~0|none~1|+|skip_connect~0|nor_conv_1x1~1|avg_pool_3x3~2|
 
@@ -14,9 +19,8 @@ which is the interchange format used by tabular benchmark files and the CLI.
 from __future__ import annotations
 
 import enum
-import itertools
+import functools
 import operator
-from dataclasses import dataclass
 from typing import Iterator
 
 from .rng import RngStream
@@ -62,57 +66,79 @@ OP_NAMES: tuple[str, ...] = (
 )
 _NAME_TO_OP = {name: OpKind(i) for i, name in enumerate(OP_NAMES)}
 SPACE_SIZE = len(OP_NAMES) ** NUM_EDGES
+_OPS = tuple(OpKind)
+_PLACES = tuple(len(OP_NAMES) ** (NUM_EDGES - 1 - e) for e in range(NUM_EDGES))  # digit place values
 
 
 class ArchParseError(ValueError):
     """Raised when an architecture string does not match the codec grammar."""
 
 
-@dataclass(frozen=True)
+def _fold(digits) -> int:
+    """Genotype index of edge op digits: base 5, edge 0 most significant."""
+    k = 0
+    for d in digits:
+        k = k * len(OP_NAMES) + d
+    return k
+
+
 class ArchEncoding:
-    """Genotype: one OpKind per edge, in EDGES order."""
+    """Genotype: one OpKind per edge, in EDGES order, held as its index; immutable."""
 
-    edge_ops: tuple[OpKind, ...]
+    __slots__ = ("_index",)
 
-    def __post_init__(self):
-        if len(self.edge_ops) != NUM_EDGES:
-            raise ValueError(f"expected {NUM_EDGES} edge operations, got {len(self.edge_ops)}")
-        object.__setattr__(self, "edge_ops", tuple(OpKind(op) for op in self.edge_ops))
+    def __init__(self, edge_ops):
+        if len(edge_ops) != NUM_EDGES:
+            raise ValueError(f"expected {NUM_EDGES} edge operations, got {len(edge_ops)}")
+        self._index = _fold(OpKind(op) for op in edge_ops)
+
+    def __eq__(self, other):
+        return self._index == other._index if isinstance(other, ArchEncoding) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ArchEncoding(edge_ops={self.edge_ops!r})"
+
+    @property
+    def edge_ops(self) -> tuple[OpKind, ...]:
+        return tuple([_OPS[d] for d in self.indices])
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return tuple(int(op) for op in self.edge_ops)
+        return tuple([self._index // p % len(OP_NAMES) for p in _PLACES])
 
     def hamming(self, other: "ArchEncoding") -> int:
         return sum(a != b for a, b in zip(self.edge_ops, other.edge_ops))
 
     def __index__(self) -> int:
         """Position in enumerate_all order: base 5 over EDGES, edge 0 most significant."""
-        k = 0
-        for op in self.edge_ops:
-            k = k * len(OP_NAMES) + op
-        return k
+        return self._index
+
+    __hash__ = __index__
 
     @classmethod
     def from_index(cls, k) -> "ArchEncoding":
-        """Inverse of __index__."""
+        """Inverse of __index__: the canonical instance."""
         k = operator.index(k)
         if not 0 <= k < SPACE_SIZE:
             raise ValueError(f"genotype index must lie in [0, {SPACE_SIZE}), got {k}")
-        ops = []
-        for _ in range(NUM_EDGES):
-            k, op = divmod(k, len(OP_NAMES))
-            ops.append(op)
-        return cls(tuple(reversed(ops)))
+        return _table()[k]
 
     def __str__(self) -> str:
         return encode_str(self)
 
 
+@functools.cache
+def _table() -> tuple[ArchEncoding, ...]:
+    """The canonical instance of every genotype, in index order."""
+    table = tuple(object.__new__(ArchEncoding) for _ in range(SPACE_SIZE))
+    for k, arch in enumerate(table):
+        arch._index = k
+    return table
+
+
 def random_arch(rng: RngStream) -> ArchEncoding:
     """Sample a genotype uniformly; consumes exactly one 6-integer draw."""
-    idx = rng.integers(len(OP_NAMES), size=NUM_EDGES)
-    return ArchEncoding(tuple(OpKind(int(i)) for i in idx))
+    return _table()[_fold(rng.integers(len(OP_NAMES), size=NUM_EDGES).tolist())]
 
 
 def mutate(parent: ArchEncoding, rng: RngStream) -> ArchEncoding:
@@ -123,27 +149,26 @@ def mutate(parent: ArchEncoding, rng: RngStream) -> ArchEncoding:
     (parent, child) pair at Hamming distance 1 has probability 1/24.
     """
     edge = int(rng.integers(NUM_EDGES))
-    alternatives = [op for op in OpKind if op != parent.edge_ops[edge]]
-    new_op = alternatives[int(rng.integers(len(alternatives)))]
-    ops = list(parent.edge_ops)
-    ops[edge] = new_op
-    return ArchEncoding(tuple(ops))
+    op = parent._index // _PLACES[edge] % len(OP_NAMES)
+    r = int(rng.integers(len(OP_NAMES) - 1))
+    new_op = r + (r >= op)
+    return _table()[parent._index + (new_op - op) * _PLACES[edge]]
 
 
 def enumerate_all() -> Iterator[ArchEncoding]:
     """All 15625 genotypes, in index order (lexicographic in edge op indices)."""
-    for combo in itertools.product(OpKind, repeat=NUM_EDGES):
-        yield ArchEncoding(combo)
+    return iter(_table())
 
 
 def encode_str(arch: ArchEncoding) -> str:
     """Canonical string: edges grouped by destination node, '~<source>' suffix."""
+    ops = arch.edge_ops
     groups = []
     pos = 0
     for dest in range(1, NUM_NODES):
         parts = []
         for src in range(dest):
-            op = arch.edge_ops[pos]
+            op = ops[pos]
             parts.append(f"{OP_NAMES[op]}~{src}")
             pos += 1
         groups.append("|" + "|".join(parts) + "|")
@@ -180,4 +205,4 @@ def decode_str(text: str) -> ArchEncoding:
                     f"token {token!r} (group {gi}, position {ti}) has source {src}, expected {ti}"
                 )
             ops.append(_NAME_TO_OP[name])
-    return ArchEncoding(tuple(ops))
+    return _table()[_fold(ops)]

@@ -7,6 +7,9 @@ Philox counter-based bit generator.  Because the key fully determines the
 stream, substreams can be created in any order, from any thread, and the
 numbers they produce never change: trajectories replay bit-exactly.
 
+Philox gets the key from `_KeySeed.generate_state(2, uint64)`, not from
+`Philox(key=...)`, which first builds an OS-entropy SeedSequence.
+
 Philox (4x64, 10 rounds) is used because it is a named, documented,
 counter-based algorithm whose output is identical across platforms for a
 fixed numpy version.
@@ -25,6 +28,18 @@ def _key(seed: int, path: tuple) -> int:
     material = repr((int(seed),) + path).encode("utf-8")
     digest = hashlib.sha256(material).digest()
     return int.from_bytes(digest[:16], "little")
+
+
+class _KeySeed(np.random.bit_generator.ISeedSequence):
+    """Seed sequence holding a 128-bit Philox key and nothing else."""
+
+    def __init__(self, key: int):
+        self._words = np.frombuffer(key.to_bytes(16, "little"), dtype="<u8")
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:  # all Philox asks for
+            raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} of {np.dtype(dtype)}")
+        return self._words
 
 
 def derive_seed(seed: int, *path) -> int:
@@ -51,7 +66,7 @@ class RngStream:
 
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
-            self._gen = np.random.Generator(np.random.Philox(key=_key(self.seed, self.path)))
+            self._gen = np.random.Generator(np.random.Philox(_KeySeed(_key(self.seed, self.path))))
         return self._gen
 
     def child(self, *path) -> "RngStream":

@@ -1,3 +1,4 @@
+import itertools
 import operator
 
 import numpy as np
@@ -8,6 +9,7 @@ from evonas.cellspace import (
     ArchEncoding,
     ArchParseError,
     NUM_EDGES,
+    OP_NAMES,
     SPACE_SIZE,
     OpKind,
     decode_str,
@@ -16,7 +18,9 @@ from evonas.cellspace import (
     mutate,
     random_arch,
 )
+from evonas.evolution import Individual, SearchConfig, spawn_generation
 from evonas.rng import RngStream
+from evonas.zeroproxy import ProxyScore
 
 ALL_ZERO = ArchEncoding((OpKind.ZEROIZE,) * 6)
 ALL_SKIP = ArchEncoding((OpKind.SKIP_CONNECT,) * 6)
@@ -152,3 +156,69 @@ def test_decode_rejects_malformed(text, fragment):
     with pytest.raises(ArchParseError) as err:
         decode_str(text)
     assert fragment in str(err.value)
+
+
+# Reference bodies: random_arch and mutate as they were before they worked
+# on genotype indices.  The index arithmetic must give the same genotype
+# from the same draws and consume exactly as many.
+
+
+def _reference_random_arch(rng):
+    idx = rng.integers(len(OP_NAMES), size=NUM_EDGES)
+    return ArchEncoding(tuple(OpKind(int(i)) for i in idx))
+
+
+def _reference_mutate(parent, rng):
+    edge = int(rng.integers(NUM_EDGES))
+    alternatives = [op for op in OpKind if op != parent.edge_ops[edge]]
+    new_op = alternatives[int(rng.integers(len(alternatives)))]
+    ops = list(parent.edge_ops)
+    ops[edge] = new_op
+    return ArchEncoding(tuple(ops))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mutate_matches_reference_for_every_parent(seed):
+    new, ref = RngStream(seed, ("mutate",)), RngStream(seed, ("mutate",))
+    for parent in enumerate_all():
+        child = mutate(parent, new)
+        assert child == _reference_mutate(parent, ref)
+        assert child is ArchEncoding.from_index(child)
+        assert new.integers(1 << 62) == ref.integers(1 << 62)
+
+
+def test_random_arch_matches_reference():
+    for i in range(10_000):
+        new, ref = RngStream(5, ("arch", i)), RngStream(5, ("arch", i))
+        arch = random_arch(new)
+        assert arch == _reference_random_arch(ref)
+        assert arch is ArchEncoding.from_index(arch)
+        assert new.integers(1 << 62) == ref.integers(1 << 62)
+
+
+def test_direct_construction_equals_table_entry():
+    for k, digits in enumerate(itertools.product(range(len(OP_NAMES)), repeat=NUM_EDGES)):
+        direct, canonical = ArchEncoding(digits), ArchEncoding.from_index(k)
+        assert direct is not canonical
+        assert direct == canonical and hash(direct) == hash(canonical)
+        assert operator.index(direct) == operator.index(canonical) == k
+        assert direct.edge_ops == canonical.edge_ops
+        assert all(type(op) is OpKind for op in direct.edge_ops)
+    assert decode_str(encode_str(ALL_SKIP)) is ArchEncoding.from_index(ALL_SKIP)
+
+
+def test_spawn_generation_skips_directly_constructed_trained():
+    # every child but the lowest-scoring one is marked trained through an
+    # equal, directly constructed encoding: that child must still be chosen
+    parent = Individual(ALL_SKIP, ProxyScore(0.0), 50.0, birth_index=0, origin="init")
+    cfg = SearchConfig(pop_size=1, cycles=1, init_candidates=1, gen_size=6)
+    stream = RngStream(3, ("cycle", 0))
+    children = [mutate(ALL_SKIP, stream.child("child", j, "mut")) for j in range(cfg.gen_size)]
+    target = min(children, key=operator.index)
+    assert max(children, key=operator.index) != target
+    trained = {ArchEncoding(c.edge_ops) for c in children if c != target}
+    arch, proxy = spawn_generation(
+        parent, cfg, lambda a, s: ProxyScore(float(operator.index(a))), stream, trained=trained
+    )
+    assert arch == target and arch not in trained
+    assert proxy.value == float(operator.index(target))

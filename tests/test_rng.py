@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from evonas.rng import RngStream, _key, derive_seed
+from evonas.rng import RngStream, _key, _KeySeed, derive_seed
 
 
 def test_same_seed_same_draws():
@@ -67,3 +68,28 @@ def test_lazy_generator_keeps_every_stream():
     assert np.array_equal(late.child("c", 2).uniform(size=6), kid_first.uniform(size=6))
     # a path-only stream builds no generator
     assert RngStream(11).child("cycle", 0).child("child", 1)._gen is None
+
+
+def test_key_seed_draws_equal_philox_key():
+    # 120 (seed, path) pairs: every draw kind, scalar and sized, equals the
+    # generator that Philox builds from the same key given as `key=`
+    paths = [(), ("run",), ("init", 3, "arch"), ("cycle", 17, "child", 2, "mut")]
+    for seed in range(30):
+        for path in paths:
+            ours = RngStream(seed, path)
+            ref = np.random.Generator(np.random.Philox(key=_key(seed, path)))
+            assert ours.integers(6) == ref.integers(6)
+            assert np.array_equal(ours.integers(1 << 40, size=7), ref.integers(1 << 40, size=7))
+            assert ours.uniform() == ref.uniform()
+            assert np.array_equal(ours.uniform(5.0, 15.0, size=9), ref.uniform(5.0, 15.0, size=9))
+            assert ours.normal() == ref.normal()
+            assert np.array_equal(ours.normal(1.0, 2.0, size=(3, 4)), ref.normal(1.0, 2.0, size=(3, 4)))
+
+
+def test_key_seed_answers_only_the_philox_request():
+    seq = _KeySeed(_key(4, ("x",)))
+    words = seq.generate_state(2, np.uint64)
+    assert words.tolist() == [_key(4, ("x",)) & (2**64 - 1), _key(4, ("x",)) >> 64]
+    for n_words, dtype in [(4, np.uint32), (1, np.uint64), (4, np.uint64), (2, np.uint32)]:
+        with pytest.raises(ValueError):
+            seq.generate_state(n_words, dtype)
