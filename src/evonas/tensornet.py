@@ -18,14 +18,22 @@ every stride and kernel size.  3x3 average pooling is a separable box sum
 box is symmetric, so its backward pass is the same operation on the
 gradient.
 
-Layer protocol: ``forward(x, margins) -> (y, cache)`` and
-``backward(cache, gy) -> gx``.  ``margins``, when given, collects the
-minimum |preactivation| seen by each ReLU, used to detect near-kink inputs
-before comparing against finite differences.
+Layer protocol: ``forward(x) -> (y, cache)``, ``backward(cache, gy) -> gx``.
+
+A Network is one straight-line program of steps ``(layer, src, dst)``,
+each adding ``layer(slot[src])`` into slot ``dst``.  ``build_network``
+emits one ReLU step per cell node with conv out-edges, then keeps only the
+steps on an input-to-logits path: the others add exact zeros or reach no
+logit.  A genotype whose cell output is identically zero leaves an empty
+program, with zero logits and Jacobian.  ``_run`` is the only forward loop
+(on request it records each ReLU step's smallest |input|, to detect
+near-kink inputs before comparing against finite differences) and
+``_backprop`` the same walk reversed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -39,7 +47,6 @@ __all__ = [
     "SkeletonConfig",
     "Network",
     "JacobianBatch",
-    "Cell",
     "build_network",
     "forward",
     "input_jacobian",
@@ -155,7 +162,7 @@ class _Conv:
         self.stride = stride
         self.pad = pad
 
-    def forward(self, x, margins=None):
+    def forward(self, x):
         return _conv_forward(x, self.w, self.stride, self.pad), x.shape
 
     def backward(self, cache, gy):
@@ -168,7 +175,7 @@ class _BatchNorm:
     def __init__(self, eps):
         self.eps = eps
 
-    def forward(self, x, margins=None):
+    def forward(self, x):
         mu = x.mean(axis=(0, 2, 3), keepdims=True)
         var = x.var(axis=(0, 2, 3), keepdims=True)
         inv = 1.0 / np.sqrt(var + self.eps)
@@ -183,9 +190,7 @@ class _BatchNorm:
 
 
 class _ReLU:
-    def forward(self, x, margins=None):
-        if margins is not None:
-            margins.append(float(np.min(np.abs(x))))
+    def forward(self, x):
         mask = x > 0
         return np.where(mask, x, 0.0), mask
 
@@ -199,50 +204,23 @@ class _AvgPool3x3:
     The box sum is symmetric, so the backward pass is the same pooling.
     """
 
-    def forward(self, x, margins=None):
+    def forward(self, x):
         return _box3(x) / 9.0, None
 
     def backward(self, cache, gy):
         return _box3(gy) / 9.0
 
 
-class _Zero:
-    def forward(self, x, margins=None):
-        return np.zeros_like(x), None
-
-    def backward(self, cache, gy):
-        return np.zeros_like(gy)
-
-
 class _Identity:
-    def forward(self, x, margins=None):
+    def forward(self, x):
         return x, None
 
     def backward(self, cache, gy):
         return gy
 
 
-class _Chain:
-    """Sequential composition of layers sharing the layer protocol."""
-
-    def __init__(self, layers):
-        self.layers = layers
-
-    def forward(self, x, margins=None):
-        caches = []
-        for layer in self.layers:
-            x, cache = layer.forward(x, margins)
-            caches.append(cache)
-        return x, caches
-
-    def backward(self, caches, gy):
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            gy = layer.backward(cache, gy)
-        return gy
-
-
 class _GlobalAvgPool:
-    def forward(self, x, margins=None):
+    def forward(self, x):
         return x.mean(axis=(2, 3)), x.shape
 
     def backward(self, cache, gy):
@@ -254,63 +232,40 @@ class _Linear:
     def __init__(self, weight):
         self.w = weight  # (num_classes, channels)
 
-    def forward(self, x, margins=None):
+    def forward(self, x):
         return x @ self.w.T, None
 
     def backward(self, cache, gy):
         return gy @ self.w
 
 
-class Cell:
-    """DAG of 6 edge operations over 4 nodes; node j sums its incoming edges."""
-
-    def __init__(self, edge_modules):
-        self.ops = list(edge_modules)
-
-    def forward(self, x, margins=None):
-        nodes = [x, None, None, None]
-        caches = []
-        for k, (src, dest) in enumerate(EDGES):
-            y, cache = self.ops[k].forward(nodes[src], margins)
-            caches.append(cache)
-            nodes[dest] = y if nodes[dest] is None else nodes[dest] + y
-        return nodes[3], caches
-
-    def backward(self, caches, gy):
-        gnodes = [None, None, None, gy]
-        # EDGES is topologically sorted by (dest, src): reversed order has
-        # every node's outgoing gradients complete before it propagates.
-        for k in reversed(range(len(EDGES))):
-            src, dest = EDGES[k]
-            g = self.ops[k].backward(caches[k], gnodes[dest])
-            gnodes[src] = g if gnodes[src] is None else gnodes[src] + g
-        return gnodes[0]
+_OUT = 1  # slot of the logits; slot 0 holds the input batch
 
 
-def _he_conv(rng, c_out, c_in, k):
-    std = math.sqrt(2.0 / (c_in * k * k))
-    return rng.normal(0.0, std, size=(c_out, c_in, k, k))
-
-
-def _edge_module(op: OpKind, channels: int, eps: float, rng: RngStream):
-    if op == OpKind.ZEROIZE:
-        return _Zero()
-    if op == OpKind.SKIP_CONNECT:
-        return _Identity()
-    if op == OpKind.AVGPOOL3X3:
-        return _AvgPool3x3()
-    k = 1 if op == OpKind.CONV1X1 else 3
-    conv = _Conv(_he_conv(rng, channels, channels, k), stride=1, pad=(k - 1) // 2)
-    return _Chain([_ReLU(), conv, _BatchNorm(eps)])
+def _prune(steps):
+    """The steps on an input-to-logits path.  Every write to a slot
+    precedes every read of it, so one sweep each way suffices."""
+    fed = {0}
+    for _, src, dst in steps:
+        if src in fed:
+            fed.add(dst)
+    needed = {_OUT}
+    kept = []
+    for step in reversed(steps):
+        _, src, dst = step
+        if src in fed and dst in needed:
+            kept.append(step)
+            needed.add(src)
+    return kept[::-1]
 
 
 @dataclass
 class Network:
-    """Immutable stack of blocks built from (arch, cfg, init stream)."""
+    """Immutable step program built from (arch, cfg, init stream)."""
 
     arch: ArchEncoding
     cfg: SkeletonConfig
-    blocks: list = field(repr=False)
+    steps: list = field(repr=False)
 
     def _check_batch(self, batch: np.ndarray) -> np.ndarray:
         batch = np.asarray(batch, dtype=np.float64)
@@ -322,16 +277,35 @@ class Network:
         return batch
 
     def _run(self, x, tape=None, margins=None):
-        for block in self.blocks:
-            x, cache = block.forward(x, margins)
+        """Logits; fills `tape` with step caches and `margins` with ReLU
+        kink margins.  Each slot is dropped after its last read."""
+        last_read = {src: i for i, (_, src, _) in enumerate(self.steps)}
+        slots = {0: x}
+        for i, (layer, src, dst) in enumerate(self.steps):
+            h = slots.pop(src) if last_read[src] == i else slots[src]
+            if margins is not None and isinstance(layer, _ReLU):
+                margins.append(float(np.min(np.abs(h))))
+            y, cache = layer.forward(h)
             if tape is not None:
                 tape.append(cache)
-        return x
+            slots[dst] = slots[dst] + y if dst in slots else y
+        return slots[_OUT] if _OUT in slots else np.zeros((x.shape[0], self.cfg.num_classes))
 
-    def _backprop(self, tape, gy):
-        for block, cache in zip(reversed(self.blocks), reversed(tape)):
-            gy = block.backward(cache, gy)
-        return gy
+    def _backprop(self, tape, gy, x_shape):
+        """Input gradient for logit gradient `gy`.  Each slot's gradient is
+        dropped after its first writer, the last step to read it."""
+        first_write = {dst: i for i, (_, _, dst) in reversed(list(enumerate(self.steps)))}
+        grads = {_OUT: gy}
+        for i in reversed(range(len(self.steps))):
+            layer, src, dst = self.steps[i]
+            g = layer.backward(tape[i], grads.pop(dst) if first_write[dst] == i else grads[dst])
+            grads[src] = grads[src] + g if src in grads else g
+        return grads[0] if 0 in grads else np.zeros(x_shape)
+
+
+def _he_conv(rng, c_out, c_in, k):
+    std = math.sqrt(2.0 / (c_in * k * k))
+    return rng.normal(0.0, std, size=(c_out, c_in, k, k))
 
 
 def build_network(arch: ArchEncoding, cfg: SkeletonConfig, rng: RngStream) -> Network:
@@ -340,27 +314,47 @@ def build_network(arch: ArchEncoding, cfg: SkeletonConfig, rng: RngStream) -> Ne
     Layout: stem (3x3 conv + batch norm), `num_stages` stages of
     `cells_per_stage` cells, a reduction block (ReLU, stride-2 3x3 conv
     doubling channels, batch norm) between stages, then ReLU, global average
-    pooling and a dense classifier.  Weights are zero-mean normal with
-    std sqrt(2 / fan_in), no biases.
+    pooling and a dense classifier.  A cell's conv edge is ReLU, conv,
+    batch norm; conv edges from one node share its ReLU.  Weights are
+    zero-mean normal with std sqrt(2 / fan_in), no biases, drawn for every
+    conv edge in layout order before dead steps are pruned.
     """
     eps = cfg.bn_eps
-    blocks: list = []
+    steps: list = []
+    fresh = itertools.count(2)
+
+    def emit(layer, src, dst=None):
+        dst = next(fresh) if dst is None else dst
+        steps.append((layer, src, dst))
+        return dst
+
     channels = cfg.stem_channels
     stem_conv = _Conv(_he_conv(rng, channels, cfg.input_channels, 3), stride=1, pad=1)
-    blocks.append(_Chain([stem_conv, _BatchNorm(eps)]))
+    x = emit(_BatchNorm(eps), emit(stem_conv, 0))
     for stage in range(cfg.num_stages):
         for _ in range(cfg.cells_per_stage):
-            blocks.append(
-                Cell([_edge_module(op, channels, eps, rng) for op in arch.edge_ops])
-            )
+            nodes = [x, next(fresh), next(fresh), next(fresh)]
+            relu = {}
+            for (src, dst), op in zip(EDGES, arch.edge_ops):
+                if op == OpKind.SKIP_CONNECT:
+                    emit(_Identity(), nodes[src], nodes[dst])
+                elif op == OpKind.AVGPOOL3X3:
+                    emit(_AvgPool3x3(), nodes[src], nodes[dst])
+                elif op != OpKind.ZEROIZE:
+                    k = 1 if op == OpKind.CONV1X1 else 3
+                    conv = _Conv(_he_conv(rng, channels, channels, k), stride=1, pad=(k - 1) // 2)
+                    if src not in relu:
+                        relu[src] = emit(_ReLU(), nodes[src])
+                    emit(_BatchNorm(eps), emit(conv, relu[src]), nodes[dst])
+            x = nodes[3]
         if stage < cfg.num_stages - 1:
             red_conv = _Conv(_he_conv(rng, 2 * channels, channels, 3), stride=2, pad=1)
-            blocks.append(_Chain([_ReLU(), red_conv, _BatchNorm(eps)]))
+            x = emit(_BatchNorm(eps), emit(red_conv, emit(_ReLU(), x)))
             channels *= 2
     std = math.sqrt(2.0 / channels)
     classifier = _Linear(rng.normal(0.0, std, size=(cfg.num_classes, channels)))
-    blocks.append(_Chain([_ReLU(), _GlobalAvgPool(), classifier]))
-    return Network(arch=arch, cfg=cfg, blocks=blocks)
+    emit(classifier, emit(_GlobalAvgPool(), emit(_ReLU(), x)), _OUT)
+    return Network(arch=arch, cfg=cfg, steps=_prune(steps))
 
 
 def forward(net: Network, batch: np.ndarray) -> np.ndarray:
@@ -383,7 +377,7 @@ def input_jacobian(net: Network, batch: np.ndarray, labels) -> JacobianBatch:
         raise ValueError("labels must lie in [0, num_classes)")
     tape: list = []
     logits = net._run(batch, tape=tape)
-    gx = net._backprop(tape, np.ones_like(logits))
+    gx = net._backprop(tape, np.ones_like(logits), batch.shape)
     return JacobianBatch(J=gx.reshape(batch.shape[0], -1), labels=labels)
 
 
@@ -409,12 +403,13 @@ def finite_diff_jacobian(net: Network, batch: np.ndarray, step: float) -> np.nda
 
 
 def relu_kink_margin(net: Network, batch: np.ndarray, positive_only: bool = False) -> float:
-    """Smallest |preactivation| reaching any ReLU; guards finite-difference checks.
+    """Smallest |preactivation| reaching any ReLU step the network runs;
+    guards finite-difference checks.
 
-    `positive_only` skips exact zeros: genotypes with zeroized node paths
-    feed constant-zero activations into some ReLUs no matter the batch, and
-    those kinks never move under input perturbation, so they cannot disturb
-    a finite-difference comparison.
+    Pruning drops every ReLU that would see a structural zero or feed no
+    path to the logits; neither kind of kink can disturb a
+    finite-difference comparison.  `positive_only` skips exact zeros, which
+    a ReLU the network runs meets only by accident, so both settings agree.
     """
     margins: list = []
     net._run(net._check_batch(batch), margins=margins)

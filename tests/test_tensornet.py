@@ -1,18 +1,26 @@
 import numpy as np
 import pytest
 
-from evonas.cellspace import ArchEncoding, OpKind, random_arch
+from evonas.cellspace import EDGES, ArchEncoding, OpKind, enumerate_all, random_arch
 from evonas.rng import RngStream
+from evonas.zeroproxy import ProxyParams, score_arch
 from numpy.lib.stride_tricks import sliding_window_view
 
 from evonas.tensornet import (
-    Cell,
+    _OUT,
     JacobianBatch,
+    Network,
     SkeletonConfig,
     _AvgPool3x3,
+    _BatchNorm,
+    _Conv,
     _conv_backward_input,
     _conv_forward,
-    _edge_module,
+    _GlobalAvgPool,
+    _he_conv,
+    _Identity,
+    _Linear,
+    _ReLU,
     build_network,
     finite_diff_jacobian,
     forward,
@@ -49,17 +57,21 @@ def test_jacobian_batch_validation():
 
 def test_all_skip_cell_quadruples_input():
     # node1 = x, node2 = x + node1, node3 = x + node1 + node2 = 4x
-    cell = Cell([_edge_module(OpKind.SKIP_CONNECT, 4, 1e-5, None) for _ in range(6)])
+    net = build_network(ALL_SKIP, SMALL, RngStream(0, ("init",)))
+    cell = net.steps[2:8]  # after the stem's conv and batch norm
+    assert all(isinstance(layer, _Identity) for layer, _, _ in cell)
+    # run the cell alone: its input slot becomes the input, node 3 the output
+    renumber = {cell[0][1]: 0, cell[-1][2]: _OUT}
+    alone = Network(ALL_SKIP, SMALL, [(l, renumber.get(s, s), renumber.get(d, d)) for l, s, d in cell])
     x = RngStream(0).normal(size=(2, 4, 8, 8))
-    y, _ = cell.forward(x)
-    assert np.allclose(y, 4.0 * x, rtol=0, atol=1e-12)
+    assert np.allclose(alone._run(x), 4.0 * x, rtol=0, atol=1e-12)
 
 
 def test_all_zero_cell_outputs_zero():
-    cell = Cell([_edge_module(OpKind.ZEROIZE, 4, 1e-5, None) for _ in range(6)])
-    x = RngStream(1).normal(size=(2, 4, 8, 8))
-    y, _ = cell.forward(x)
-    assert np.array_equal(y, np.zeros_like(x))
+    net = build_network(ALL_ZERO, SMALL, RngStream(1, ("init",)))
+    assert net.steps == []
+    logits = forward(net, small_batch(1))
+    assert np.array_equal(logits, np.zeros((3, SMALL.num_classes)))
 
 
 def test_build_deterministic_parameters():
@@ -74,17 +86,7 @@ def test_build_deterministic_parameters():
 
 
 def _collect_weights(net):
-    out = []
-
-    def visit(block):
-        if hasattr(block, "w"):
-            out.append(block.w)
-        for sub in getattr(block, "layers", []) + getattr(block, "ops", []):
-            visit(sub)
-
-    for block in net.blocks:
-        visit(block)
-    return out
+    return [layer.w for layer, _, _ in net.steps if hasattr(layer, "w")]
 
 
 def test_forward_shapes_and_batch_checks():
@@ -300,3 +302,221 @@ def test_conv_backward_is_adjoint_of_forward(k, stride):
     lhs = np.vdot(y, gy)
     rhs = np.vdot(x, _conv_backward_input(gy, w, x.shape, stride, pad))
     assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(y), np.abs(gy))
+
+
+# ---------------------------------------------------------------------------
+# the step program against the nested cell network it replaced
+
+
+class RefZero:
+    def forward(self, x):
+        return np.zeros_like(x), None
+
+    def backward(self, cache, gy):
+        return np.zeros_like(gy)
+
+
+class RefChain:
+    """Sequential composition of layers sharing the layer protocol."""
+
+    def __init__(self, layers):
+        self.layers = layers
+
+    def forward(self, x):
+        caches = []
+        for layer in self.layers:
+            x, cache = layer.forward(x)
+            caches.append(cache)
+        return x, caches
+
+    def backward(self, caches, gy):
+        for layer, cache in zip(reversed(self.layers), reversed(caches)):
+            gy = layer.backward(cache, gy)
+        return gy
+
+
+class RefCell:
+    """DAG of 6 edge operations over 4 nodes; node j sums its incoming edges."""
+
+    def __init__(self, edge_modules):
+        self.ops = list(edge_modules)
+
+    def forward(self, x):
+        nodes = [x, None, None, None]
+        caches = []
+        for k, (src, dest) in enumerate(EDGES):
+            y, cache = self.ops[k].forward(nodes[src])
+            caches.append(cache)
+            nodes[dest] = y if nodes[dest] is None else nodes[dest] + y
+        return nodes[3], caches
+
+    def backward(self, caches, gy):
+        gnodes = [None, None, None, gy]
+        # EDGES is topologically sorted by (dest, src): reversed order has
+        # every node's outgoing gradients complete before it propagates.
+        for k in reversed(range(len(EDGES))):
+            src, dest = EDGES[k]
+            g = self.ops[k].backward(caches[k], gnodes[dest])
+            gnodes[src] = g if gnodes[src] is None else gnodes[src] + g
+        return gnodes[0]
+
+
+def ref_edge_module(op, channels, eps, rng):
+    if op == OpKind.ZEROIZE:
+        return RefZero()
+    if op == OpKind.SKIP_CONNECT:
+        return _Identity()
+    if op == OpKind.AVGPOOL3X3:
+        return _AvgPool3x3()
+    k = 1 if op == OpKind.CONV1X1 else 3
+    conv = _Conv(_he_conv(rng, channels, channels, k), stride=1, pad=(k - 1) // 2)
+    return RefChain([_ReLU(), conv, _BatchNorm(eps)])
+
+
+def ref_build_network(arch, cfg, rng):
+    """Blocks of the nested network: stem, cells, reductions, head."""
+    eps = cfg.bn_eps
+    blocks = []
+    channels = cfg.stem_channels
+    stem_conv = _Conv(_he_conv(rng, channels, cfg.input_channels, 3), stride=1, pad=1)
+    blocks.append(RefChain([stem_conv, _BatchNorm(eps)]))
+    for stage in range(cfg.num_stages):
+        for _ in range(cfg.cells_per_stage):
+            blocks.append(RefCell([ref_edge_module(op, channels, eps, rng) for op in arch.edge_ops]))
+        if stage < cfg.num_stages - 1:
+            red_conv = _Conv(_he_conv(rng, 2 * channels, channels, 3), stride=2, pad=1)
+            blocks.append(RefChain([_ReLU(), red_conv, _BatchNorm(eps)]))
+            channels *= 2
+    std = np.sqrt(2.0 / channels)
+    classifier = _Linear(rng.normal(0.0, std, size=(cfg.num_classes, channels)))
+    blocks.append(RefChain([_ReLU(), _GlobalAvgPool(), classifier]))
+    return blocks
+
+
+def ref_jacobian(blocks, batch):
+    tape = []
+    x = batch
+    for block in blocks:
+        x, cache = block.forward(x)
+        tape.append(cache)
+    gy = np.ones_like(x)
+    for block, cache in zip(reversed(blocks), reversed(tape)):
+        gy = block.backward(cache, gy)
+    return gy.reshape(batch.shape[0], -1)
+
+
+def fed_nodes(arch):
+    """Cell nodes that get a signal from the cell input."""
+    fed = {0}
+    for (src, dst), op in zip(EDGES, arch.edge_ops):
+        if op != OpKind.ZEROIZE and src in fed:
+            fed.add(dst)
+    return fed
+
+
+def live_edges(arch):
+    """Edges on a path from the cell input to a cell output that is not identically zero."""
+    fed = fed_nodes(arch)
+    if 3 not in fed:
+        return set()
+    reaches = {3}
+    for (src, dst), op in reversed(list(zip(EDGES, arch.edge_ops))):
+        if op != OpKind.ZEROIZE and dst in reaches:
+            reaches.add(src)
+    return {
+        k for k, ((src, dst), op) in enumerate(zip(EDGES, arch.edge_ops))
+        if op != OpKind.ZEROIZE and src in fed and dst in reaches
+    }
+
+
+def ref_live_weights(blocks, arch):
+    """The reference's weights in draw order, without dead conv edges; none
+    at all when the cell output is identically zero."""
+    live = live_edges(arch)
+    if not live:
+        return []
+    out = []
+    for block in blocks:
+        if isinstance(block, RefCell):
+            out += [op.layers[1].w for k, op in enumerate(block.ops) if k in live and isinstance(op, RefChain)]
+        else:
+            out += [layer.w for layer in block.layers if hasattr(layer, "w")]
+    return out
+
+
+N1, SK, C1, C3, PL = OpKind.ZEROIZE, OpKind.SKIP_CONNECT, OpKind.CONV1X1, OpKind.CONV3X3, OpKind.AVGPOOL3X3
+# edge order (0->1), (0->2), (1->2), (0->3), (1->3), (2->3)
+STRATIFIED = {
+    "dead-source": ArchEncoding((N1, C3, C3, SK, C1, PL)),  # node 1 gets no signal
+    "dead-destination": ArchEncoding((C3, C1, C3, SK, SK, N1)),  # node 2 never reaches node 3
+    "zero-output": ArchEncoding((C3, C1, C3, N1, N1, N1)),
+    "zero-output-dead-convs": ArchEncoding((N1, N1, C3, N1, C1, C3)),
+    "two-conv-out": ArchEncoding((C1, PL, C3, SK, C3, C1)),  # node 1 feeds two convs
+}
+
+
+def equivalence_cases():
+    out = []
+    for name, n_random in (("small", 12), ("desk", 6), ("wide", 2)):
+        for label, arch in STRATIFIED.items():
+            out.append(pytest.param(name, arch, id=f"{name}-{label}"))
+        stream = RngStream(41, ("equivalence", name))
+        for i in range(n_random):
+            out.append(pytest.param(name, random_arch(stream), id=f"{name}-random{i}"))
+    return out
+
+
+@pytest.mark.parametrize("skeleton,arch", equivalence_cases())
+def test_step_program_matches_nested_network(skeleton, arch):
+    cfg = SKELETONS[skeleton]
+    net = build_network(arch, cfg, RngStream(42, ("init", skeleton)))
+    blocks = ref_build_network(arch, cfg, RngStream(42, ("init", skeleton)))
+    batch = small_batch(43, n=4, cfg=cfg)
+    got = input_jacobian(net, batch, [0, 1, 0, 1]).J
+    want = ref_jacobian(blocks, batch)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    weights = _collect_weights(net)
+    expected = ref_live_weights(blocks, arch)
+    assert len(weights) == len(expected)
+    for w, ref in zip(weights, expected):
+        assert np.array_equal(w, ref)
+
+
+def test_zero_output_genotypes_are_empty_programs():
+    zero = [arch for arch in enumerate_all() if 3 not in fed_nodes(arch)]
+    assert len(zero) == 341
+    batch = small_batch(44, n=4)
+    labels = [0, 0, 1, 1]
+    for arch in zero:
+        net = build_network(arch, SMALL, RngStream(45, ("init",)))
+        assert net.steps == []
+        assert np.array_equal(input_jacobian(net, batch, labels).J, np.zeros((4, SMALL.input_dim)))
+        got = score_arch(arch, batch, labels, SMALL, ProxyParams(), RngStream(45, ("init",)))
+        assert got.is_sentinel
+
+
+def test_relu_kink_margin_is_min_over_run_relus():
+    seen = []
+
+    class SpyReLU(_ReLU):
+        def forward(self, x):
+            seen.append(float(np.min(np.abs(x))))
+            return super().forward(x)
+
+    batch = small_batch(46)
+    for arch in STRATIFIED.values():
+        net = build_network(arch, SMALL, RngStream(47, ("init",)))
+        spied = Network(arch, SMALL, [(SpyReLU() if isinstance(l, _ReLU) else l, s, d) for l, s, d in net.steps])
+        seen.clear()
+        margin = relu_kink_margin(spied, batch)
+        assert margin == (min(seen) if seen else np.inf)
+
+
+def test_relu_kink_margin_settings_agree():
+    # a run ReLU never sees a structural zero, so skipping exact zeros
+    # changes nothing; every 25th genotype plus the stratified ones
+    batch = small_batch(48)
+    archs = list(enumerate_all())[::25] + list(STRATIFIED.values())
+    for arch in archs:
+        net = build_network(arch, SMALL, RngStream(49, ("init",)))
+        assert relu_kink_margin(net, batch, positive_only=True) == relu_kink_margin(net, batch)
