@@ -7,16 +7,21 @@ gradient of the total logit sum with respect to the input batch, via
 hand-written reverse-mode rules for each layer (including the cross-sample
 coupling introduced by batch-statistics normalization).
 
-Kernels.  The forward convolution is one ``einsum`` over a sliding-window
-view of the padded input.  The convolution input gradient computes every
-kernel tap in a single GEMM, ``W^T (o, c*kh*kw) @ gy (o, n*ho*wo)``, laid
-out as ``(c, kh, kw, n, ho, wo)`` so that each tap's block is contiguous;
-each tap is then added onto a strided slice of a channel-major padded
-buffer, which is cropped and transposed back to NCHW.  The same path serves
-every stride and kernel size.  3x3 average pooling is a separable box sum
-(shifted row slices added, then shifted column slices) divided by 9; the
-box is symmetric, so its backward pass is the same operation on the
-gradient.
+Layout.  Activations are channel-major, ``(C, N, H, W)``, from stem to
+head: ``Network._run`` transposes the NCHW batch once on entry,
+``Network._backprop`` its gradient once on exit, and global average pooling
+hands ``(N, C)`` to the classifier.  The public functions speak NCHW.
+
+Kernels.  A convolution fills an im2col buffer ``(c, kh, kw, n, ho, wo)``
+tap by tap from the unpadded input into zeros, so ``W (o, c*kh*kw) @ cols``
+is its output; the input gradient is ``W^T @ gy`` in the same layout, each
+tap's block added back where it was read.  One path serves every stride and
+kernel size.  Each conv kernel allocates its result before its large
+buffer, which keeps the heap (and peak RSS) smaller.  Batch norm reduces
+each channel over one contiguous row, scales the centred values in place
+and backpropagates in one buffer.  ReLU caches a bool mask and multiplies
+the gradient by it.  3x3 average pooling is a separable box sum divided by
+9; the box is symmetric, so its backward pass is the same operation.
 
 Layer protocol: ``forward(x) -> (y, cache)``, ``backward(cache, gy) -> gx``.
 
@@ -38,7 +43,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .cellspace import EDGES, ArchEncoding, OpKind
 from .rng import RngStream
@@ -118,27 +122,43 @@ class JacobianBatch:
 # convolution primitives
 
 
+def _spans(size, k, stride, pad, out):
+    """Per kernel offset i along one axis: the outputs o it reaches and the
+    inputs ``o * stride + i - pad`` they read, the zero padding left out."""
+    for i in range(k):
+        lo = max(0, -((i - pad) // stride))
+        hi = max(lo, min(out, (size - 1 - i + pad) // stride + 1))
+        yield i, slice(lo, hi), slice(lo * stride + i - pad, hi * stride + i - pad, stride)
+
+
+def _taps(x_shape, w_shape, stride, pad, ho, wo):
+    """(im2col index, input index) per kernel tap (i, j)."""
+    rows = _spans(x_shape[2], w_shape[2], stride, pad, ho)
+    cols = _spans(x_shape[3], w_shape[3], stride, pad, wo)
+    for (i, oy, iy), (j, ox, ix) in itertools.product(rows, cols):
+        yield np.s_[:, i, j, :, oy, ox], np.s_[:, :, iy, ix]
+
+
 def _conv_forward(x, w, stride, pad):
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    kh, kw = w.shape[2:]
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    return np.einsum("nchwij,ocij->nohw", win, w, optimize=True)
+    c, n, h, width = x.shape
+    o, _, kh, kw = w.shape
+    ho, wo = (h + 2 * pad - kh) // stride + 1, (width + 2 * pad - kw) // stride + 1
+    y = np.empty((o, n, ho, wo))  # allocated before cols; see the module docstring
+    cols = np.zeros((c, kh, kw, n, ho, wo))
+    for col, inp in _taps(x.shape, w.shape, stride, pad, ho, wo):
+        cols[col] = x[inp]
+    np.matmul(w.reshape(o, -1), cols.reshape(-1, n * ho * wo), out=y.reshape(o, -1))
+    return y
 
 
 def _conv_backward_input(gy, w, x_shape, stride, pad):
-    n, c, h, width = x_shape
-    o, _, kh, kw = w.shape
-    ho, wo = gy.shape[2:]
-    # all taps in one GEMM, laid out (c, kh, kw, n, ho, wo): each tap's block
-    # is contiguous, and tap (i, j) scatters onto a strided slice of the input
-    taps = w.reshape(o, -1).T @ gy.transpose(1, 0, 2, 3).reshape(o, -1)
-    taps = taps.reshape(c, kh, kw, n, ho, wo)
-    gxp = np.zeros((c, n, h + 2 * pad, width + 2 * pad))
-    for i in range(kh):
-        for j in range(kw):
-            gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += taps[:, i, j]
-    return np.ascontiguousarray(gxp[:, :, pad : pad + h, pad : pad + width].transpose(1, 0, 2, 3))
+    o, c, kh, kw = w.shape
+    _, n, ho, wo = gy.shape
+    gx = np.zeros(x_shape)  # allocated before taps, likewise
+    taps = (w.reshape(o, -1).T @ gy.reshape(o, -1)).reshape(c, kh, kw, n, ho, wo)
+    for col, inp in _taps(x_shape, w.shape, stride, pad, ho, wo):
+        gx[inp] += taps[col]
+    return gx
 
 
 def _box3(x):
@@ -176,26 +196,29 @@ class _BatchNorm:
         self.eps = eps
 
     def forward(self, x):
-        mu = x.mean(axis=(0, 2, 3), keepdims=True)
-        var = x.var(axis=(0, 2, 3), keepdims=True)
-        inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mu) * inv
-        return xhat, (xhat, inv)
+        rows = x.reshape(x.shape[0], -1)
+        xhat = rows - rows.mean(axis=1, keepdims=True)
+        inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=1, keepdims=True) + self.eps)
+        xhat *= inv
+        return xhat.reshape(x.shape), (xhat, inv)
 
     def backward(self, cache, gy):
         xhat, inv = cache
-        m1 = gy.mean(axis=(0, 2, 3), keepdims=True)
-        m2 = (gy * xhat).mean(axis=(0, 2, 3), keepdims=True)
-        return inv * (gy - m1 - xhat * m2)
+        rows = gy.reshape(xhat.shape)
+        gx = rows * xhat
+        np.multiply(xhat, gx.mean(axis=1, keepdims=True), out=gx)
+        np.subtract(rows, gx, out=gx)
+        gx -= rows.mean(axis=1, keepdims=True)
+        gx *= inv
+        return gx.reshape(gy.shape)
 
 
 class _ReLU:
     def forward(self, x):
-        mask = x > 0
-        return np.where(mask, x, 0.0), mask
+        return np.maximum(x, 0.0), x > 0
 
     def backward(self, cache, gy):
-        return np.where(cache, gy, 0.0)
+        return gy * cache
 
 
 class _AvgPool3x3:
@@ -221,11 +244,10 @@ class _Identity:
 
 class _GlobalAvgPool:
     def forward(self, x):
-        return x.mean(axis=(2, 3)), x.shape
+        return x.mean(axis=(2, 3)).T, x.shape
 
     def backward(self, cache, gy):
-        n, c, h, w = cache
-        return np.broadcast_to(gy[:, :, None, None], (n, c, h, w)) / (h * w)
+        return np.broadcast_to(gy.T[:, :, None, None], cache) / (cache[2] * cache[3])
 
 
 class _Linear:
@@ -277,10 +299,10 @@ class Network:
         return batch
 
     def _run(self, x, tape=None, margins=None):
-        """Logits; fills `tape` with step caches and `margins` with ReLU
-        kink margins.  Each slot is dropped after its last read."""
+        """Logits of NCHW `x`; fills `tape` with step caches and `margins`
+        with ReLU kink margins.  Each slot is dropped after its last read."""
         last_read = {src: i for i, (_, src, _) in enumerate(self.steps)}
-        slots = {0: x}
+        slots = {0: np.ascontiguousarray(x.transpose(1, 0, 2, 3))}
         for i, (layer, src, dst) in enumerate(self.steps):
             h = slots.pop(src) if last_read[src] == i else slots[src]
             if margins is not None and isinstance(layer, _ReLU):
@@ -292,15 +314,15 @@ class Network:
         return slots[_OUT] if _OUT in slots else np.zeros((x.shape[0], self.cfg.num_classes))
 
     def _backprop(self, tape, gy, x_shape):
-        """Input gradient for logit gradient `gy`.  Each slot's gradient is
-        dropped after its first writer, the last step to read it."""
+        """NCHW input gradient for logit gradient `gy`.  Each slot's gradient
+        is dropped after its first writer, the last step to read it."""
         first_write = {dst: i for i, (_, _, dst) in reversed(list(enumerate(self.steps)))}
         grads = {_OUT: gy}
         for i in reversed(range(len(self.steps))):
             layer, src, dst = self.steps[i]
             g = layer.backward(tape[i], grads.pop(dst) if first_write[dst] == i else grads[dst])
             grads[src] = grads[src] + g if src in grads else g
-        return grads[0] if 0 in grads else np.zeros(x_shape)
+        return grads[0].transpose(1, 0, 2, 3) if 0 in grads else np.zeros(x_shape)
 
 
 def _he_conv(rng, c_out, c_in, k):

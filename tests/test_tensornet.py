@@ -13,13 +13,11 @@ from evonas.tensornet import (
     SkeletonConfig,
     _AvgPool3x3,
     _BatchNorm,
-    _Conv,
     _conv_backward_input,
     _conv_forward,
     _GlobalAvgPool,
     _he_conv,
     _Identity,
-    _Linear,
     _ReLU,
     build_network,
     finite_diff_jacobian,
@@ -60,11 +58,12 @@ def test_all_skip_cell_quadruples_input():
     net = build_network(ALL_SKIP, SMALL, RngStream(0, ("init",)))
     cell = net.steps[2:8]  # after the stem's conv and batch norm
     assert all(isinstance(layer, _Identity) for layer, _, _ in cell)
-    # run the cell alone: its input slot becomes the input, node 3 the output
+    # run the cell alone: its input slot becomes the input, node 3 the output;
+    # _run takes NCHW and leaves the cell output channel-major
     renumber = {cell[0][1]: 0, cell[-1][2]: _OUT}
     alone = Network(ALL_SKIP, SMALL, [(l, renumber.get(s, s), renumber.get(d, d)) for l, s, d in cell])
     x = RngStream(0).normal(size=(2, 4, 8, 8))
-    assert np.allclose(alone._run(x), 4.0 * x, rtol=0, atol=1e-12)
+    assert np.allclose(alone._run(x), 4.0 * x.transpose(1, 0, 2, 3), rtol=0, atol=1e-12)
 
 
 def test_all_zero_cell_outputs_zero():
@@ -201,7 +200,41 @@ def test_benchmark_scale_config_builds():
 
 
 # ---------------------------------------------------------------------------
-# kernels against the reference kernels they replaced
+# the NCHW layers the channel-major ones replaced, frozen as references
+
+
+def ref_conv_forward(x, w, stride, pad):
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    kh, kw = w.shape[2:]
+    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    return np.einsum("nchwij,ocij->nohw", win, w, optimize=True)
+
+
+def ref_conv_backward_input(gy, w, x_shape, stride, pad):
+    n, c, h, width = x_shape
+    o, _, kh, kw = w.shape
+    ho, wo = gy.shape[2:]
+    # all taps in one GEMM, laid out (c, kh, kw, n, ho, wo): each tap's block
+    # is contiguous, and tap (i, j) scatters onto a strided slice of the input
+    taps = w.reshape(o, -1).T @ gy.transpose(1, 0, 2, 3).reshape(o, -1)
+    taps = taps.reshape(c, kh, kw, n, ho, wo)
+    gxp = np.zeros((c, n, h + 2 * pad, width + 2 * pad))
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += taps[:, i, j]
+    return np.ascontiguousarray(gxp[:, :, pad : pad + h, pad : pad + width].transpose(1, 0, 2, 3))
+
+
+def ref_box3(x):
+    """Zero-padded 3x3 box sum, separably: rows, then columns."""
+    rows = x.copy()
+    rows[:, :, 1:] += x[:, :, :-1]
+    rows[:, :, :-1] += x[:, :, 1:]
+    out = rows.copy()
+    out[..., 1:] += rows[..., :-1]
+    out[..., :-1] += rows[..., 1:]
+    return out
 
 
 def reference_conv_backward_input(gy, w, x_shape, stride, pad):
@@ -236,6 +269,97 @@ def reference_avgpool_backward(x_shape, gy):
     return gxp[:, :, 1 : 1 + h, 1 : 1 + w] / 9.0
 
 
+class RefConv:
+    def __init__(self, weight, stride, pad):
+        self.w = weight
+        self.stride = stride
+        self.pad = pad
+
+    def forward(self, x):
+        return ref_conv_forward(x, self.w, self.stride, self.pad), x.shape
+
+    def backward(self, cache, gy):
+        return ref_conv_backward_input(gy, self.w, cache, self.stride, self.pad)
+
+
+class RefBatchNorm:
+    """Batch-statistics normalization: no affine, no running stats."""
+
+    def __init__(self, eps):
+        self.eps = eps
+
+    def forward(self, x):
+        mu = x.mean(axis=(0, 2, 3), keepdims=True)
+        var = x.var(axis=(0, 2, 3), keepdims=True)
+        inv = 1.0 / np.sqrt(var + self.eps)
+        xhat = (x - mu) * inv
+        return xhat, (xhat, inv)
+
+    def backward(self, cache, gy):
+        xhat, inv = cache
+        m1 = gy.mean(axis=(0, 2, 3), keepdims=True)
+        m2 = (gy * xhat).mean(axis=(0, 2, 3), keepdims=True)
+        return inv * (gy - m1 - xhat * m2)
+
+
+class RefReLU:
+    def forward(self, x):
+        mask = x > 0
+        return np.where(mask, x, 0.0), mask
+
+    def backward(self, cache, gy):
+        return np.where(cache, gy, 0.0)
+
+
+class RefAvgPool3x3:
+    """3x3 average pooling, stride 1, pad 1, always dividing by 9.
+
+    The box sum is symmetric, so the backward pass is the same pooling.
+    """
+
+    def forward(self, x):
+        return ref_box3(x) / 9.0, None
+
+    def backward(self, cache, gy):
+        return ref_box3(gy) / 9.0
+
+
+class RefIdentity:
+    def forward(self, x):
+        return x, None
+
+    def backward(self, cache, gy):
+        return gy
+
+
+class RefGlobalAvgPool:
+    def forward(self, x):
+        return x.mean(axis=(2, 3)), x.shape
+
+    def backward(self, cache, gy):
+        n, c, h, w = cache
+        return np.broadcast_to(gy[:, :, None, None], (n, c, h, w)) / (h * w)
+
+
+class RefLinear:
+    def __init__(self, weight):
+        self.w = weight  # (num_classes, channels)
+
+    def forward(self, x):
+        return x @ self.w.T, None
+
+    def backward(self, cache, gy):
+        return gy @ self.w
+
+
+# ---------------------------------------------------------------------------
+# channel-major kernels against the NCHW layers, through transposes
+
+
+def cnhw(a):
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
+
+
 SKELETONS = {
     "small": SMALL,
     "desk": SkeletonConfig(),
@@ -244,9 +368,12 @@ SKELETONS = {
 
 
 def layer_configs():
-    """Every conv and pooling shape a skeleton builds, as pytest params.
+    """Every conv, pooling, batch norm and ReLU shape a skeleton builds, as
+    pytest params.
 
-    Conv: (c_in, c_out, hw, k, stride); pooling: (channels, hw).
+    Conv: (c_in, c_out, hw, k, stride); the others: (channels, hw).  The
+    stem's and a reduction's batch norm have the shape of the stage they
+    feed.
     """
     out = []
     for name, cfg in SKELETONS.items():
@@ -255,10 +382,12 @@ def layer_configs():
         for stage in range(cfg.num_stages):
             for k in (1, 3):
                 out.append(pytest.param(name, "conv", (c, c, hw, k, 1), id=f"{name}-s{stage}-conv{k}x{k}"))
-            out.append(pytest.param(name, "pool", (c, hw), id=f"{name}-s{stage}-pool"))
+            for kind in ("pool", "bn", "relu"):
+                out.append(pytest.param(name, kind, (c, hw), id=f"{name}-s{stage}-{kind}"))
             if stage < cfg.num_stages - 1:
                 out.append(pytest.param(name, "conv", (c, 2 * c, hw, 3, 2), id=f"{name}-s{stage}-reduce"))
                 c, hw = 2 * c, hw // 2
+        out.append(pytest.param(name, "gap", (c, hw), id=f"{name}-gap"))
     return out
 
 
@@ -267,35 +396,57 @@ def assert_same(new, old):
     assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
 
 
+ELEMENTWISE = {
+    "pool": (_AvgPool3x3, RefAvgPool3x3),
+    "bn": (lambda: _BatchNorm(1e-5), lambda: RefBatchNorm(1e-5)),
+    "relu": (_ReLU, RefReLU),
+}
+
+
 @pytest.mark.parametrize("skeleton,kind,shape", layer_configs())
 def test_kernels_match_reference(skeleton, kind, shape):
     stream = RngStream(31, ("kernels", skeleton) + shape)
     n = 4
-    if kind == "pool":
+    if kind in ELEMENTWISE:
         c, hw = shape
         x = stream.normal(size=(n, c, hw, hw))
         gy = stream.normal(size=(n, c, hw, hw))
-        pool = _AvgPool3x3()
-        y, cache = pool.forward(x)
-        assert_same(y, reference_avgpool_forward(x))
-        assert_same(pool.backward(cache, gy), reference_avgpool_backward(x.shape, gy))
+        live, ref = (make() for make in ELEMENTWISE[kind])
+        y, cache = live.forward(cnhw(x))
+        ref_y, ref_cache = ref.forward(x)
+        assert_same(y, cnhw(ref_y))
+        assert_same(live.backward(cache, cnhw(gy)), cnhw(ref.backward(ref_cache, gy)))
+        if kind == "pool":  # and against the sliding-window definition
+            assert_same(y, cnhw(reference_avgpool_forward(x)))
+            assert_same(live.backward(cache, cnhw(gy)), cnhw(reference_avgpool_backward(x.shape, gy)))
+        return
+    if kind == "gap":
+        c, hw = shape
+        x = stream.normal(size=(n, c, hw, hw))
+        gy = stream.normal(size=(n, c))
+        y, cache = _GlobalAvgPool().forward(cnhw(x))
+        ref_y, ref_cache = RefGlobalAvgPool().forward(x)
+        assert_same(y, ref_y)
+        assert_same(_GlobalAvgPool().backward(cache, gy), cnhw(RefGlobalAvgPool().backward(ref_cache, gy)))
         return
     c_in, c_out, hw, k, stride = shape
     pad = (k - 1) // 2
     ho = (hw + 2 * pad - k) // stride + 1
     w = stream.normal(size=(c_out, c_in, k, k))
     gy = stream.normal(size=(n, c_out, ho, ho))
-    x_shape = (n, c_in, hw, hw)
-    gx = _conv_backward_input(gy, w, x_shape, stride, pad)
+    x = stream.normal(size=(n, c_in, hw, hw))
+    assert_same(_conv_forward(cnhw(x), w, stride, pad), cnhw(ref_conv_forward(x, w, stride, pad)))
+    gx = _conv_backward_input(cnhw(gy), w, (c_in, n, hw, hw), stride, pad)
     assert gx.flags.c_contiguous
-    assert_same(gx, reference_conv_backward_input(gy, w, x_shape, stride, pad))
+    assert_same(gx, cnhw(ref_conv_backward_input(gy, w, x.shape, stride, pad)))
+    assert_same(gx, cnhw(reference_conv_backward_input(gy, w, x.shape, stride, pad)))
 
 
 @pytest.mark.parametrize("k,stride", [(1, 1), (3, 1), (3, 2)])
 def test_conv_backward_is_adjoint_of_forward(k, stride):
     stream = RngStream(32, ("adjoint", k, stride))
     pad = (k - 1) // 2
-    x = stream.normal(size=(3, 4, 8, 8))
+    x = stream.normal(size=(4, 3, 8, 8))  # (c, n, h, w)
     w = stream.normal(size=(6, 4, k, k))
     y = _conv_forward(x, w, stride, pad)
     gy = stream.normal(size=y.shape)
@@ -305,7 +456,7 @@ def test_conv_backward_is_adjoint_of_forward(k, stride):
 
 
 # ---------------------------------------------------------------------------
-# the step program against the nested cell network it replaced
+# the step program against the nested NCHW cell network it replaced
 
 
 class RefZero:
@@ -365,31 +516,31 @@ def ref_edge_module(op, channels, eps, rng):
     if op == OpKind.ZEROIZE:
         return RefZero()
     if op == OpKind.SKIP_CONNECT:
-        return _Identity()
+        return RefIdentity()
     if op == OpKind.AVGPOOL3X3:
-        return _AvgPool3x3()
+        return RefAvgPool3x3()
     k = 1 if op == OpKind.CONV1X1 else 3
-    conv = _Conv(_he_conv(rng, channels, channels, k), stride=1, pad=(k - 1) // 2)
-    return RefChain([_ReLU(), conv, _BatchNorm(eps)])
+    conv = RefConv(_he_conv(rng, channels, channels, k), stride=1, pad=(k - 1) // 2)
+    return RefChain([RefReLU(), conv, RefBatchNorm(eps)])
 
 
 def ref_build_network(arch, cfg, rng):
-    """Blocks of the nested network: stem, cells, reductions, head."""
+    """Blocks of the nested NCHW network: stem, cells, reductions, head."""
     eps = cfg.bn_eps
     blocks = []
     channels = cfg.stem_channels
-    stem_conv = _Conv(_he_conv(rng, channels, cfg.input_channels, 3), stride=1, pad=1)
-    blocks.append(RefChain([stem_conv, _BatchNorm(eps)]))
+    stem_conv = RefConv(_he_conv(rng, channels, cfg.input_channels, 3), stride=1, pad=1)
+    blocks.append(RefChain([stem_conv, RefBatchNorm(eps)]))
     for stage in range(cfg.num_stages):
         for _ in range(cfg.cells_per_stage):
             blocks.append(RefCell([ref_edge_module(op, channels, eps, rng) for op in arch.edge_ops]))
         if stage < cfg.num_stages - 1:
-            red_conv = _Conv(_he_conv(rng, 2 * channels, channels, 3), stride=2, pad=1)
-            blocks.append(RefChain([_ReLU(), red_conv, _BatchNorm(eps)]))
+            red_conv = RefConv(_he_conv(rng, 2 * channels, channels, 3), stride=2, pad=1)
+            blocks.append(RefChain([RefReLU(), red_conv, RefBatchNorm(eps)]))
             channels *= 2
     std = np.sqrt(2.0 / channels)
-    classifier = _Linear(rng.normal(0.0, std, size=(cfg.num_classes, channels)))
-    blocks.append(RefChain([_ReLU(), _GlobalAvgPool(), classifier]))
+    classifier = RefLinear(rng.normal(0.0, std, size=(cfg.num_classes, channels)))
+    blocks.append(RefChain([RefReLU(), RefGlobalAvgPool(), classifier]))
     return blocks
 
 
