@@ -16,10 +16,10 @@ import json
 import sys
 from pathlib import Path
 
-from .batches import SyntheticBatchSpec, load_raw_batch, make_batch
+from .batches import SyntheticBatchSpec
 from .cellspace import decode_str, encode_str
 from .evolution import ConfigError, SearchConfig
-from .experiment import ExperimentConfig, emit_results, run_experiment
+from .experiment import ExperimentConfig, emit_results, load_batch, run_experiment
 from .oracle import SyntheticSpec, gen_synthetic, save_tabular
 from .rng import RngStream
 from .stats import kendall_tau, welch_ttest
@@ -188,12 +188,8 @@ def _cmd_bench_gen(args) -> int:
 
 def _cmd_score(args) -> int:
     arch = decode_str(args.arch)
-    if args.batch:
-        batch, labels = load_raw_batch(args.batch, args.batch_count)
-        skeleton = SkeletonConfig(input_hw=batch.shape[2])
-    else:
-        batch, labels = make_batch(SyntheticBatchSpec(seed=args.seed))
-        skeleton = SkeletonConfig()
+    source = args.batch or SyntheticBatchSpec(seed=args.seed)
+    batch, labels, skeleton = load_batch(source, args.batch_count, SkeletonConfig())
     result = score_arch(
         arch, batch, labels, skeleton, ProxyParams(), RngStream(args.seed, ("score-cli",))
     )

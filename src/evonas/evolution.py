@@ -12,9 +12,11 @@ trained.
 
 Guided mode off degenerates to the classic aging-evolution baseline:
 init_candidates == pop_size, one child per cycle, and no proxy calls (every
-individual carries the sentinel score).  Random search is the unguided
-initialization with pop_size == init_candidates == cycles: every sample is
-kept and no cycle runs.
+individual carries the sentinel score).  Those unguided defaults are set in
+`SearchConfig.__post_init__` alone, and `_scoring` alone decides whether a
+run calls its scorer.  Random search is the unguided initialization with
+pop_size == init_candidates == cycles: every sample is kept and no cycle
+runs.
 
 Every random draw comes from a named substream of the run stream, so
 trajectories are reproducible event for event.  Substream layout:
@@ -97,10 +99,12 @@ class SearchConfig:
     `gen_size` defaults to `pop_size` and `init_candidates` to `cycles`.
     `guided=False` gives baseline aging-evolution semantics: no proxy calls
     (every score is the sentinel), one child per cycle (gen_size is forced
-    to 1), and `init_candidates` defaults to `pop_size`.  `budget_counts_init`
-    keeps the total number of trained architectures at `cycles`, counting
-    the initial population; switching it off runs `cycles` evolution steps
-    on top of the initial population.
+    to 1), and `init_candidates` defaults to `pop_size`.  The unguided
+    defaults are set here only: `rea_config`, random search and the
+    experiment runner leave both fields at None.  `budget_counts_init` keeps
+    the total number of trained architectures at `cycles`, counting the
+    initial population; switching it off runs `cycles` evolution steps on
+    top of the initial population.
     """
 
     pop_size: int = 10
@@ -116,10 +120,8 @@ class SearchConfig:
     budget_counts_init: bool = True
 
     def __post_init__(self):
-        if self.gen_size is None:
-            object.__setattr__(self, "gen_size", 1 if not self.guided else self.pop_size)
-        if not self.guided and self.gen_size != 1:
-            object.__setattr__(self, "gen_size", 1)
+        if not self.guided or self.gen_size is None:
+            object.__setattr__(self, "gen_size", self.pop_size if self.guided else 1)
         if self.init_candidates is None:
             object.__setattr__(
                 self, "init_candidates", self.pop_size if not self.guided else self.cycles
@@ -147,8 +149,6 @@ def rea_config(pop_size: int = 10, tournament_size: int = 5, cycles: int = 200,
         pop_size=pop_size,
         tournament_size=tournament_size,
         cycles=cycles,
-        gen_size=1,
-        init_candidates=pop_size,
         guided=False,
         seed=seed,
         **overrides,
@@ -184,9 +184,23 @@ class Trajectory:
 
 
 def _as_proxy(value) -> ProxyScore:
-    if isinstance(value, ProxyScore):
-        return value
-    return ProxyScore(value=value)
+    return value if isinstance(value, ProxyScore) else ProxyScore(value=value)
+
+
+def _scoring(cfg: SearchConfig, scorer: Optional[Scorer]) -> Callable:
+    """The run's (arch, stream) -> ProxyScore function: the sentinel in an
+    unguided run, which never calls `scorer`; otherwise `scorer`."""
+    if not cfg.guided:
+        return lambda arch, stream: ProxyScore.sentinel()
+    if scorer is None:
+        raise ConfigError("guided search needs a scorer")
+    return lambda arch, stream: _as_proxy(scorer(arch, stream))
+
+
+def _extremum(pop: list, mode: str) -> Individual:
+    """The fitness-`highest` or `lowest` individual (ties: lowest birth_index)."""
+    sign = -1 if mode == "highest" else 1
+    return min(pop, key=lambda ind: (sign * ind.fitness, ind.birth_index))
 
 
 def tournament_select(pop: list, cfg: SearchConfig, rng: RngStream) -> Individual:
@@ -206,9 +220,7 @@ def tournament_select(pop: list, cfg: SearchConfig, rng: RngStream) -> Individua
             if best is None or cand.fitness > best.fitness:
                 best = cand
         return best
-    if cfg.parent_mode == "highest":
-        return min(pop, key=lambda ind: (-ind.fitness, ind.birth_index))
-    return min(pop, key=lambda ind: (ind.fitness, ind.birth_index))
+    return _extremum(pop, cfg.parent_mode)
 
 
 def remove_survivor(pop: list, cfg: SearchConfig) -> Individual:
@@ -221,10 +233,7 @@ def remove_survivor(pop: list, cfg: SearchConfig) -> Individual:
         raise ValueError(f"population must be over capacity by exactly one, got {len(pop)}")
     if cfg.removal_mode == "oldest":
         return pop.pop(0)
-    if cfg.removal_mode == "highest":
-        victim = min(pop, key=lambda ind: (-ind.fitness, ind.birth_index))
-    else:
-        victim = min(pop, key=lambda ind: (ind.fitness, ind.birth_index))
+    victim = _extremum(pop, cfg.removal_mode)
     pop.remove(victim)
     return victim
 
@@ -274,14 +283,11 @@ def init_population(
     given, receives the oracle record of each kept individual in population
     order, so that a caller needs no second lookup.
     """
-    _require_scorer(cfg, scorer)
+    score = _scoring(cfg, scorer)
     candidates = []
     for i in range(cfg.init_candidates):
         arch = random_arch(rng.child("init", i, "arch"))
-        if cfg.guided:
-            proxy = _as_proxy(scorer(arch, rng.child("init", i, "score")))
-        else:
-            proxy = ProxyScore.sentinel()
+        proxy = score(arch, rng.child("init", i, "score"))
         candidates.append(Individual(arch, proxy, None, birth_index=i, origin="init"))
     kept = sorted(candidates, key=lambda ind: (-ind.proxy.value, ind.birth_index))[: cfg.pop_size]
     kept.sort(key=lambda ind: ind.birth_index)
@@ -291,16 +297,6 @@ def init_population(
         if records is not None:
             records.append(record)
     return kept, candidates
-
-
-def _require_scorer(cfg: SearchConfig, scorer) -> None:
-    if cfg.guided and scorer is None:
-        raise ConfigError("guided search needs a scorer")
-
-
-def _unscored(arch: ArchEncoding, stream: RngStream) -> ProxyScore:
-    """Child score of unguided runs: no proxy call, the sentinel."""
-    return ProxyScore.sentinel()
 
 
 def run_search(
@@ -319,7 +315,7 @@ def run_search(
     the set that `spawn_generation` steers guided children away from; a
     repeat it falls back to is still charged one training slot.
     """
-    _require_scorer(cfg, scorer)
+    score_child = _scoring(cfg, scorer)
     rng = rng if rng is not None else RngStream(cfg.seed)
     traj = Trajectory()
     clock = 0.0
@@ -366,7 +362,6 @@ def run_search(
     for ind, record in zip(pop, records):
         log(ind, record)
 
-    score_child = (lambda arch, stream: _as_proxy(scorer(arch, stream))) if cfg.guided else _unscored
     target = cfg.cycles if cfg.budget_counts_init else cfg.cycles + cfg.pop_size
     cycle = 0
     while len(traj.events) < target:
@@ -403,8 +398,7 @@ def run_random_search(cfg: SearchConfig, bench: Benchmark, rng: Optional[RngStre
     `final_population` stays empty.
     """
     n = cfg.cycles
-    sampling = replace(cfg, guided=False, pop_size=n, init_candidates=n, gen_size=1,
-                       budget_counts_init=True)
+    sampling = replace(cfg, guided=False, pop_size=n, init_candidates=None, budget_counts_init=True)
     traj = run_search(sampling, bench, rng=rng)
     traj.final_population = []
     return traj

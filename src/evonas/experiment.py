@@ -38,6 +38,7 @@ __all__ = [
     "SummaryRow",
     "RunResult",
     "ExperimentResult",
+    "load_batch",
     "run_experiment",
     "emit_results",
 ]
@@ -52,9 +53,10 @@ class ExperimentConfig:
 
     `benchmark` is either a tabular-file path or a SyntheticSpec.  `batch`
     selects how guided runs score architectures: a SyntheticBatchSpec or a
-    raw-image file path scores real networks; None falls back to the
-    benchmark's bundled proxy map.  `sweep` lists (search-field, values)
-    pairs, each swept one at a time from the base search config.
+    raw-image file path scores real networks at the batch's input shape
+    (the result's `skeleton` echoes it); None falls back to the benchmark's
+    bundled proxy map.  `sweep` lists (search-field, values) pairs, each
+    swept one at a time from the base search config.
     """
 
     method: str = "gea"
@@ -124,20 +126,27 @@ def _resolve_benchmark(cfg: ExperimentConfig) -> Benchmark:
     return load_tabular(cfg.benchmark)
 
 
+def load_batch(source, count: int, skeleton: SkeletonConfig):
+    """(batch, labels, skeleton) from a SyntheticBatchSpec or the first `count`
+    records of a raw file; the skeleton takes the batch's input shape."""
+    if isinstance(source, SyntheticBatchSpec):
+        batch, labels = make_batch(source)
+    else:
+        batch, labels = load_raw_batch(source, count)
+    _, channels, hw, _ = batch.shape
+    return batch, labels, dataclasses.replace(skeleton, input_channels=channels, input_hw=hw)
+
+
 def _resolve_scorer(cfg: ExperimentConfig, bench: Benchmark):
-    """Scorer for guided runs; None for baselines that never score."""
+    """Scorer for guided runs (None for baselines) and the skeleton it runs at."""
     if cfg.method != "gea":
-        return None
+        return None, cfg.skeleton
     if cfg.batch is not None:
-        if isinstance(cfg.batch, SyntheticBatchSpec):
-            batch, labels = make_batch(cfg.batch)
-        else:
-            batch, labels = load_raw_batch(cfg.batch, cfg.batch_count)
-        skeleton, params = cfg.skeleton, cfg.proxy
-        return lambda arch, stream: score_arch(arch, batch, labels, skeleton, params, stream)
+        batch, labels, skeleton = load_batch(cfg.batch, cfg.batch_count, cfg.skeleton)
+        return (lambda arch, stream: score_arch(arch, batch, labels, skeleton, cfg.proxy, stream)), skeleton
     if bench.synthetic_proxy is not None:
         proxy_map = bench.synthetic_proxy
-        return lambda arch, stream: ProxyScore(value=proxy_map[arch])
+        return (lambda arch, stream: ProxyScore(value=proxy_map[arch])), cfg.skeleton
     raise ConfigError("guided method needs a batch source or a benchmark with a proxy map")
 
 
@@ -148,8 +157,8 @@ def _search_cfg(cfg: ExperimentConfig, override: dict, seed: int) -> SearchConfi
     if cfg.method == "gea":
         fields["guided"] = True
     elif cfg.method == "rea":
-        # baseline aging evolution: no guidance, single child, unfiltered init
-        fields.update(guided=False, gen_size=1, init_candidates=fields["pop_size"])
+        # baseline aging evolution: SearchConfig sets the unguided defaults
+        fields.update(guided=False, gen_size=None, init_candidates=None)
     return SearchConfig(**fields)
 
 
@@ -165,7 +174,7 @@ def _curve(traj: Trajectory, first: int) -> list:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute every (sweep point, run) search and aggregate summaries."""
     bench = _resolve_benchmark(cfg)
-    scorer = _resolve_scorer(cfg, bench)
+    scorer, skeleton = _resolve_scorer(cfg, bench)
     ref_arch, ref_rec = best_of(bench)
 
     points = [("", None)] if not cfg.sweep else [
@@ -213,7 +222,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         )
         runs.extend(point_runs)
     return ExperimentResult(
-        config=cfg,
+        config=dataclasses.replace(cfg, skeleton=skeleton),
         reference_arch=ref_arch,
         reference_val_acc=ref_rec.val_acc,
         runs=runs,

@@ -8,13 +8,15 @@ with n entries sigma_ij is condensed to
 
 and the per-class values e are combined into the final score z: the sum of
 |e_w| when the batch holds at most `tau` classes, otherwise the mean
-absolute pairwise difference.  Higher z ranks better.  Any non-finite value
-along the way (e.g. a zero-variance Jacobian row) collapses the result to a
-sentinel that ranks below every finite score.
+absolute pairwise difference.  Higher z ranks better.  Sentinel rule: a
+`ProxyScore` whose value or any per-class entry is not finite (e.g. from a
+zero-variance Jacobian row) is `WORST_SCORE` with no per-class values, so
+it ranks below every finite score and never wins a selection.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,14 +67,20 @@ class ClassCorr:
 
 @dataclass(frozen=True)
 class ProxyScore:
-    """Final score plus the per-class E values it was built from."""
+    """Final score plus the per-class E values it was built from; a
+    non-finite value or entry makes it the sentinel (WORST_SCORE, ())."""
 
     value: float
     per_class: tuple = ()
 
     def __post_init__(self):
         # numpy scalars (e.g. a proxy-map entry) are stored as Python floats
-        object.__setattr__(self, "value", float(self.value))
+        value = float(self.value)
+        if math.isfinite(value) and all(map(math.isfinite, self.per_class)):
+            object.__setattr__(self, "value", value)
+        else:
+            object.__setattr__(self, "value", WORST_SCORE)
+            object.__setattr__(self, "per_class", ())
 
     @classmethod
     def sentinel(cls) -> "ProxyScore":
@@ -145,23 +153,12 @@ def score_arch(
 ) -> ProxyScore:
     """Build the network, take the input Jacobian, and score it.
 
-    Returns the worst-sentinel if the Jacobian holds non-finite values, no
-    class has two samples, or any correlation/E value is non-finite, so
-    degenerate genotypes can never win a selection.
+    The Jacobian is checked here, as a one-sample class's rows never reach
+    the score; `ProxyScore` makes every later non-finite value the sentinel.
     """
     net = build_network(arch, cfg, rng)
     jac = input_jacobian(net, batch, labels)
     if not np.all(np.isfinite(jac.J)):
         return ProxyScore.sentinel()
-    corrs = per_class_correlation(jac)
-    if not corrs:
-        return ProxyScore.sentinel()
-    if any(not np.all(np.isfinite(c.sigma)) for c in corrs):
-        return ProxyScore.sentinel()
-    e = [eval_matrix(c, params) for c in corrs]
-    if not all(np.isfinite(e)):
-        return ProxyScore.sentinel()
-    z = score(e, K=len(np.unique(jac.labels)), params=params)
-    if not np.isfinite(z):
-        return ProxyScore.sentinel()
-    return ProxyScore(value=z, per_class=tuple(e))
+    e = [eval_matrix(c, params) for c in per_class_correlation(jac)]
+    return ProxyScore(score(e, K=len(np.unique(jac.labels)), params=params), tuple(e))

@@ -1,9 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
+from evonas.batches import load_raw_batch
+from evonas.cellspace import decode_str
 from evonas.cli import main
 from evonas.oracle import SyntheticSpec, gen_synthetic, save_tabular
+from evonas.rng import RngStream
+from evonas.tensornet import SkeletonConfig
+from evonas.zeroproxy import ProxyParams, score_arch
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +114,37 @@ def test_score_sentinel(capsys):
     code, stdout, _ = run_cli(capsys, "score", arch)
     assert code == 0
     assert json.loads(stdout)["score"] == "sentinel"
+
+
+def write_cifar_batch(path, count=20):
+    """CIFAR-10-layout records: a label byte, then 3072 pixel bytes; each class twice."""
+    records = np.random.default_rng(0).integers(0, 256, size=(count, 3073), dtype=np.uint8)
+    records[:, 0] = np.arange(count) % 10
+    path.write_bytes(records.tobytes())
+
+
+def test_raw_batch_runs_at_its_own_shape(tmp_path, bench_file, capsys):
+    batch_file = tmp_path / "batch.bin"
+    write_cifar_batch(batch_file)
+    out_dir = tmp_path / "results"
+    code, _, err = run_cli(
+        capsys, "search", "--benchmark", str(bench_file), "--batch", str(batch_file),
+        "--batch-count", "20", "--pop-size", "2", "--tournament", "2", "--cycles", "3",
+        "--gen-size", "2", "--out", str(out_dir),
+    )
+    assert code == 0, err
+    skeleton = json.loads((out_dir / "summary.json").read_text("utf-8"))["config"]["skeleton"]
+    assert (skeleton["input_channels"], skeleton["input_hw"]) == (3, 32)
+
+    arch = "|nor_conv_3x3~0|+|skip_connect~0|none~1|+|skip_connect~0|nor_conv_1x1~1|avg_pool_3x3~2|"
+    code, stdout, _ = run_cli(capsys, "score", arch, "--batch", str(batch_file), "--batch-count", "20")
+    assert code == 0
+    batch, labels = load_raw_batch(batch_file, 20)
+    expected = score_arch(decode_str(arch), batch, labels, SkeletonConfig(input_hw=32), ProxyParams(),
+                          RngStream(0, ("score-cli",)))
+    doc = json.loads(stdout)
+    assert not expected.is_sentinel
+    assert (doc["score"], doc["per_class"]) == (expected.value, list(expected.per_class))
 
 
 def test_stats_ttest_and_tau(tmp_path, bench_file, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from evonas.evolution import (
 )
 from evonas.oracle import Benchmark, SyntheticSpec, best_of, gen_synthetic, query
 from evonas.rng import RngStream, derive_seed
-from evonas.zeroproxy import ProxyScore
+from evonas.zeroproxy import WORST_SCORE, ProxyScore
 
 
 def hashed_benchmark():
@@ -195,6 +197,16 @@ def test_spawn_all_sentinel_takes_first_child():
     assert arch == mutate(parent.arch, stream.child("child", 0, "mut"))
 
 
+def test_spawn_nan_first_child_never_wins():
+    parent = individuals([1.0])[0]
+    cfg = SearchConfig(pop_size=1, cycles=1, init_candidates=1, gen_size=3)
+    stream = RngStream(12, ("c",))
+    values = iter([math.nan, 1.0, 2.0])
+    arch, proxy = spawn_generation(parent, cfg, lambda a, s: ProxyScore(next(values)), stream)
+    assert proxy.value == 2.0
+    assert arch == mutate(parent.arch, stream.child("child", 2, "mut"))
+
+
 def scored_children(parent, cfg, scorer, stream):
     """(arch, score) of every child spawn_generation scores, in child order."""
     out = []
@@ -261,6 +273,13 @@ def test_init_population_no_filter_when_sizes_match():
     cfg = SearchConfig(pop_size=10, cycles=10, init_candidates=10)
     pop, candidates = init_population(cfg, BENCH, mock_scorer, RngStream(3))
     assert [ind.arch for ind in pop] == [ind.arch for ind in candidates]
+
+
+def test_init_population_nan_candidate_is_sentinel():
+    cfg = SearchConfig(pop_size=3, cycles=10, init_candidates=10)
+    values = iter([5.0, math.nan, 9.0, 8.0, 7.0, 0.0, 1.0, 2.0, 3.0, 4.0])
+    pop, _ = init_population(cfg, BENCH, lambda a, s: next(values), RngStream(4))
+    assert [ind.proxy.value for ind in pop] == [9.0, 8.0, 7.0]
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +374,29 @@ def test_best_tie_breaks_to_earliest_trained():
 def test_guided_needs_scorer():
     with pytest.raises(ConfigError):
         run_search(SearchConfig(cycles=10, pop_size=10, init_candidates=10), BENCH, None)
+
+
+def test_guided_nan_scores_run_as_sentinels():
+    cfg = SearchConfig(pop_size=5, tournament_size=3, cycles=40, gen_size=4, init_candidates=20, seed=6)
+    proxy = BENCH.val_acc.copy()
+    holes = np.arange(proxy.size) % 3 == 0
+    runs = []
+    for fill in (math.nan, -math.inf):
+        proxy[holes] = fill
+        traj = run_search(cfg, BENCH, lambda arch, stream: proxy[arch])
+        runs.append([(e.arch, e.proxy_value, e.parent_arch) for e in traj.events])
+    assert runs[0] == runs[1]
+    assert any(e[1] == WORST_SCORE for e in runs[0])
+
+
+def test_unguided_run_never_calls_its_scorer():
+    def scorer(arch, stream):
+        raise AssertionError("an unguided run called its scorer")
+
+    cfg = rea_config(pop_size=5, tournament_size=3, cycles=30, seed=7)
+    traj = run_search(cfg, BENCH, scorer)
+    assert traj.events == run_search(cfg, BENCH).events
+    assert traj.n_proxy_evals == 0
 
 
 def test_rea_reduction_matches_reference_loop():

@@ -146,6 +146,13 @@ def test_sentinel_orders_below_everything():
     assert not ProxyScore(0.0).is_sentinel
 
 
+@pytest.mark.parametrize("value, per_class", [(math.nan, ()), (math.inf, ()), (1.0, (math.nan,))])
+def test_non_finite_proxy_score_is_sentinel(value, per_class):
+    ps = ProxyScore(value, per_class=per_class)
+    assert ps.is_sentinel
+    assert ps.per_class == ()
+
+
 def batch_and_labels(seed, n_classes=3, per_class=2):
     batch = RngStream(seed, ("zp-batch",)).normal(
         size=(n_classes * per_class, SMALL.input_channels, SMALL.input_hw, SMALL.input_hw)
