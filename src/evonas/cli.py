@@ -18,8 +18,8 @@ from pathlib import Path
 
 from .batches import SyntheticBatchSpec
 from .cellspace import decode_str, encode_str
-from .evolution import ConfigError, SearchConfig
-from .experiment import ExperimentConfig, emit_results, load_batch, run_experiment
+from .evolution import ConfigError
+from .experiment import ExperimentConfig, config_from_doc, emit_results, load_batch, run_experiment
 from .oracle import SyntheticSpec, gen_synthetic, save_tabular
 from .rng import RngStream
 from .stats import kendall_tau, welch_ttest
@@ -34,7 +34,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_run_flags(p):
-        p.add_argument("--config", help="JSON config file mirroring ExperimentConfig fields")
+        p.add_argument("--config", help="experiment JSON file: the config block of a summary.json")
         p.add_argument("--method", choices=("gea", "rea", "rs"))
         p.add_argument("--pop-size", type=int, dest="pop_size")
         p.add_argument("--tournament", type=int, dest="tournament_size")
@@ -87,74 +87,40 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
-def _parse_sweep(specs: list) -> tuple:
-    def coerce(token: str):
-        for cast in (int, float):
-            try:
-                return cast(token)
-            except ValueError:
-                continue
-        return token
+def _parse_sweep(specs: list) -> list:
+    """[[param, values], ...] from PARAM=V1,V2,... specs; each value is read
+    as JSON (numbers, true, false, null), else taken as the raw string."""
+    def value(token: str):
+        try:
+            return json.loads(token)
+        except json.JSONDecodeError:
+            return token
 
     out = []
     for spec in specs:
         param, sep, values = spec.partition("=")
         if not sep or not values:
             raise ConfigError(f"bad sweep spec {spec!r}, expected PARAM=V1,V2,...")
-        out.append((param.replace("-", "_"), [coerce(v) for v in values.split(",")]))
-    return tuple(out)
+        out.append([param.replace("-", "_"), [value(v) for v in values.split(",")]])
+    return out
+
+
+_SEARCH_FLAGS = ("pop_size", "tournament_size", "cycles", "gen_size", "seed")
+_EXPERIMENT_FLAGS = ("method", "num_runs", "benchmark", "batch", "batch_count", "out")
 
 
 def _experiment_from_args(args) -> ExperimentConfig:
-    file_cfg = {}
-    if args.config:
-        file_cfg = json.loads(Path(args.config).read_text("utf-8"))
-
-    search_fields = dict(file_cfg.get("search", {}))
-    for name in ("pop_size", "tournament_size", "cycles", "gen_size", "seed"):
-        value = getattr(args, name, None)
-        if value is not None:
-            search_fields[name] = value
-    search = SearchConfig(**search_fields)
-
-    benchmark = args.benchmark
-    if benchmark is None:
-        source = file_cfg.get("benchmark")
-        if isinstance(source, dict):
-            benchmark = SyntheticSpec(**source["synthetic"]) if "synthetic" in source else source.get("path")
-        else:
-            benchmark = source
-
-    batch = args.batch
-    batch_count = getattr(args, "batch_count", None)
-    if batch is None:
-        source = file_cfg.get("batch")
-        if isinstance(source, dict):
-            if "synthetic" in source:
-                batch = SyntheticBatchSpec(**source["synthetic"])
-            elif "raw" in source:
-                batch = source["raw"]["path"]
-                if batch_count is None:
-                    batch_count = source["raw"].get("count")
-        else:
-            batch = source
-
-    sweep = _parse_sweep(getattr(args, "sweep", []) or [])
-    if not sweep:
-        sweep = tuple((p, list(v)) for p, v in file_cfg.get("sweep", []))
-
-    return ExperimentConfig(
-        method=args.method or file_cfg.get("method", "gea"),
-        search=search,
-        benchmark=benchmark,
-        batch=batch,
-        batch_count=batch_count if batch_count is not None else file_cfg.get("batch_count", 32),
-        skeleton=SkeletonConfig(**file_cfg.get("skeleton", {})),
-        proxy=ProxyParams(**file_cfg.get("proxy", {})),
-        num_runs=args.num_runs if args.num_runs is not None else file_cfg.get("num_runs", 1),
-        sweep=sweep,
-        out=args.out or file_cfg.get("out", "results"),
-    )
+    """The --config document with the given flags laid over it."""
+    doc = json.loads(Path(args.config).read_text("utf-8")) if args.config else {}
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{args.config}: an experiment document is a JSON object")
+    search = {name: getattr(args, name) for name in _SEARCH_FLAGS if getattr(args, name) is not None}
+    if search:
+        doc["search"] = {**doc.get("search", {}), **search}
+    doc.update({name: getattr(args, name) for name in _EXPERIMENT_FLAGS if getattr(args, name) is not None})
+    if getattr(args, "sweep", None):
+        doc["sweep"] = _parse_sweep(args.sweep)
+    return config_from_doc(doc)
 
 
 def _cmd_run(args) -> int:

@@ -104,7 +104,9 @@ class SearchConfig:
     experiment runner leave both fields at None.  `budget_counts_init` keeps
     the total number of trained architectures at `cycles`, counting the
     initial population; switching it off runs `cycles` evolution steps on
-    top of the initial population.
+    top of the initial population; it and `guided` must be bools.  An
+    experiment sweep `dataclasses.replace`s one field, keeping the resolved
+    `gen_size` and `init_candidates`.
     """
 
     pop_size: int = 10
@@ -120,6 +122,9 @@ class SearchConfig:
     budget_counts_init: bool = True
 
     def __post_init__(self):
+        for name in ("guided", "budget_counts_init"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if not self.guided or self.gen_size is None:
             object.__setattr__(self, "gen_size", self.pop_size if self.guided else 1)
         if self.init_candidates is None:
@@ -142,17 +147,10 @@ class SearchConfig:
             raise ConfigError("proxy_cost_s must be nonnegative")
 
 
-def rea_config(pop_size: int = 10, tournament_size: int = 5, cycles: int = 200,
-               seed: int = 0, **overrides) -> SearchConfig:
-    """Baseline aging-evolution configuration (no guidance)."""
-    return SearchConfig(
-        pop_size=pop_size,
-        tournament_size=tournament_size,
-        cycles=cycles,
-        guided=False,
-        seed=seed,
-        **overrides,
-    )
+def rea_config(**fields) -> SearchConfig:
+    """Baseline aging-evolution configuration (no guidance); `fields` and
+    their defaults are SearchConfig's."""
+    return SearchConfig(guided=False, **fields)
 
 
 @dataclass(frozen=True)
@@ -214,12 +212,7 @@ def tournament_select(pop: list, cfg: SearchConfig, rng: RngStream) -> Individua
         raise ValueError("population is empty")
     if cfg.parent_mode == "tournament":
         draws = rng.integers(len(pop), size=cfg.tournament_size)
-        best = None
-        for i in draws:
-            cand = pop[int(i)]
-            if best is None or cand.fitness > best.fitness:
-                best = cand
-        return best
+        return max((pop[int(i)] for i in draws), key=lambda ind: ind.fitness)
     return _extremum(pop, cfg.parent_mode)
 
 
@@ -260,11 +253,7 @@ def spawn_generation(
         arch = mutate(parent.arch, sub.child("mut"))
         results.append((arch, score_child(arch, sub.child("score"))))
     results = [r for r in results if r[0] not in trained] or results
-    best_arch, best_score = results[0]
-    for arch, ps in results[1:]:
-        if ps.value > best_score.value:
-            best_arch, best_score = arch, ps
-    return best_arch, best_score
+    return max(results, key=lambda r: r[1].value)
 
 
 def init_population(

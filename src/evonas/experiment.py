@@ -6,6 +6,13 @@ differ in method or swept parameter stay seed-paired.  Results land in two
 files: `curves.csv` with per-run best-so-far trajectories and
 `summary.json` with per-run finals and aggregate rows.  Both files are
 byte-identical across reruns of the same configuration.
+
+This module owns the experiment's JSON document: `_config_echo` writes it
+as the `config` block of `summary.json` and `config_from_doc` reads it
+back, so a run's own echo reruns it.  `search`, `skeleton` and `proxy` are
+objects of their dataclass fields; `benchmark` and `batch` are a path,
+`{"path": p}` or `{"synthetic": {...}}` (a batch also `{"raw": {"path",
+"count"}}`).  Absent keys take the dataclass defaults; unknown keys fail.
 """
 
 from __future__ import annotations
@@ -20,13 +27,7 @@ from pathlib import Path
 from . import __version__
 from .batches import SyntheticBatchSpec, load_raw_batch, make_batch
 from .cellspace import ArchEncoding, encode_str
-from .evolution import (
-    ConfigError,
-    SearchConfig,
-    Trajectory,
-    run_random_search,
-    run_search,
-)
+from .evolution import ConfigError, SearchConfig, Trajectory, run_random_search, run_search
 from .oracle import Benchmark, SyntheticSpec, best_of, gen_synthetic, load_tabular
 from .rng import RngStream, derive_seed
 from .stats import mean_std
@@ -35,6 +36,7 @@ from .zeroproxy import ProxyParams, ProxyScore, score_arch
 
 __all__ = [
     "ExperimentConfig",
+    "config_from_doc",
     "SummaryRow",
     "RunResult",
     "ExperimentResult",
@@ -44,7 +46,14 @@ __all__ = [
 ]
 
 _METHODS = ("gea", "rea", "rs")
-_SEARCH_FIELDS = {f.name for f in dataclasses.fields(SearchConfig)}
+# the master seed derives every run seed, and the method decides guidance
+_SWEEPABLE = {f.name for f in dataclasses.fields(SearchConfig)} - {"seed", "guided"}
+# what the method decides of each run's search (rea: SearchConfig sets the unguided defaults)
+_METHOD_FIELDS = {"gea": {"guided": True}, "rs": {},
+                  "rea": {"guided": False, "gen_size": None, "init_candidates": None}}
+# the experiment document's dataclass objects and benchmark/batch sources
+_OBJECTS = (("search", SearchConfig), ("skeleton", SkeletonConfig), ("proxy", ProxyParams))
+_SOURCES = (("benchmark", SyntheticSpec), ("batch", SyntheticBatchSpec))
 
 
 @dataclass
@@ -56,7 +65,11 @@ class ExperimentConfig:
     raw-image file path scores real networks at the batch's input shape
     (the result's `skeleton` echoes it); None falls back to the benchmark's
     bundled proxy map.  `sweep` lists (search-field, values) pairs, each
-    swept one at a time from the base search config.
+    swept one field at a time from the base search config: a point changes
+    only its own field, so a swept `pop_size` or `cycles` keeps the base's
+    resolved `gen_size` and `init_candidates` (as `summary.json` echoes
+    them).  `seed` and `guided` are not sweepable: the master seed derives
+    every run seed and `method` decides guidance.
     """
 
     method: str = "gea"
@@ -78,8 +91,8 @@ class ExperimentConfig:
         if self.benchmark is None:
             raise ConfigError("an experiment needs a benchmark source (path or SyntheticSpec)")
         for param, values in self.sweep:
-            if param not in _SEARCH_FIELDS:
-                raise ConfigError(f"sweep parameter {param!r} is not a search field")
+            if param not in _SWEEPABLE:
+                raise ConfigError(f"sweep parameter {param!r} is not a sweepable search field")
             if not values:
                 raise ConfigError(f"sweep over {param!r} has no values")
 
@@ -151,15 +164,7 @@ def _resolve_scorer(cfg: ExperimentConfig, bench: Benchmark):
 
 
 def _search_cfg(cfg: ExperimentConfig, override: dict, seed: int) -> SearchConfig:
-    fields = dataclasses.asdict(cfg.search)
-    fields.update(override)
-    fields["seed"] = seed
-    if cfg.method == "gea":
-        fields["guided"] = True
-    elif cfg.method == "rea":
-        # baseline aging evolution: SearchConfig sets the unguided defaults
-        fields.update(guided=False, gen_size=None, init_candidates=None)
-    return SearchConfig(**fields)
+    return dataclasses.replace(cfg.search, **{**override, "seed": seed, **_METHOD_FIELDS[cfg.method]})
 
 
 def _curve(traj: Trajectory, first: int) -> list:
@@ -172,23 +177,24 @@ def _curve(traj: Trajectory, first: int) -> list:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Execute every (sweep point, run) search and aggregate summaries."""
+    """Execute every (sweep point, run) search and aggregate summaries.
+
+    Every search config is built before the first search runs, so a bad
+    sweep value fails at once."""
+    seeds = [derive_seed(cfg.search.seed, "run", run_id) for run_id in range(cfg.num_runs)]
+    points = [(cfg.method, {})] if not cfg.sweep else [
+        (f"{cfg.method}:{param}={value}", {param: value}) for param, values in cfg.sweep for value in values
+    ]
+    plan = [(label, [_search_cfg(cfg, override, seed) for seed in seeds]) for label, override in points]
     bench = _resolve_benchmark(cfg)
     scorer, skeleton = _resolve_scorer(cfg, bench)
     ref_arch, ref_rec = best_of(bench)
 
-    points = [("", None)] if not cfg.sweep else [
-        (param, value) for param, values in cfg.sweep for value in values
-    ]
     runs: list = []
     rows: list = []
-    for param, value in points:
-        label = cfg.method if not param else f"{cfg.method}:{param}={value}"
+    for label, searches in plan:
         point_runs = []
-        for run_id in range(cfg.num_runs):
-            seed = derive_seed(cfg.search.seed, "run", run_id)
-            override = {} if not param else {param: value}
-            search = _search_cfg(cfg, override, seed)
+        for run_id, search in enumerate(searches):
             if cfg.method == "rs":
                 traj, first = run_random_search(search, bench), 0
             else:
@@ -197,7 +203,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 RunResult(
                     label=label,
                     run_id=run_id,
-                    seed=seed,
+                    seed=search.seed,
                     final_arch=traj.best.arch,
                     final_val_acc=traj.best.fitness,
                     final_test_acc=traj.best_test_acc,
@@ -230,22 +236,54 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
+def _fields(cls, doc, where: str) -> dict:
+    """`doc` as keyword arguments of dataclass `cls` (JSON lists become
+    tuples); unknown keys fail."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object, got {doc!r}")
+    unknown = doc.keys() - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+
+
+def _source(doc, spec_cls, where: str):
+    """A benchmark or batch source: a path, {"path": p} or {"synthetic": {...}}."""
+    if not isinstance(doc, dict):
+        return doc
+    if doc.keys() == {"path"}:
+        return doc["path"]
+    if doc.keys() == {"synthetic"}:
+        return spec_cls(**_fields(spec_cls, doc["synthetic"], f"{where}.synthetic"))
+    raise ConfigError(f'{where} must be a path, {{"path": p}} or {{"synthetic": {{...}}}}, got {doc!r}')
+
+
+def config_from_doc(doc) -> ExperimentConfig:
+    """The ExperimentConfig of an experiment document: the inverse of the
+    `config` block that `summary.json` echoes.  Absent keys take the
+    dataclass defaults and unknown keys raise ConfigError."""
+    fields = _fields(ExperimentConfig, doc, "experiment")
+    for name, cls in _OBJECTS:
+        fields[name] = cls(**_fields(cls, fields.get(name, {}), name))
+    batch = fields.get("batch")
+    if isinstance(batch, dict) and batch.keys() == {"raw"}:  # an explicit batch_count beats its count
+        fields["batch"] = batch["raw"]["path"]
+        fields.setdefault("batch_count", batch["raw"].get("count", ExperimentConfig.batch_count))
+    for name, spec_cls in _SOURCES:
+        fields[name] = _source(fields.get(name), spec_cls, name)
+    fields["sweep"] = tuple((param, list(values)) for param, values in fields.get("sweep", ()))
+    return ExperimentConfig(**fields)
+
+
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    doc = {
-        "method": cfg.method,
-        "search": dataclasses.asdict(cfg.search),
-        "benchmark": cfg.benchmark if isinstance(cfg.benchmark, (str, type(None)))
-        else dataclasses.asdict(cfg.benchmark) if isinstance(cfg.benchmark, SyntheticSpec)
-        else "<in-memory>",
-        "batch": cfg.batch if isinstance(cfg.batch, (str, type(None)))
-        else dataclasses.asdict(cfg.batch),
-        "batch_count": cfg.batch_count,
-        "skeleton": dataclasses.asdict(cfg.skeleton),
-        "proxy": dataclasses.asdict(cfg.proxy),
-        "num_runs": cfg.num_runs,
-        "sweep": [[p, list(v)] for p, v in cfg.sweep],
-        "out": cfg.out,
-    }
+    doc = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    for name, _ in _OBJECTS:
+        doc[name] = dataclasses.asdict(doc[name])
+    for name, spec_cls in _SOURCES:
+        value = doc[name]
+        doc[name] = ({"synthetic": dataclasses.asdict(value)} if isinstance(value, spec_cls)
+                     else value if isinstance(value, (str, type(None))) else "<in-memory>")
+    doc["sweep"] = [[p, list(v)] for p, v in cfg.sweep]
     return doc
 
 

@@ -188,3 +188,89 @@ def test_unknown_arch_string_error(capsys):
     code, _, stderr = run_cli(capsys, "score", "|bogus~0|+|none~0|none~1|+|none~0|none~1|none~2|")
     assert code == 1
     assert "unknown op name" in json.loads(stderr.strip())["message"]
+
+
+def small_config_doc(out):
+    return {
+        "search": {"pop_size": 3, "tournament_size": 2, "cycles": 6, "gen_size": 2, "seed": 4},
+        "benchmark": {"synthetic": {"seed": 41, "noise_std": 1.0, "target_proxy_tau": 0.7}},
+        "batch": {"synthetic": {"num_classes": 3, "samples_per_class": 2, "image_shape": [2, 8, 8]}},
+        "skeleton": {"stem_channels": 4, "num_classes": 3},
+        "num_runs": 2,
+        "out": str(out),
+    }
+
+
+def test_summary_config_reruns_identically(tmp_path, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config_doc(first)))
+    code, _, err = run_cli(capsys, "search", "--config", str(cfg_path))
+    assert code == 0, err
+    summary = json.loads((first / "summary.json").read_text("utf-8"))
+    assert summary["config"]["batch"]["synthetic"]["image_shape"] == [2, 8, 8]
+    echo_path = tmp_path / "echo.json"
+    echo_path.write_text(json.dumps(summary["config"]))
+    code, _, err = run_cli(capsys, "search", "--config", str(echo_path), "--out", str(second))
+    assert code == 0, err
+    assert (first / "curves.csv").read_bytes() == (second / "curves.csv").read_bytes()
+    rerun = json.loads((second / "summary.json").read_text("utf-8"))
+    assert rerun["config"].pop("out") == str(second)
+    summary["config"].pop("out")
+    assert rerun == summary
+
+
+def config_error(capsys, *argv):
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    return json.loads(stderr.strip())
+
+
+def test_unknown_config_key_fails(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**small_config_doc(tmp_path / "r"), "num_run": 3}))
+    err = config_error(capsys, "search", "--config", str(cfg_path))
+    assert err["error"] == "ConfigError"
+    assert "num_run" in err["message"]
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("sweep", ["seed=1,2", "guided=true", "budget_counts_init=False"])
+def test_misconfigured_sweep_fails(tmp_path, bench_file, capsys, sweep):
+    err = config_error(
+        capsys, "ablate", "--benchmark", str(bench_file), "--pop-size", "3", "--tournament", "2",
+        "--cycles", "6", "--out", str(tmp_path / "r"), "--sweep", sweep,
+    )
+    assert err["error"] == "ConfigError"
+    assert sweep.split("=")[0] in err["message"]
+
+
+def test_sweep_tokens_are_json_values(tmp_path, bench_file, capsys):
+    code, stdout, err = run_cli(
+        capsys, "ablate", "--benchmark", str(bench_file), "--pop-size", "3", "--tournament", "2",
+        "--cycles", "6", "--gen-size", "2", "--out", str(tmp_path / "r"),
+        "--sweep", "budget_counts_init=false,true",
+    )
+    assert code == 0, err
+    off, on = json.loads(stdout)["rows"]
+    assert (off["label"], on["label"]) == ("gea:budget_counts_init=False", "gea:budget_counts_init=True")
+    # off runs 6 cycles on top of the 3 initial individuals, so it trains more
+    assert off["mean_time_s"] > on["mean_time_s"]
+
+
+def test_raw_batch_config_form_runs(tmp_path, bench_file, capsys):
+    batch_file = tmp_path / "batch.bin"
+    write_cifar_batch(batch_file)
+    out_dir = tmp_path / "results"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "search": {"pop_size": 2, "tournament_size": 2, "cycles": 3, "gen_size": 2},
+        "benchmark": str(bench_file),
+        "batch": {"raw": {"path": str(batch_file), "count": 20}},
+        "out": str(out_dir),
+    }))
+    code, _, err = run_cli(capsys, "search", "--config", str(cfg_path))
+    assert code == 0, err
+    config = json.loads((out_dir / "summary.json").read_text("utf-8"))["config"]
+    assert (config["batch"], config["batch_count"]) == (str(batch_file), 20)
+    assert (config["skeleton"]["input_channels"], config["skeleton"]["input_hw"]) == (3, 32)

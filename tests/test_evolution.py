@@ -592,3 +592,10 @@ def test_transfer_population_size_mismatch():
     cfg = SearchConfig(pop_size=5, cycles=10, init_candidates=10)
     with pytest.raises(ConfigError):
         run_search(cfg, BENCH, mock_scorer, initial_population=pop)
+
+
+@pytest.mark.parametrize("name, value", [("guided", "False"), ("guided", 1),
+                                         ("budget_counts_init", "True"), ("budget_counts_init", 0)])
+def test_search_switches_must_be_bools(name, value):
+    with pytest.raises(ConfigError, match=name):
+        SearchConfig(**{name: value})

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -160,3 +161,72 @@ def test_guided_without_proxy_source_fails():
     bench.synthetic_proxy = None
     with pytest.raises(ConfigError):
         run_experiment(small_config(benchmark=bench))
+
+
+def test_config_doc_round_trips_through_json():
+    from evonas.experiment import _config_echo, config_from_doc
+    from evonas.tensornet import SkeletonConfig
+
+    cfg = ExperimentConfig(
+        method="rea", search=SMALL_SEARCH, benchmark=BENCH_SPEC,
+        batch=SyntheticBatchSpec(num_classes=3, samples_per_class=2, image_shape=(2, 8, 8)),
+        batch_count=7, skeleton=SkeletonConfig(input_hw=8), num_runs=2,
+        sweep=(("removal_mode", ["oldest", "lowest"]), ("proxy_cost_s", [0.5, 1])), out="x",
+    )
+    doc = json.loads(json.dumps(_config_echo(cfg)))
+    assert doc["benchmark"] == {"synthetic": dataclasses.asdict(BENCH_SPEC)}
+    assert config_from_doc(doc) == cfg
+
+
+def test_config_doc_defaults_and_unknown_keys():
+    from evonas.experiment import config_from_doc
+
+    cfg = config_from_doc({"benchmark": "bench.json"})
+    assert cfg == ExperimentConfig(benchmark="bench.json")
+    assert config_from_doc({"benchmark": {"path": "bench.json"}}) == cfg
+    for doc in (
+        {"benchmark": "bench.json", "num_run": 3},
+        {"benchmark": "bench.json", "search": {"popsize": 3}},
+        {"benchmark": {"synthetic": {"seed": 1, "tau": 0.5}}},
+        {"benchmark": {"path": "bench.json", "synthetic": {"seed": 1}}},
+        {"benchmark": "bench.json", "proxy": [1e-5, 100]},
+        ["benchmark", "bench.json"],
+    ):
+        with pytest.raises(ConfigError):
+            config_from_doc(doc)
+
+
+def test_config_doc_raw_batch_form():
+    from evonas.experiment import config_from_doc
+
+    cfg = config_from_doc({"benchmark": "b.json", "batch": {"raw": {"path": "x.bin", "count": 20}}})
+    assert (cfg.batch, cfg.batch_count) == ("x.bin", 20)
+    cfg = config_from_doc({"benchmark": "b.json", "batch": {"raw": {"path": "x.bin", "count": 20}},
+                           "batch_count": 10})
+    assert (cfg.batch, cfg.batch_count) == ("x.bin", 10)
+
+
+@pytest.mark.parametrize("param, values", [("seed", [1, 2]), ("guided", [True, False])])
+def test_run_fields_are_not_sweepable(param, values):
+    with pytest.raises(ConfigError, match=param):
+        ExperimentConfig(benchmark=BENCH_SPEC, sweep=((param, values),))
+
+
+def test_sweep_changes_one_field_at_a_time():
+    # base gen_size and init_candidates resolve to pop_size=4 and cycles=20; a
+    # swept cycles=10 point keeps both, as summary.json echoes them
+    base = SearchConfig(pop_size=4, tournament_size=2, cycles=20, seed=3)
+    result = run_experiment(small_config(search=base, num_runs=1, sweep=(("cycles", [10]),)))
+    run = result.runs[0]
+    assert run.n_proxy_evals == 20 + (10 - 4) * 4
+    assert len(run.curve) == 1 + (10 - 4)
+
+
+def test_bad_sweep_value_fails_before_any_search(monkeypatch):
+    import evonas.experiment as experiment
+
+    calls = []
+    monkeypatch.setattr(experiment, "run_search", lambda *a, **k: calls.append(a))
+    with pytest.raises(ConfigError):
+        run_experiment(small_config(num_runs=2, sweep=(("pop_size", [3, 4, 0]),)))
+    assert calls == []
