@@ -14,12 +14,15 @@ encoding groups edges by destination node, e.g.
     |nor_conv_3x3~0|+|skip_connect~0|none~1|+|skip_connect~0|nor_conv_1x1~1|avg_pool_3x3~2|
 
 which is the interchange format used by tabular benchmark files and the CLI.
+The 15625 canonical strings are also a table built on first use, so
+encoding is an index and decoding a canonical string one dict lookup.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import operator
 from typing import Iterator
 
@@ -160,23 +163,36 @@ def enumerate_all() -> Iterator[ArchEncoding]:
     return iter(_table())
 
 
+@functools.cache
+def _strings() -> tuple[str, ...]:
+    """The canonical string of every genotype, in index order."""
+    # each edge's token with the separator before it; an edge from node 0
+    # after the first opens the next node's '+' group
+    pieces = [[("|+|" if src == 0 and e else "|") + f"{name}~{src}" for name in OP_NAMES]
+              for e, (src, _) in enumerate(EDGES)]
+    return tuple("".join(p) + "|" for p in itertools.product(*pieces))
+
+
+@functools.cache
+def _by_string() -> dict[str, ArchEncoding]:
+    """Canonical string -> canonical genotype."""
+    return dict(zip(_strings(), _table()))
+
+
 def encode_str(arch: ArchEncoding) -> str:
     """Canonical string: edges grouped by destination node, '~<source>' suffix."""
-    ops = arch.edge_ops
-    groups = []
-    pos = 0
-    for dest in range(1, NUM_NODES):
-        parts = []
-        for src in range(dest):
-            op = ops[pos]
-            parts.append(f"{OP_NAMES[op]}~{src}")
-            pos += 1
-        groups.append("|" + "|".join(parts) + "|")
-    return "+".join(groups)
+    return _strings()[arch._index]
 
 
 def decode_str(text: str) -> ArchEncoding:
-    """Inverse of encode_str; raises ArchParseError naming the bad token."""
+    """Inverse of encode_str; raises ArchParseError naming the bad token.
+
+    Non-canonical spellings the grammar allows (e.g. `none~00`) decode too."""
+    arch = _by_string().get(text)
+    return arch if arch is not None else _parse_str(text)
+
+
+def _parse_str(text: str) -> ArchEncoding:
     groups = text.split("+")
     if len(groups) != 3:
         raise ArchParseError(f"expected 3 '+'-separated node groups, got {len(groups)}: {text!r}")

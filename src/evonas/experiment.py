@@ -176,6 +176,12 @@ def _curve(traj: Trajectory, first: int) -> list:
     return [(i, e.best_so_far, e.simulated_time_s) for i, e in enumerate(traj.events[first:])]
 
 
+def _token(value) -> str:
+    """A sweep value as its label spells it: bools and None as their JSON
+    tokens (`false`, `null`), like a `--sweep` token; anything else by str."""
+    return json.dumps(value) if value is None or isinstance(value, bool) else str(value)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute every (sweep point, run) search and aggregate summaries.
 
@@ -183,7 +189,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     sweep value fails at once."""
     seeds = [derive_seed(cfg.search.seed, "run", run_id) for run_id in range(cfg.num_runs)]
     points = [(cfg.method, {})] if not cfg.sweep else [
-        (f"{cfg.method}:{param}={value}", {param: value}) for param, values in cfg.sweep for value in values
+        (f"{cfg.method}:{param}={_token(value)}", {param: value}) for param, values in cfg.sweep for value in values
     ]
     plan = [(label, [_search_cfg(cfg, override, seed) for seed in seeds]) for label, override in points]
     bench = _resolve_benchmark(cfg)

@@ -9,6 +9,7 @@ from evonas.cellspace import (
     ArchEncoding,
     ArchParseError,
     NUM_EDGES,
+    NUM_NODES,
     OP_NAMES,
     SPACE_SIZE,
     OpKind,
@@ -153,6 +154,65 @@ def test_decode_rejects_malformed(text, fragment):
     with pytest.raises(ArchParseError) as err:
         decode_str(text)
     assert fragment in str(err.value)
+
+
+def _reference_encode_str(arch):
+    """encode_str as it was before the string table: formatted per edge."""
+    ops = arch.edge_ops
+    groups = []
+    pos = 0
+    for dest in range(1, NUM_NODES):
+        parts = []
+        for src in range(dest):
+            parts.append(f"{OP_NAMES[ops[pos]]}~{src}")
+            pos += 1
+        groups.append("|" + "|".join(parts) + "|")
+    return "+".join(groups)
+
+
+def test_string_table_matches_reference_formatter():
+    for arch in enumerate_all():
+        text = encode_str(arch)
+        assert text == _reference_encode_str(arch)
+        assert decode_str(text) is arch
+        assert encode_str(ArchEncoding(arch.edge_ops)) == text
+
+
+# messages and results as the parser gave them before canonical strings
+# were looked up in a table; non-canonical spellings still decode
+PARSE_CASES = [
+    ("|bogus~0|+|none~0|none~1|+|none~0|none~1|none~2|",
+     "unknown op name 'bogus' in token 'bogus~0' (group 0, position 0)"),
+    ("|none~0|+|none~0|none~1|",
+     "expected 3 '+'-separated node groups, got 2: '|none~0|+|none~0|none~1|'"),
+    ("|none~0|none~1|+|none~0|none~1|+|none~0|none~1|none~2|",
+     "group 0 expects 1 edge token(s) (edges into node 1), got 2"),
+    ("|none~0|+|none~0|none~1|+|none~0|none~1|none~1|",
+     "token 'none~1' (group 2, position 2) has source 1, expected 2"),
+    ("|none|+|none~0|none~1|+|none~0|none~1|none~2|",
+     "token 'none' (group 0, position 0) is missing '~<source>'"),
+    ("none~0+|none~0|none~1|+|none~0|none~1|none~2|",
+     "group 0 must be '|'-delimited, got 'none~0'"),
+    ("|none~x|+|none~0|none~1|+|none~0|none~1|none~2|",
+     "bad source index 'x' in token 'none~x'"),
+    ("", "expected 3 '+'-separated node groups, got 1: ''"),
+    ("|+|none~0|none~1|+|none~0|none~1|none~2|", "group 0 must be '|'-delimited, got '|'"),
+    ("|NONE~0|+|none~0|none~1|+|none~0|none~1|none~2|",
+     "unknown op name 'NONE' in token 'NONE~0' (group 0, position 0)"),
+    ("|none~00|+|none~0|none~1|+|none~0|none~1|none~2|", 0),
+    ("|none~0 |+|none~0|none~1|+|none~0|none~1|none~2|", 0),
+    ("|nor_conv_3x3~0_0|+|none~0|none~1|+|none~0|none~1|none~2|", 9375),
+]
+
+
+@pytest.mark.parametrize("text,expected", PARSE_CASES)
+def test_decode_str_parses_as_before(text, expected):
+    if isinstance(expected, int):
+        assert decode_str(text) is ArchEncoding.from_index(expected)
+        return
+    with pytest.raises(ArchParseError) as err:
+        decode_str(text)
+    assert str(err.value) == expected
 
 
 # Reference bodies: random_arch and mutate as they were before they worked

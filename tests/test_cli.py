@@ -253,7 +253,7 @@ def test_sweep_tokens_are_json_values(tmp_path, bench_file, capsys):
     )
     assert code == 0, err
     off, on = json.loads(stdout)["rows"]
-    assert (off["label"], on["label"]) == ("gea:budget_counts_init=False", "gea:budget_counts_init=True")
+    assert (off["label"], on["label"]) == ("gea:budget_counts_init=false", "gea:budget_counts_init=true")
     # off runs 6 cycles on top of the 3 initial individuals, so it trains more
     assert off["mean_time_s"] > on["mean_time_s"]
 

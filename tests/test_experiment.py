@@ -53,6 +53,15 @@ def test_sweep_produces_labeled_rows():
     assert len(result.runs) == 6
 
 
+def test_sweep_labels_spell_json_tokens():
+    cfg = small_config(sweep=(("gen_size", [None, 2]), ("budget_counts_init", [False])), num_runs=1)
+    assert [row.label for row in run_experiment(cfg).rows] == [
+        "gea:gen_size=null",
+        "gea:gen_size=2",
+        "gea:budget_counts_init=false",
+    ]
+
+
 def test_seed_pairing_across_methods():
     gea = run_experiment(small_config())
     rea = run_experiment(small_config(method="rea"))

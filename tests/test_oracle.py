@@ -1,3 +1,4 @@
+import hashlib
 import json
 import operator
 import random
@@ -112,6 +113,30 @@ def test_target_tau_calibration():
 def test_target_tau_negative():
     bench = gen_synthetic(SyntheticSpec(seed=6, target_proxy_tau=-0.5))
     assert -0.55 <= kendall_tau(bench.synthetic_proxy, bench.val_acc) <= -0.45
+
+
+# sha256 of the synthetic_proxy bytes, computed when kendall_tau was still
+# scipy.stats.kendalltau: calibration bisects on exact tau values, so any
+# drift in the tau moves these maps
+PROXY_MAP_SHA256 = [
+    pytest.param(dict(seed=1, noise_std=2.0, target_proxy_tau=0.6, interaction_scale=0.5),
+                 "5118ebaba20af4361a374cc43c22e0c769195a1c61e040ea25a3235df5af48e7", id="tau0.6"),
+    pytest.param(dict(seed=7, target_proxy_tau=0.0),
+                 "389ef1959bc645a19b47dd0792fb59870d57b040f38c90ce982a6c03f3272d10", id="tau0"),
+    pytest.param(dict(seed=3, noise_std=1.0, target_proxy_tau=-0.4, interaction_scale=0.25),
+                 "763dd9cbf4dc0ab0e23c6e8f77ebec2942f016203603991dc194bceaa3a70ad4", id="tau-0.4"),
+    pytest.param(dict(seed=5, target_proxy_tau=1.0),
+                 "ecdb89892dcba7ee43b07b4e4add76e06a2892bb82d8f5ce99fab18634b7ec53", id="tau1"),
+    pytest.param(dict(seed=11, noise_std=0.5, target_proxy_tau=0.3),
+                 "49dd418f61b8e81c1aeb1a3ccb1e279b65980684cc31545090273b6bbdcbe47e", id="tau0.3"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", PROXY_MAP_SHA256)
+def test_proxy_map_is_pinned(spec, digest):
+    proxy = gen_synthetic(SyntheticSpec(**spec)).synthetic_proxy
+    assert proxy.dtype == np.float64 and proxy.shape == (SPACE_SIZE,)
+    assert hashlib.sha256(proxy.tobytes()).hexdigest() == digest
 
 
 def test_accuracies_in_range():

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as scipy_special
 from scipy import stats as scipy_stats
 
-from evonas.stats import kendall_tau, mean_std, welch_ttest
+from evonas.stats import _t_two_sided_p, kendall_tau, mean_std, welch_ttest
 
 # Fixture computed with two independent implementations (scipy.stats
 # ttest_ind(equal_var=False) and an mpmath transcription of the Welch
@@ -122,3 +123,74 @@ def test_mean_std():
     assert m == 4.0
     assert abs(s - 2.0) < 1e-12
     assert mean_std([5.0]) == (5.0, 0.0)
+
+
+# scipy is a test-only reference: the package itself does not import it
+
+
+def _scipy_tau(x, y) -> float:
+    return float(scipy_stats.kendalltau(x, y, variant="b").statistic)
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def test_tau_equals_scipy_exactly_on_random_inputs():
+    rng = np.random.default_rng(20)
+    sizes = np.unique(np.geomspace(2, 15625, 60).astype(int))
+    for n in sizes:
+        x = rng.normal(size=n)
+        cases = [
+            (x, x * rng.normal() + rng.normal(size=n)),  # continuous
+            (rng.integers(0, 3, n).astype(float), rng.integers(0, 7, n).astype(float)),  # heavy ties
+            (np.round(x, 1), np.round(x + rng.normal(size=n), 1)),  # some ties
+            (x, -x),
+        ]
+        for a, b in cases:
+            assert _same(kendall_tau(a, b), _scipy_tau(a, b)), n
+
+
+def test_tau_nan_all_tied_and_infinite_inputs_follow_scipy():
+    cases = [
+        ([1.0, 2.0, np.nan, 4.0], [1.0, 2.0, 3.0, 4.0]),
+        ([1.0, 2.0, 3.0], [np.nan, 1.0, 2.0]),
+        ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]),
+        ([1.0, 2.0], [1.0, 1.0]),
+        ([np.inf, 1.0, -np.inf, 2.0], [1.0, 2.0, 3.0, 4.0]),
+        ([np.inf, np.inf, 1.0], [1.0, 2.0, 3.0]),
+        ([0.0, -0.0, 1.0], [1.0, 2.0, 3.0]),
+    ]
+    for x, y in cases:
+        assert _same(kendall_tau(x, y), _scipy_tau(x, y)), (x, y)
+    assert math.isnan(kendall_tau([1.0, 2.0, np.nan, 4.0], [1.0, 2.0, 3.0, 4.0]))
+    assert math.isnan(kendall_tau([3.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0]))
+
+
+def test_tau_rejects_bad_shapes_and_sizes():
+    with pytest.raises(ValueError):
+        kendall_tau([[1.0, 2.0]], [[1.0, 2.0]])
+    with pytest.raises(ValueError):
+        kendall_tau([1.0], [1.0])
+
+
+def test_t_p_value_matches_scipy_stdtr_on_grid():
+    worst = 0.0
+    for df in np.geomspace(1.0, 1e4, 41):
+        for t in np.linspace(0.0, 60.0, 241):
+            ref = 2.0 * scipy_special.stdtr(df, -t)
+            worst = max(worst, abs(_t_two_sided_p(float(t), float(df)) - ref))
+            worst = max(worst, abs(_t_two_sided_p(-float(t), float(df)) - ref))
+    assert worst <= 1e-10
+
+
+def test_t_p_value_matches_closed_forms():
+    # df = 1 (Cauchy) and df = 2 have elementary tails; these pin small |t|
+    # too, where stdtr itself is off by up to 3e-9 at df = 1
+    for t in np.geomspace(1e-12, 1e6, 91):
+        t = float(t)
+        assert abs(_t_two_sided_p(t, 1.0) - (1.0 - 2.0 / math.pi * math.atan(t))) < 1e-14
+        assert abs(_t_two_sided_p(t, 2.0) - (1.0 - t / math.sqrt(2.0 + t * t))) < 1e-14
+    assert _t_two_sided_p(0.0, 3.5) == 1.0
+    assert math.isnan(_t_two_sided_p(math.nan, 3.0))
