@@ -41,6 +41,8 @@ __all__ = [
     "enumerate_all",
     "encode_str",
     "decode_str",
+    "space_doc",
+    "matches_space",
 ]
 
 NUM_NODES = 4
@@ -71,6 +73,16 @@ _NAME_TO_OP = {name: OpKind(i) for i, name in enumerate(OP_NAMES)}
 SPACE_SIZE = len(OP_NAMES) ** NUM_EDGES
 _OPS = tuple(OpKind)
 _PLACES = tuple(len(OP_NAMES) ** (NUM_EDGES - 1 - e) for e in range(NUM_EDGES))  # digit place values
+
+
+def space_doc() -> dict:
+    """The space descriptor that benchmark and checkpoint files carry."""
+    return {"nodes": NUM_NODES, "ops": list(OP_NAMES)}
+
+
+def matches_space(doc) -> bool:
+    """Whether a file's space descriptor names this search space."""
+    return isinstance(doc, dict) and doc.get("nodes") == NUM_NODES and doc.get("ops") == list(OP_NAMES)
 
 
 class ArchParseError(ValueError):

@@ -10,13 +10,20 @@ still costs one training slot.  The run stops once `cycles` architectures
 have been trained; the answer is the best-by-fitness individual ever
 trained.
 
+A run has one scoring step and one training step.  Scoring takes a whole
+generation at once (the initial candidates, then each cycle's children)
+and charges the run's proxy evaluations and simulated time; the scorer is
+called once per candidate, generation by generation, in index order.
+Training is one oracle query per trained architecture, whether initial,
+transferred or a child, and logs one trajectory event.
+
 Guided mode off degenerates to the classic aging-evolution baseline:
 init_candidates == pop_size, one child per cycle, and no proxy calls (every
 individual carries the sentinel score).  Those unguided defaults are set in
 `SearchConfig.__post_init__` alone, and `_scoring` alone decides whether a
-run calls its scorer.  Random search is the unguided initialization with
-pop_size == init_candidates == cycles: every sample is kept and no cycle
-runs.
+run calls its scorer and pays for it.  Random search is the unguided
+initialization with pop_size == init_candidates == cycles: every sample is
+kept and no cycle runs.
 
 Every random draw comes from a named substream of the run stream, so
 trajectories are reproducible event for event.  Substream layout:
@@ -35,15 +42,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Collection, Optional
 
-from .cellspace import (
-    NUM_NODES,
-    OP_NAMES,
-    ArchEncoding,
-    decode_str,
-    encode_str,
-    mutate,
-    random_arch,
-)
+from .cellspace import ArchEncoding, decode_str, encode_str, matches_space, mutate, random_arch, space_doc
 from .oracle import Benchmark, query
 from .rng import RngStream
 from .zeroproxy import ProxyScore
@@ -68,7 +67,9 @@ __all__ = [
 ]
 
 # A scorer maps (arch, dedicated stream) to a proxy score; the stream seeds
-# whatever randomness the scorer needs (e.g. network initialization).
+# whatever randomness the scorer needs (e.g. network initialization).  A run
+# calls it once per candidate, generation by generation (the initial
+# candidates, then each cycle's children), in index order.
 Scorer = Callable[[ArchEncoding, RngStream], "ProxyScore | float"]
 
 _PARENT_MODES = ("tournament", "highest", "lowest")
@@ -185,14 +186,24 @@ def _as_proxy(value) -> ProxyScore:
     return value if isinstance(value, ProxyScore) else ProxyScore(value=value)
 
 
-def _scoring(cfg: SearchConfig, scorer: Optional[Scorer]) -> Callable:
-    """The run's (arch, stream) -> ProxyScore function: the sentinel in an
-    unguided run, which never calls `scorer`; otherwise `scorer`."""
+def _scoring(cfg: SearchConfig, scorer: Optional[Scorer], traj: Trajectory) -> Callable[[list, list], list]:
+    """The run's scoring step, (archs, streams) -> [ProxyScore] in order.
+
+    Unguided, it returns sentinels, never calls `scorer` and charges
+    nothing.  Guided, it calls `scorer` once per arch and charges `traj`
+    one proxy evaluation and `cfg.proxy_cost_s` of simulated time per arch.
+    """
     if not cfg.guided:
-        return lambda arch, stream: ProxyScore.sentinel()
+        return lambda archs, streams: [ProxyScore.sentinel() for _ in archs]
     if scorer is None:
         raise ConfigError("guided search needs a scorer")
-    return lambda arch, stream: _as_proxy(scorer(arch, stream))
+
+    def score(archs: list, streams: list) -> list:
+        traj.n_proxy_evals += len(archs)
+        traj.simulated_time_s += len(archs) * cfg.proxy_cost_s
+        return [_as_proxy(scorer(arch, stream)) for arch, stream in zip(archs, streams)]
+
+    return score
 
 
 def _extremum(pop: list, mode: str) -> Individual:
@@ -234,11 +245,12 @@ def remove_survivor(pop: list, cfg: SearchConfig) -> Individual:
 def spawn_generation(
     parent: Individual,
     cfg: SearchConfig,
-    score_child: Callable[[ArchEncoding, RngStream], ProxyScore],
+    score: Callable[[list, list], list],
     cycle_stream: RngStream,
     trained: Collection[ArchEncoding] = frozenset(),
 ) -> tuple[ArchEncoding, ProxyScore]:
-    """Mutate the parent gen_size times, score each child, keep the best.
+    """Mutate the parent gen_size times, score the children in one call,
+    keep the best.
 
     The best is the top-scoring child not in `trained` (the architectures
     the run has already trained); if every child is in it, the top-scoring
@@ -247,44 +259,27 @@ def spawn_generation(
     own indexed substream; ties (and the all-sentinel case) go to the
     lowest child index.
     """
-    results = []
-    for j in range(cfg.gen_size):
-        sub = cycle_stream.child("child", j)
-        arch = mutate(parent.arch, sub.child("mut"))
-        results.append((arch, score_child(arch, sub.child("score"))))
+    subs = [cycle_stream.child("child", j) for j in range(cfg.gen_size)]
+    archs = [mutate(parent.arch, sub.child("mut")) for sub in subs]
+    results = list(zip(archs, score(archs, [sub.child("score") for sub in subs])))
     results = [r for r in results if r[0] not in trained] or results
     return max(results, key=lambda r: r[1].value)
 
 
-def init_population(
-    cfg: SearchConfig,
-    bench: Benchmark,
-    scorer: Optional[Scorer],
-    rng: RngStream,
-    records: Optional[list] = None,
-) -> tuple[list, list]:
-    """Sample, score and filter the initial population.
+def init_population(cfg: SearchConfig, score: Callable[[list, list], list], rng: RngStream) -> tuple[list, list]:
+    """Sample the init_candidates, score them in one call and filter.
 
     Returns (population, candidates); the population holds the pop_size
-    best-by-proxy candidates (ties: lower birth index), in birth order,
-    with fitness filled in from the oracle.  Unguided candidates all carry
-    the sentinel score, so the first pop_size are kept.  `records`, when
-    given, receives the oracle record of each kept individual in population
-    order, so that a caller needs no second lookup.
+    best-by-proxy candidates (ties: lower birth index), in birth order, not
+    yet trained (fitness None).  Unguided candidates all carry the sentinel
+    score, so the first pop_size are kept.
     """
-    score = _scoring(cfg, scorer)
-    candidates = []
-    for i in range(cfg.init_candidates):
-        arch = random_arch(rng.child("init", i, "arch"))
-        proxy = score(arch, rng.child("init", i, "score"))
-        candidates.append(Individual(arch, proxy, None, birth_index=i, origin="init"))
+    n = cfg.init_candidates
+    archs = [random_arch(rng.child("init", i, "arch")) for i in range(n)]
+    proxies = score(archs, [rng.child("init", i, "score") for i in range(n)])
+    candidates = [Individual(arch, proxy, None, i, "init") for i, (arch, proxy) in enumerate(zip(archs, proxies))]
     kept = sorted(candidates, key=lambda ind: (-ind.proxy.value, ind.birth_index))[: cfg.pop_size]
     kept.sort(key=lambda ind: ind.birth_index)
-    for ind in kept:
-        record = query(bench, ind.arch)
-        ind.fitness = record.val_acc
-        if records is not None:
-            records.append(record)
     return kept, candidates
 
 
@@ -304,78 +299,55 @@ def run_search(
     the set that `spawn_generation` steers guided children away from; a
     repeat it falls back to is still charged one training slot.
     """
-    score_child = _scoring(cfg, scorer)
-    rng = rng if rng is not None else RngStream(cfg.seed)
     traj = Trajectory()
-    clock = 0.0
-    best: Optional[Individual] = None
-    best_record = None
+    score = _scoring(cfg, scorer, traj)
+    rng = rng if rng is not None else RngStream(cfg.seed)
     trained: set = set()
 
-    def log(ind: Individual, record, parent_arch=None) -> None:
-        nonlocal clock, best, best_record
-        clock += record.train_time_s
+    def train(ind: Individual, parent_arch: Optional[ArchEncoding] = None) -> Individual:
+        """Query the oracle once; return the trained individual, logged."""
+        record = query(bench, ind.arch)
+        ind = replace(ind, fitness=record.val_acc)
+        traj.simulated_time_s += record.train_time_s
         trained.add(ind.arch)
-        if best is None or ind.fitness > best.fitness:
-            best, best_record = ind, record
+        if traj.best is None or ind.fitness > traj.best.fitness:
+            traj.best, traj.best_test_acc = ind, record.test_acc
         traj.events.append(
             TrajectoryEvent(
                 event_index=len(traj.events),
                 arch=ind.arch,
                 proxy_value=ind.proxy.value,
                 fitness=ind.fitness,
-                best_so_far=best.fitness,
-                simulated_time_s=clock,
+                best_so_far=traj.best.fitness,
+                simulated_time_s=traj.simulated_time_s,
                 parent_arch=parent_arch,
                 origin=ind.origin,
             )
         )
+        return ind
 
-    pop: list
-    records: list = []
     if initial_population is None:
-        if cfg.guided:
-            traj.n_proxy_evals += cfg.init_candidates
-            clock += cfg.init_candidates * cfg.proxy_cost_s
-        pop, _ = init_population(cfg, bench, scorer, rng, records=records)
-        births = cfg.init_candidates
+        pop, _ = init_population(cfg, score, rng)
+        first_birth = cfg.init_candidates
     else:
         if len(initial_population) != cfg.pop_size:
             raise ConfigError(
                 f"initial population has {len(initial_population)} individuals, "
                 f"expected pop_size={cfg.pop_size}"
             )
-        records = [query(bench, ind.arch) for ind in initial_population]
-        pop = [replace(ind, fitness=r.val_acc) for ind, r in zip(initial_population, records)]
-        births = max(ind.birth_index for ind in pop) + 1
-    for ind, record in zip(pop, records):
-        log(ind, record)
+        pop = initial_population
+        first_birth = max(ind.birth_index for ind in pop) + 1
+    pop = [train(ind) for ind in pop]
 
     target = cfg.cycles if cfg.budget_counts_init else cfg.cycles + cfg.pop_size
-    cycle = 0
-    while len(traj.events) < target:
+    for cycle in range(target - cfg.pop_size):
         stream = rng.child("cycle", cycle)
         parent = tournament_select(pop, cfg, stream.child("tournament"))
-        if cfg.guided:
-            traj.n_proxy_evals += cfg.gen_size
-            clock += cfg.gen_size * cfg.proxy_cost_s
-        child_arch, child_proxy = spawn_generation(parent, cfg, score_child, stream, trained=trained)
-        record = query(bench, child_arch)
-        child = Individual(
-            child_arch, child_proxy, record.val_acc, birth_index=births, origin=f"cycle:{cycle}"
-        )
-        births += 1
-        pop.append(child)
-        log(child, record, parent_arch=parent.arch)
+        arch, proxy = spawn_generation(parent, cfg, score, stream, trained=trained)
+        pop.append(train(Individual(arch, proxy, None, first_birth + cycle, f"cycle:{cycle}"), parent.arch))
         remove_survivor(pop, cfg)
-        if len(pop) != cfg.pop_size:
-            raise RuntimeError("population size invariant violated")
-        cycle += 1
 
-    traj.best = best
-    traj.best_test_acc = best_record.test_acc
     traj.final_population = pop
-    traj.simulated_time_s = clock
     return traj
 
 
@@ -404,7 +376,7 @@ def _proxy_to_json(proxy: ProxyScore):
 def save_checkpoint(pop: list, path) -> None:
     """Persist a population, oldest first, for later transfer search."""
     doc = {
-        "space": {"nodes": NUM_NODES, "ops": list(OP_NAMES)},
+        "space": space_doc(),
         "individuals": [
             {
                 "arch": encode_str(ind.arch),
@@ -424,9 +396,9 @@ def load_checkpoint(path) -> list:
         doc = json.loads(Path(path).read_text("utf-8"))
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: invalid JSON: {exc}") from None
-    space_doc = doc.get("space", {})
-    if space_doc.get("nodes") != NUM_NODES or tuple(space_doc.get("ops", ())) != OP_NAMES:
-        raise CheckpointError(f"{path}: checkpoint space {space_doc!r} does not match target space")
+    space = doc.get("space", {})
+    if not matches_space(space):
+        raise CheckpointError(f"{path}: checkpoint space {space!r} does not match target space")
     pop = []
     last_birth = None
     for idx, row in enumerate(doc.get("individuals", [])):

@@ -234,7 +234,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         )
         runs.extend(point_runs)
     return ExperimentResult(
-        config=dataclasses.replace(cfg, skeleton=skeleton),
+        config=dataclasses.replace(cfg, search=_search_cfg(cfg, {}, cfg.search.seed), skeleton=skeleton),
         reference_arch=ref_arch,
         reference_val_acc=ref_rec.val_acc,
         runs=runs,

@@ -31,6 +31,8 @@ from .cellspace import (
     decode_str,
     encode_str,
     enumerate_all,
+    matches_space,
+    space_doc,
 )
 from .rng import RngStream
 from .stats import kendall_tau
@@ -144,9 +146,6 @@ def best_of(bench: Benchmark) -> tuple[ArchEncoding, FitnessRecord]:
 # ---------------------------------------------------------------------------
 # tabular file I/O
 
-_SPACE_DOC = {"nodes": NUM_NODES, "ops": list(OP_NAMES)}
-
-
 def save_tabular(bench: Benchmark, path) -> None:
     """Write the benchmark as UTF-8 JSON.
 
@@ -164,7 +163,7 @@ def save_tabular(bench: Benchmark, path) -> None:
     if bench.synthetic_proxy is not None:
         for row, proxy in zip(records, bench.synthetic_proxy.tolist()):
             row["proxy"] = proxy
-    doc = {"space": _SPACE_DOC, "dataset": bench.dataset_name, "records": records}
+    doc = {"space": space_doc(), "dataset": bench.dataset_name, "records": records}
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", "utf-8")
 
 
@@ -183,11 +182,10 @@ def load_tabular(path) -> Benchmark:
     for key in ("space", "dataset", "records"):
         if key not in doc:
             raise BenchmarkError(f"{path}: missing top-level key {key!r}")
-    space_doc = doc["space"]
-    if space_doc.get("nodes") != NUM_NODES or list(space_doc.get("ops", [])) != _SPACE_DOC["ops"]:
+    if not matches_space(doc["space"]):
         raise BenchmarkError(
-            f"{path}: space descriptor {space_doc!r} does not match "
-            f"nodes={NUM_NODES}, ops={_SPACE_DOC['ops']}"
+            f"{path}: space descriptor {doc['space']!r} does not match "
+            f"nodes={NUM_NODES}, ops={list(OP_NAMES)}"
         )
     table = np.full((4, SPACE_SIZE), np.nan)  # val_acc, test_acc, train_time_s, proxy
     seen = np.zeros(SPACE_SIZE, dtype=bool)

@@ -201,10 +201,11 @@ def small_config_doc(out):
     }
 
 
-def test_summary_config_reruns_identically(tmp_path, capsys):
+@pytest.mark.parametrize("method", ["gea", "rea", "rs"])
+def test_summary_config_reruns_identically(tmp_path, capsys, method):
     first, second = tmp_path / "first", tmp_path / "second"
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(small_config_doc(first)))
+    cfg_path.write_text(json.dumps({**small_config_doc(first), "method": method}))
     code, _, err = run_cli(capsys, "search", "--config", str(cfg_path))
     assert code == 0, err
     summary = json.loads((first / "summary.json").read_text("utf-8"))

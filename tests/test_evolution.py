@@ -9,6 +9,8 @@ from evonas.evolution import (
     ConfigError,
     Individual,
     SearchConfig,
+    Trajectory,
+    _scoring,
     init_population,
     load_checkpoint,
     rea_config,
@@ -38,6 +40,19 @@ BENCH = hashed_benchmark()
 
 def mock_scorer(arch, stream):
     return ProxyScore(value=float(sum(arch.indices)))
+
+
+def batched(scorer, calls=None):
+    """A guided run's scoring step around the per-arch `scorer`; `calls`, when
+    given, receives the archs and stream paths of every call."""
+    score = _scoring(SearchConfig(), scorer, Trajectory())
+    calls = [] if calls is None else calls
+
+    def recorded(archs, streams):
+        calls.append((list(archs), [s.path for s in streams]))
+        return score(archs, streams)
+
+    return recorded
 
 
 def individuals(fitnesses, birth0=0):
@@ -154,7 +169,7 @@ def test_remove_survivor_modes():
 def test_spawn_single_child():
     parent = individuals([1.0])[0]
     cfg = SearchConfig(pop_size=1, cycles=1, init_candidates=1, gen_size=1)
-    arch, proxy = spawn_generation(parent, cfg, lambda a, s: ProxyScore(-100.0), RngStream(5))
+    arch, proxy = spawn_generation(parent, cfg, batched(lambda a, s: ProxyScore(-100.0)), RngStream(5))
     assert parent.arch.hamming(arch) == 1
     assert proxy.value == -100.0
 
@@ -168,7 +183,7 @@ def test_spawn_selects_injected_argmax():
         calls.append(arch)
         return ProxyScore(value=float(len(calls) - 1))
 
-    arch, proxy = spawn_generation(parent, cfg, indexed_scorer, RngStream(6))
+    arch, proxy = spawn_generation(parent, cfg, batched(indexed_scorer), RngStream(6))
     assert proxy.value == 9.0
     assert arch == calls[9]
 
@@ -177,7 +192,7 @@ def test_spawn_best_matches_rescoring():
     parent = individuals([1.0])[0]
     cfg = SearchConfig(pop_size=1, cycles=1, init_candidates=1, gen_size=10)
     stream = RngStream(7, ("cycle", 0))
-    arch, proxy = spawn_generation(parent, cfg, mock_scorer, stream)
+    arch, proxy = spawn_generation(parent, cfg, batched(mock_scorer), stream)
     rescored = []
     for j in range(10):
         sub = stream.child("child", j)
@@ -190,9 +205,7 @@ def test_spawn_all_sentinel_takes_first_child():
     parent = individuals([1.0])[0]
     cfg = SearchConfig(pop_size=1, cycles=1, init_candidates=1, gen_size=5)
     stream = RngStream(9, ("c",))
-    arch, proxy = spawn_generation(
-        parent, cfg, lambda a, s: ProxyScore.sentinel(), stream
-    )
+    arch, proxy = spawn_generation(parent, cfg, batched(lambda a, s: ProxyScore.sentinel()), stream)
     assert proxy.is_sentinel
     assert arch == mutate(parent.arch, stream.child("child", 0, "mut"))
 
@@ -202,7 +215,7 @@ def test_spawn_nan_first_child_never_wins():
     cfg = SearchConfig(pop_size=1, cycles=1, init_candidates=1, gen_size=3)
     stream = RngStream(12, ("c",))
     values = iter([math.nan, 1.0, 2.0])
-    arch, proxy = spawn_generation(parent, cfg, lambda a, s: ProxyScore(next(values)), stream)
+    arch, proxy = spawn_generation(parent, cfg, batched(lambda a, s: ProxyScore(next(values))), stream)
     assert proxy.value == 2.0
     assert arch == mutate(parent.arch, stream.child("child", 2, "mut"))
 
@@ -222,8 +235,8 @@ def test_spawn_skips_trained_children():
     cfg = SearchConfig(pop_size=1, cycles=1, init_candidates=1, gen_size=10)
     stream = RngStream(10, ("c",))
     children = scored_children(parent, cfg, mock_scorer, stream)
-    top_arch, _ = spawn_generation(parent, cfg, mock_scorer, stream)
-    arch, proxy = spawn_generation(parent, cfg, mock_scorer, stream, trained={top_arch})
+    top_arch, _ = spawn_generation(parent, cfg, batched(mock_scorer), stream)
+    arch, proxy = spawn_generation(parent, cfg, batched(mock_scorer), stream, trained={top_arch})
     fresh = [(a, v) for a, v in children if a != top_arch]
     assert arch != top_arch
     # first child (lowest index) holding the best score among untrained children
@@ -235,8 +248,8 @@ def test_spawn_falls_back_when_all_children_trained():
     cfg = SearchConfig(pop_size=1, cycles=1, init_candidates=1, gen_size=6)
     stream = RngStream(11, ("c",))
     trained = {a for a, _ in scored_children(parent, cfg, mock_scorer, stream)}
-    assert spawn_generation(parent, cfg, mock_scorer, stream, trained=trained) == spawn_generation(
-        parent, cfg, mock_scorer, stream
+    assert spawn_generation(parent, cfg, batched(mock_scorer), stream, trained=trained) == spawn_generation(
+        parent, cfg, batched(mock_scorer), stream
     )
 
 
@@ -252,17 +265,17 @@ def test_init_population_counts():
         calls.append(arch)
         return mock_scorer(arch, stream)
 
-    pop, candidates = init_population(cfg, BENCH, counting_scorer, RngStream(1))
+    pop, candidates = init_population(cfg, batched(counting_scorer), RngStream(1))
     assert len(calls) == 200  # every candidate proxy-scored
     assert len(candidates) == 200
-    assert len(pop) == 10  # only the kept ones get trained
-    assert all(ind.fitness is not None for ind in pop)
-    assert all(ind.fitness is None for ind in candidates if ind not in pop)
+    assert len(pop) == 10  # only the kept ones get trained, by the run
+    assert all(ind in candidates for ind in pop)
+    assert all(ind.fitness is None for ind in candidates)
 
 
 def test_init_population_keeps_top_by_proxy():
     cfg = SearchConfig(pop_size=10, cycles=200, init_candidates=200)
-    pop, candidates = init_population(cfg, BENCH, mock_scorer, RngStream(2))
+    pop, candidates = init_population(cfg, batched(mock_scorer), RngStream(2))
     resort = sorted(candidates, key=lambda ind: (-ind.proxy.value, ind.birth_index))[:10]
     assert sorted(ind.birth_index for ind in pop) == sorted(ind.birth_index for ind in resort)
     births = [ind.birth_index for ind in pop]
@@ -271,15 +284,51 @@ def test_init_population_keeps_top_by_proxy():
 
 def test_init_population_no_filter_when_sizes_match():
     cfg = SearchConfig(pop_size=10, cycles=10, init_candidates=10)
-    pop, candidates = init_population(cfg, BENCH, mock_scorer, RngStream(3))
+    pop, candidates = init_population(cfg, batched(mock_scorer), RngStream(3))
     assert [ind.arch for ind in pop] == [ind.arch for ind in candidates]
 
 
 def test_init_population_nan_candidate_is_sentinel():
     cfg = SearchConfig(pop_size=3, cycles=10, init_candidates=10)
     values = iter([5.0, math.nan, 9.0, 8.0, 7.0, 0.0, 1.0, 2.0, 3.0, 4.0])
-    pop, _ = init_population(cfg, BENCH, lambda a, s: next(values), RngStream(4))
+    pop, _ = init_population(cfg, batched(lambda a, s: next(values)), RngStream(4))
     assert [ind.proxy.value for ind in pop] == [9.0, 8.0, 7.0]
+
+
+def test_init_population_scores_all_candidates_in_one_call():
+    cfg = SearchConfig(pop_size=4, cycles=20, init_candidates=9)
+    calls = []
+    _, candidates = init_population(cfg, batched(mock_scorer, calls), RngStream(5))
+    assert calls == [([ind.arch for ind in candidates], [("init", i, "score") for i in range(9)])]
+
+
+def test_spawn_generation_scores_all_children_in_one_call():
+    parent = individuals([1.0])[0]
+    cfg = SearchConfig(pop_size=1, cycles=1, init_candidates=1, gen_size=7)
+    stream = RngStream(8, ("cycle", 3))
+    calls = []
+    spawn_generation(parent, cfg, batched(mock_scorer, calls), stream)
+    children = [a for a, _ in scored_children(parent, cfg, mock_scorer, stream)]
+    assert calls == [(children, [("cycle", 3, "child", j, "score") for j in range(7)])]
+
+
+def test_scoring_step_charges_guided_runs_only():
+    cfg = SearchConfig(proxy_cost_s=0.3)
+    traj = Trajectory()
+    score = _scoring(cfg, lambda a, s: float(a), traj)
+    archs = list(enumerate_all())[:5]
+    assert [p.value for p in score(archs[:3], [None] * 3)] == [0.0, 1.0, 2.0]
+    score(archs[3:], [None] * 2)
+    assert traj.n_proxy_evals == 5
+    assert traj.simulated_time_s == 3 * 0.3 + 2 * 0.3
+
+    def scorer(arch, stream):
+        raise AssertionError("an unguided run called its scorer")
+
+    traj = Trajectory()
+    scores = _scoring(rea_config(), scorer, traj)(archs, [None] * 5)
+    assert all(p.is_sentinel for p in scores) and len(scores) == 5
+    assert traj == Trajectory()
 
 
 # ---------------------------------------------------------------------------

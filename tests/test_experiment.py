@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -137,6 +138,31 @@ def test_emitted_files_byte_identical(tmp_path):
     one = summary_a.read_text().replace(str(tmp_path / "a"), "OUT")
     two = summary_b.read_text().replace(str(tmp_path / "b"), "OUT")
     assert one == two
+
+
+# sha256 of (curves.csv, summary.json) for each method's small experiment; a
+# deliberate change to the output files moves these and says why in CHANGES.md
+PINNED_OUTPUTS = {
+    "gea": ("f1a3c5145857cde344eda981998ee79a78938b3de0d7432264246e486dd3cc64",
+            "0124840b096bf7293eb12c704466f7a278afad966ab40187419e8e226c29f8bf"),
+    "rea": ("70831656c058faa53a30a4f4ab78abf364f40bf23d7db943ed022c63cec73f30",
+            "aee48d2063c24212fc9815c4c2aecac1e81317debc4b246ed3dac20ccf511e43"),
+    "rs": ("dd59cdf40bbbb7400a913073de373799754976a1490a2e7674521be6d23d132b",
+           "4e8d5323e37b65c09c42c52be0eb470d12743d09de653c84ff46211030f02d87"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(PINNED_OUTPUTS))
+def test_output_bytes_are_pinned(tmp_path, method):
+    result = run_experiment(small_config(method=method, num_runs=2, out="pinned"))
+    paths = emit_results(result, tmp_path / method)
+    assert tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths) == PINNED_OUTPUTS[method]
+
+
+def test_rea_echo_states_what_ran():
+    search = run_experiment(small_config(method="rea", num_runs=1)).config.search
+    assert (search.guided, search.gen_size, search.init_candidates) == (False, 1, SMALL_SEARCH.pop_size)
+    assert run_experiment(small_config(num_runs=1)).config.search == SMALL_SEARCH
 
 
 def test_network_scoring_path():
