@@ -48,9 +48,12 @@ __all__ = [
 _METHODS = ("gea", "rea", "rs")
 # the master seed derives every run seed, and the method decides guidance
 _SWEEPABLE = {f.name for f in dataclasses.fields(SearchConfig)} - {"seed", "guided"}
-# what the method decides of each run's search (rea: SearchConfig sets the unguided defaults)
-_METHOD_FIELDS = {"gea": {"guided": True}, "rs": {},
-                  "rea": {"guided": False, "gen_size": None, "init_candidates": None}}
+# what the method decides of each run's search (SearchConfig sets the unguided
+# defaults); rs also keeps every sample: its pop_size is the run's cycles
+_METHOD_FIELDS = {"gea": {"guided": True},
+                  "rea": {"guided": False, "gen_size": None, "init_candidates": None},
+                  "rs": {"guided": False, "gen_size": None, "init_candidates": None,
+                         "budget_counts_init": True}}
 # the experiment document's dataclass objects and benchmark/batch sources
 _OBJECTS = (("search", SearchConfig), ("skeleton", SkeletonConfig), ("proxy", ProxyParams))
 _SOURCES = (("benchmark", SyntheticSpec), ("batch", SyntheticBatchSpec))
@@ -68,8 +71,9 @@ class ExperimentConfig:
     swept one field at a time from the base search config: a point changes
     only its own field, so a swept `pop_size` or `cycles` keeps the base's
     resolved `gen_size` and `init_candidates` (as `summary.json` echoes
-    them).  `seed` and `guided` are not sweepable: the master seed derives
-    every run seed and `method` decides guidance.
+    them); random search takes `pop_size = init_candidates = cycles`.
+    `seed` and `guided` are not sweepable: the master seed derives every
+    run seed and `method` decides guidance.
     """
 
     method: str = "gea"
@@ -164,7 +168,10 @@ def _resolve_scorer(cfg: ExperimentConfig, bench: Benchmark):
 
 
 def _search_cfg(cfg: ExperimentConfig, override: dict, seed: int) -> SearchConfig:
-    return dataclasses.replace(cfg.search, **{**override, "seed": seed, **_METHOD_FIELDS[cfg.method]})
+    fields = {**override, "seed": seed, **_METHOD_FIELDS[cfg.method]}
+    if cfg.method == "rs":
+        fields["pop_size"] = fields.get("cycles", cfg.search.cycles)
+    return dataclasses.replace(cfg.search, **fields)
 
 
 def _curve(traj: Trajectory, first: int) -> list:

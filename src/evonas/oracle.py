@@ -12,7 +12,6 @@ fitness, which stands in for real benchmark data in experiments and tests.
 
 from __future__ import annotations
 
-import itertools
 import json
 import operator
 from dataclasses import dataclass
@@ -28,14 +27,14 @@ from .cellspace import (
     SPACE_SIZE,
     ArchEncoding,
     OpKind,
+    _strings,
     decode_str,
     encode_str,
-    enumerate_all,
     matches_space,
     space_doc,
 )
 from .rng import RngStream
-from .stats import kendall_tau
+from .stats import TauAgainst
 
 __all__ = [
     "FitnessRecord",
@@ -146,6 +145,14 @@ def best_of(bench: Benchmark) -> tuple[ArchEncoding, FitnessRecord]:
 # ---------------------------------------------------------------------------
 # tabular file I/O
 
+def _json_floats(column: np.ndarray) -> list:
+    """Each value as json.dumps spells it: repr, or NaN/Infinity/-Infinity."""
+    texts = list(map(float.__repr__, column.tolist()))
+    for k in np.flatnonzero(~np.isfinite(column)).tolist():
+        texts[k] = json.dumps(float(column[k]))
+    return texts
+
+
 def save_tabular(bench: Benchmark, path) -> None:
     """Write the benchmark as UTF-8 JSON.
 
@@ -154,17 +161,20 @@ def save_tabular(bench: Benchmark, path) -> None:
     "train_time_s": x}, ...]} with records in enumeration order.  When the
     benchmark carries a synthetic proxy map, each record additionally holds
     a "proxy" value; plain files without it load fine.
+
+    The text is what json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    gives, formatted from the columns: keys in sorted order, and canonical
+    arch strings need no escaping.
     """
-    rows = zip(enumerate_all(), bench.val_acc.tolist(), bench.test_acc.tolist(), bench.train_time_s.tolist())
-    records = [
-        {"arch": encode_str(arch), "val_acc": val, "test_acc": test, "train_time_s": time}
-        for arch, val, test, time in rows
-    ]
+    columns = {"val_acc": bench.val_acc, "test_acc": bench.test_acc, "train_time_s": bench.train_time_s}
     if bench.synthetic_proxy is not None:
-        for row, proxy in zip(records, bench.synthetic_proxy.tolist()):
-            row["proxy"] = proxy
-    doc = {"space": space_doc(), "dataset": bench.dataset_name, "records": records}
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", "utf-8")
+        columns["proxy"] = bench.synthetic_proxy
+    keys = sorted(columns)  # "arch" sorts before all of them
+    record = "{" + ",".join(['"arch":"%s"'] + [f'"{key}":%s' for key in keys]) + "}"
+    records = ",".join(map(record.__mod__, zip(_strings(), *(_json_floats(columns[key]) for key in keys))))
+    space = json.dumps(space_doc(), sort_keys=True, separators=(",", ":"))
+    text = f'{{"dataset":{json.dumps(bench.dataset_name)},"records":[{records}],"space":{space}}}\n'
+    Path(path).write_text(text, "utf-8")
 
 
 def load_tabular(path) -> Benchmark:
@@ -187,32 +197,36 @@ def load_tabular(path) -> Benchmark:
             f"{path}: space descriptor {doc['space']!r} does not match "
             f"nodes={NUM_NODES}, ops={list(OP_NAMES)}"
         )
-    table = np.full((4, SPACE_SIZE), np.nan)  # val_acc, test_acc, train_time_s, proxy
-    seen = np.zeros(SPACE_SIZE, dtype=bool)
-    n_proxy = 0
+    seen = bytearray(SPACE_SIZE)
+    slots, vals, tests, times, proxies = [], [], [], [], []  # per record; proxies where present
     for idx, row in enumerate(doc["records"]):
         try:
             k = operator.index(decode_str(row["arch"]))
-            fields = [float(row["val_acc"]), float(row["test_acc"]), float(row["train_time_s"])]
+            val, test, time = float(row["val_acc"]), float(row["test_acc"]), float(row["train_time_s"])
             if "proxy" in row:
-                fields.append(float(row["proxy"]))
+                proxies.append(float(row["proxy"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise BenchmarkError(f"{path}: record {idx} is malformed: {exc}") from None
         if seen[k]:
             raise BenchmarkError(f"{path}: duplicate arch string at record {idx}: {row['arch']!r}")
-        seen[k] = True
-        table[: len(fields), k] = fields
-        n_proxy += "proxy" in row
-    if not seen.all():
-        missing = [encode_str(ArchEncoding.from_index(k)) for k in np.flatnonzero(~seen)[:5]]
+        seen[k] = 1
+        slots.append(k)
+        vals.append(val)
+        tests.append(test)
+        times.append(time)
+    if len(slots) < SPACE_SIZE:
+        absent = np.flatnonzero(~np.frombuffer(seen, bool))[:5]
+        missing = [encode_str(ArchEncoding.from_index(k)) for k in absent]
         raise BenchmarkError(
-            f"{path}: incomplete benchmark: {int(seen.sum())} of {SPACE_SIZE} "
+            f"{path}: incomplete benchmark: {len(slots)} of {SPACE_SIZE} "
             f"architectures present; missing e.g. {missing}"
         )
-    if 0 < n_proxy < SPACE_SIZE:
+    if 0 < len(proxies) < SPACE_SIZE:
         raise BenchmarkError(f"{path}: proxy values present on some records but not all")
-    val, test, time, proxy = table
-    return Benchmark(str(doc["dataset"]), val, test, time, proxy if n_proxy else None)
+    columns = [vals, tests, times] + ([proxies] if proxies else [])
+    table = np.empty((len(columns), SPACE_SIZE))
+    table[:, slots] = columns
+    return Benchmark(str(doc["dataset"]), *table)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +246,20 @@ def _calibrate_proxy(val: np.ndarray, eta: np.ndarray, target: float) -> np.ndar
 
     The measured tau is monotone in the amplitude (toward 0 as amp grows),
     so bisection converges; the space is small enough to measure tau
-    exhaustively at every step.
+    exhaustively at every step.  The steps measure through one TauAgainst
+    of `val`: val is ranked once, and each step recounts discordant pairs
+    only among the genotypes whose proxy order moved since the previous
+    step (an element in place keeps its order against every other one), so
+    the late bisection steps, which move few genotypes, cost little.  Every
+    step's tau is exactly kendall_tau's.
     """
     base = val if target >= 0 else -val
-    if abs(kendall_tau(base, val) - target) <= 1e-9:
+    tau = TauAgainst(val)
+    if abs(tau(base) - target) <= 1e-9:
         return base.copy()
 
     def measured(amp: float) -> float:
-        return kendall_tau(base + amp * eta, val)
+        return tau(base + amp * eta)
 
     span = float(val.max() - val.min()) or 1.0
     lo, hi = 0.0, span
@@ -264,7 +284,7 @@ def _calibrate_proxy(val: np.ndarray, eta: np.ndarray, target: float) -> np.ndar
             hi = mid
     amp = 0.5 * (lo + hi)
     proxy = base + amp * eta
-    got = kendall_tau(proxy, val)
+    got = tau(proxy)
     if abs(got - target) > 0.05:
         raise CalibrationError(f"target tau {target} unreachable; calibrated to {got:.4f}")
     return proxy
@@ -283,8 +303,9 @@ def gen_synthetic(spec: SyntheticSpec) -> Benchmark:
     root = RngStream(spec.seed, ("synthetic-benchmark",))
     n_ops = len(OpKind)
     utilities = root.child("edge-utils").normal(size=(NUM_EDGES, n_ops))
-    # row k holds the edge op indices of genotype k (enumerate_all order)
-    combos = np.array(list(itertools.product(range(n_ops), repeat=NUM_EDGES)), dtype=np.intp)
+    # row k holds the edge op indices of genotype k: its base-n_ops digits, first edge most significant
+    places = n_ops ** np.arange(NUM_EDGES - 1, -1, -1)
+    combos = np.arange(SPACE_SIZE)[:, None] // places % n_ops
     raw = utilities[np.arange(NUM_EDGES), combos].sum(axis=1)
     if spec.interaction_scale:
         for i, j in _ADJACENT_PAIRS:

@@ -3,6 +3,8 @@
 Only numpy and the standard library: the t-test's p-value is a regularized
 incomplete beta function by continued fraction, and tau-b counts its
 discordant pairs with a bottom-up merge sort in O(n log n) (Knight 1966).
+`TauAgainst` measures many x against one y, recounting only the pairs
+that can have changed since its last count.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 
 import numpy as np
 
-__all__ = ["welch_ttest", "kendall_tau", "mean_std"]
+__all__ = ["welch_ttest", "kendall_tau", "TauAgainst", "mean_std"]
 
 _TINY = 1e-300  # stands in for a zero Lentz denominator
 _CF_EPS = 1e-15
@@ -84,13 +86,14 @@ def welch_ttest(a, b) -> tuple[float, float]:
     return t, _t_two_sided_p(t, df)
 
 
-def _dense_ranks(v: np.ndarray) -> np.ndarray:
-    """0-based ranks in which equal values share a rank and no rank is skipped."""
+def _dense_ranks(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, ranks): the sorting permutation of `v` and its 0-based ranks,
+    in which equal values share a rank and no rank is skipped."""
     order = np.argsort(v)
     ranked = v[order]
     ranks = np.empty(v.size, dtype=np.int64)
     ranks[order] = np.concatenate(([0], np.cumsum(ranked[1:] != ranked[:-1])))
-    return ranks
+    return order, ranks
 
 
 def _tied_pairs(run_lengths: np.ndarray) -> int:
@@ -122,6 +125,95 @@ def _discordant_pairs(y: np.ndarray, bits: int) -> int:
     return count
 
 
+# An incremental recount is taken while at most this share of the elements
+# moved; past it, two merge sorts of the moved set cost about a full count.
+_MAX_MOVED_SHARE = 0.25
+
+
+class TauAgainst:
+    """Kendall's tau-b of many x against one fixed y, each count exact.
+
+    `y` is ranked once.  After a count in which x has no ties, the order of
+    x and its discordant pairs are kept, and the next x is recounted only
+    among the elements that moved (see `_recount`).  Any tie in x, or a
+    moved set above `_MAX_MOVED_SHARE`, falls back to the full count.
+    Results do not depend on the call history: every call returns
+    kendall_tau(x, y).
+    """
+
+    def __init__(self, y):
+        y = np.asarray(y, dtype=np.float64)
+        n = y.size
+        self._shape = y.shape
+        self._total = n * (n - 1) // 2
+        self._ry = None if np.isnan(y).any() else _dense_ranks(y)[1]
+        if self._ry is not None:
+            self._y_ties = _tied_pairs(np.bincount(self._ry))
+            self._bits = int(self._ry.max()).bit_length()
+        self._order = None  # order of the last x counted, while it had no ties
+        self._discordant = 0
+
+    def __call__(self, x) -> float:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != self._shape:
+            raise ValueError(f"x of shape {x.shape} against y of shape {self._shape}")
+        total = self._total
+        if self._ry is None or self._y_ties == total or np.isnan(x).any():
+            return math.nan
+        x_ties = joint_ties = 0
+        if self._order is None or not self._recount(x):
+            x_ties, joint_ties = self._count(x)
+            if x_ties == total:
+                return math.nan
+        # total = concordant + discordant + x_ties + y_ties - joint ties
+        con_minus_dis = total - x_ties - self._y_ties + joint_ties - 2 * self._discordant
+        tau = con_minus_dis / math.sqrt(total - x_ties) / math.sqrt(total - self._y_ties)
+        return min(1.0, max(-1.0, tau))
+
+    def _count(self, x: np.ndarray) -> tuple[int, int]:
+        """Count every pair; returns (x ties, joint ties)."""
+        order, rx = _dense_ranks(x)
+        x_ties = _tied_pairs(np.bincount(rx))
+        bits = self._bits
+        if x_ties:
+            joint = np.sort((rx << bits) | self._ry)  # by x rank, then y rank
+            runs = np.diff(np.flatnonzero(np.concatenate(([True], joint[1:] != joint[:-1], [True]))))
+            ys, joint_ties = joint & ((1 << bits) - 1), _tied_pairs(runs)
+        else:
+            ys, joint_ties = self._ry[order], 0
+        self._discordant = _discordant_pairs(ys, bits)
+        self._order = None if x_ties else order
+        return x_ties, joint_ties
+
+    def _recount(self, x: np.ndarray) -> bool:
+        """Update the count from the last order; False if it cannot.
+
+        With `q` the new values in the last order, element k is in place when
+        max(q[:k]) < q[k] < min(q[k+1:]): it keeps its order against every
+        other element, so a pair can change order only if neither of its
+        elements is in place.  The moved elements fill their positions in
+        new-value order, and the discordant pairs change by those among the
+        moved set in its new order minus those in its old order.  A tie in
+        the new values can only fall between two moved elements.
+        """
+        order = self._order
+        q = x[order]
+        before = np.concatenate(([-np.inf], np.maximum.accumulate(q)[:-1]))
+        after = np.concatenate((np.minimum.accumulate(q[::-1])[-2::-1], [np.inf]))
+        moved = np.flatnonzero(~((before < q) & (q < after)))
+        if moved.size > _MAX_MOVED_SHARE * q.size:
+            return False
+        old = order[moved]
+        new = old[np.argsort(q[moved])]
+        values = x[new]
+        if (values[1:] == values[:-1]).any():
+            return False
+        ry, bits = self._ry, self._bits
+        self._discordant += _discordant_pairs(ry[new], bits) - _discordant_pairs(ry[old], bits)
+        order[moved] = new
+        return True
+
+
 def kendall_tau(x, y) -> float:
     """Kendall's tau-b (tie-corrected) rank correlation over all pairs.
 
@@ -136,22 +228,7 @@ def kendall_tau(x, y) -> float:
         raise ValueError(f"kendall_tau needs equal-length 1-D inputs, got {x.shape} vs {y.shape}")
     if x.size < 2:
         raise ValueError("kendall_tau needs at least 2 observations")
-    if np.isnan(x).any() or np.isnan(y).any():
-        return math.nan
-    n = x.size
-    total = n * (n - 1) // 2
-    rx, ry = _dense_ranks(x), _dense_ranks(y)
-    x_ties, y_ties = _tied_pairs(np.bincount(rx)), _tied_pairs(np.bincount(ry))
-    if x_ties == total or y_ties == total:
-        return math.nan
-    bits = int(ry.max()).bit_length()
-    joint = np.sort((rx << bits) | ry)  # by x rank, then y rank
-    runs = np.diff(np.flatnonzero(np.concatenate(([True], joint[1:] != joint[:-1], [True]))))
-    discordant = _discordant_pairs(joint & ((1 << bits) - 1), bits)
-    # total = concordant + discordant + x_ties + y_ties - joint ties
-    con_minus_dis = total - x_ties - y_ties + _tied_pairs(runs) - 2 * discordant
-    tau = con_minus_dis / math.sqrt(total - x_ties) / math.sqrt(total - y_ties)
-    return min(1.0, max(-1.0, tau))
+    return TauAgainst(y)(x)
 
 
 def mean_std(values) -> tuple[float, float]:

@@ -148,7 +148,7 @@ PINNED_OUTPUTS = {
     "rea": ("70831656c058faa53a30a4f4ab78abf364f40bf23d7db943ed022c63cec73f30",
             "aee48d2063c24212fc9815c4c2aecac1e81317debc4b246ed3dac20ccf511e43"),
     "rs": ("dd59cdf40bbbb7400a913073de373799754976a1490a2e7674521be6d23d132b",
-           "4e8d5323e37b65c09c42c52be0eb470d12743d09de653c84ff46211030f02d87"),
+           "e3c3fd6b4236c1854e717a8c11ef49fc4f56ad7f866a8d1189d7ad292bfe0da8"),
 }
 
 
@@ -163,6 +163,16 @@ def test_rea_echo_states_what_ran():
     search = run_experiment(small_config(method="rea", num_runs=1)).config.search
     assert (search.guided, search.gen_size, search.init_candidates) == (False, 1, SMALL_SEARCH.pop_size)
     assert run_experiment(small_config(num_runs=1)).config.search == SMALL_SEARCH
+
+
+def test_rs_echo_states_what_ran():
+    # random search keeps every one of its `cycles` uniform samples, unguided
+    result = run_experiment(small_config(method="rs", num_runs=1, sweep=(("cycles", [12, 8]),)))
+    search = result.config.search
+    ran = (search.guided, search.pop_size, search.gen_size, search.init_candidates, search.budget_counts_init)
+    assert ran == (False, SMALL_SEARCH.cycles, 1, SMALL_SEARCH.cycles, True)
+    assert [len(run.curve) for run in result.runs] == [12, 8]
+    assert all(run.n_proxy_evals == 0 for run in result.runs)
 
 
 def test_network_scoring_path():

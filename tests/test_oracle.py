@@ -11,6 +11,7 @@ import pytest
 
 from evonas.cellspace import ArchEncoding, OpKind, encode_str, enumerate_all, random_arch
 from evonas.evolution import SearchConfig, run_search
+from evonas import oracle
 from evonas.oracle import (
     Benchmark,
     BenchmarkError,
@@ -23,7 +24,7 @@ from evonas.oracle import (
     save_tabular,
 )
 from evonas.rng import RngStream
-from evonas.stats import kendall_tau
+from evonas.stats import TauAgainst, kendall_tau
 from evonas.zeroproxy import ProxyScore
 from evonas.cellspace import NUM_EDGES, NUM_NODES, OP_NAMES, SPACE_SIZE
 
@@ -113,6 +114,60 @@ def test_target_tau_calibration():
 def test_target_tau_negative():
     bench = gen_synthetic(SyntheticSpec(seed=6, target_proxy_tau=-0.5))
     assert -0.55 <= kendall_tau(bench.synthetic_proxy, bench.val_acc) <= -0.45
+
+
+@pytest.fixture
+def calibration_spy(monkeypatch):
+    """Records every x `_calibrate_proxy` measures with its tau, and which
+    count ran: "incremental", or "tied" (a full count of an x with ties)."""
+    log = SimpleNamespace(measured=[], paths=[])
+
+    class Spy(TauAgainst):
+        def __call__(self, x):
+            got = super().__call__(x)
+            log.measured.append((np.array(x), got))
+            return got
+
+        def _recount(self, x):
+            done = super()._recount(x)
+            if done:
+                log.paths.append("incremental")
+            return done
+
+        def _count(self, x):
+            ties = super()._count(x)
+            if ties[0]:
+                log.paths.append("tied")
+            return ties
+
+    monkeypatch.setattr(oracle, "TauAgainst", Spy)
+    return log
+
+
+def assert_exact_taus(measured, val):
+    for x, got in measured:
+        want = kendall_tau(x, val)
+        assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+def test_calibration_measures_exact_tau_on_landscape(calibration_spy):
+    bench = gen_synthetic(SyntheticSpec(seed=1, noise_std=2.0, target_proxy_tau=0.6, interaction_scale=0.5))
+    assert len(calibration_spy.measured) > 40
+    assert "incremental" in calibration_spy.paths
+    assert_exact_taus(calibration_spy.measured, bench.val_acc)
+
+
+def test_calibration_measures_exact_tau_with_ties(calibration_spy):
+    # distinct integer fitness and integer noise: base + amp*eta ties at the
+    # early, coarse amplitudes and not at the late bisection steps, so both
+    # full counts of tied x and incremental ones run
+    rng = np.random.default_rng(0)
+    val = rng.permutation(2049).astype(float)
+    eta = rng.integers(-3, 4, size=val.size).astype(float)
+    proxy = oracle._calibrate_proxy(val, eta, 0.5)
+    assert {"tied", "incremental"} <= set(calibration_spy.paths)
+    assert_exact_taus(calibration_spy.measured, val)
+    assert abs(kendall_tau(proxy, val) - 0.5) <= 0.05
 
 
 # sha256 of the synthetic_proxy bytes, computed when kendall_tau was still
@@ -220,6 +275,22 @@ def test_load_rejects_malformed_record(tmp_path):
         load_tabular(path)
 
 
+@pytest.mark.parametrize("duplicate_at,malformed_at", [(1, 5), (7, 2)])
+def test_load_reports_the_first_bad_record(duplicate_at, malformed_at, tmp_path):
+    path = tmp_path / "bench.json"
+    save_tabular(constant_benchmark(), path)
+    doc = json.loads(path.read_text())
+    doc["records"][duplicate_at] = dict(doc["records"][0])
+    del doc["records"][malformed_at]["val_acc"]
+    path.write_text(json.dumps(doc))
+    if duplicate_at < malformed_at:
+        message = f"{path}: duplicate arch string at record {duplicate_at}: {doc['records'][0]['arch']!r}"
+    else:
+        message = f"{path}: record {malformed_at} is malformed: 'val_acc'"
+    with pytest.raises(BenchmarkError, match=f"^{re.escape(message)}$"):
+        load_tabular(path)
+
+
 def test_load_rejects_bad_json_with_position(tmp_path):
     path = tmp_path / "bench.json"
     path.write_text('{"space": [broken')
@@ -310,14 +381,20 @@ def legacy_view(bench):
     )
 
 
-@pytest.mark.parametrize("with_proxy", [True, False])
+@pytest.mark.parametrize("with_proxy", [True, False, "nonfinite"])
 def test_save_tabular_matches_reference_writer(with_proxy, tmp_path):
     bench = gen_synthetic(SyntheticSpec(seed=16, noise_std=2.0, target_proxy_tau=0.6, interaction_scale=0.5))
     if not with_proxy:
         bench.synthetic_proxy = None
+    elif with_proxy == "nonfinite":  # json spells these NaN, Infinity and -Infinity
+        bench.synthetic_proxy[[0, 777, SPACE_SIZE - 1]] = [np.nan, np.inf, -np.inf]
     save_tabular(bench, tmp_path / "new.json")
     reference_save_tabular(legacy_view(bench), tmp_path / "reference.json")
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+    loaded = load_tabular(tmp_path / "new.json")
+    for name in ("val_acc", "test_acc", "train_time_s", "synthetic_proxy"):
+        x, y = getattr(loaded, name), getattr(bench, name)
+        assert (x is None and y is None) or x.tobytes() == y.tobytes(), name
 
 
 def test_proxy_map_indexed_by_arch_as_scorer():

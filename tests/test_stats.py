@@ -6,7 +6,7 @@ import pytest
 from scipy import special as scipy_special
 from scipy import stats as scipy_stats
 
-from evonas.stats import _t_two_sided_p, kendall_tau, mean_std, welch_ttest
+from evonas.stats import TauAgainst, _t_two_sided_p, kendall_tau, mean_std, welch_ttest
 
 # Fixture computed with two independent implementations (scipy.stats
 # ttest_ind(equal_var=False) and an mpmath transcription of the Welch
@@ -173,6 +173,25 @@ def test_tau_rejects_bad_shapes_and_sizes():
         kendall_tau([[1.0, 2.0]], [[1.0, 2.0]])
     with pytest.raises(ValueError):
         kendall_tau([1.0], [1.0])
+
+
+def test_tau_against_each_call_equals_kendall_tau():
+    """One TauAgainst over a sequence of x: large and small moves, a repeat,
+    a tie made inside the moved set, NaN and constant x; each call equals a
+    fresh kendall_tau whatever came before."""
+    rng = np.random.default_rng(5)
+    y = rng.integers(0, 40, size=500).astype(float)
+    base, eta = rng.normal(size=500), rng.normal(size=500)
+    xs = [base + amp * eta for amp in (0.0, 4.0, 2.0, 1.0, 1.5, 1.25, 1.3, 1.2999, 1.2999, 0.01)]
+    order = np.argsort(xs[-1])
+    tied = xs[-1].copy()
+    tied[order[100]] = tied[order[103]]  # moves four elements, two of them now equal
+    xs += [xs[-1], tied, xs[-1], np.where(np.arange(500) == 7, np.nan, xs[-1]), xs[-2], np.ones(500), xs[3]]
+    tau = TauAgainst(y)
+    for k, x in enumerate(xs):
+        assert _same(tau(x), kendall_tau(x, y)), k
+    with pytest.raises(ValueError):
+        tau(np.ones(499))
 
 
 def test_t_p_value_matches_scipy_stdtr_on_grid():
