@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .batches import SyntheticBatchSpec
 from .cellspace import decode_str, encode_str
-from .evolution import ConfigError
+from .evolution import METHODS, ConfigError
 from .experiment import ExperimentConfig, config_from_doc, emit_results, load_batch, run_experiment
 from .oracle import SyntheticSpec, gen_synthetic, save_tabular
 from .rng import RngStream
@@ -35,7 +35,7 @@ def _parser() -> argparse.ArgumentParser:
 
     def add_run_flags(p):
         p.add_argument("--config", help="experiment JSON file: the config block of a summary.json")
-        p.add_argument("--method", choices=("gea", "rea", "rs"))
+        p.add_argument("--method", choices=METHODS)
         p.add_argument("--pop-size", type=int, dest="pop_size")
         p.add_argument("--tournament", type=int, dest="tournament_size")
         p.add_argument("--cycles", type=int)

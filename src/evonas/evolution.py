@@ -18,12 +18,16 @@ Training is one oracle query per trained architecture, whether initial,
 transferred or a child, and logs one trajectory event.
 
 Guided mode off degenerates to the classic aging-evolution baseline:
-init_candidates == pop_size, one child per cycle, and no proxy calls (every
-individual carries the sentinel score).  Those unguided defaults are set in
-`SearchConfig.__post_init__` alone, and `_scoring` alone decides whether a
-run calls its scorer and pays for it.  Random search is the unguided
-initialization with pop_size == init_candidates == cycles: every sample is
-kept and no cycle runs.
+init_candidates == pop_size, one child per cycle, and no proxy calls or
+proxy cost (every individual carries the sentinel score).  Those unguided
+defaults are set in `SearchConfig.__post_init__` alone, and `_scoring`
+alone decides whether a run calls its scorer and pays for it.
+
+`METHODS` names the compared search methods and `method_config` alone
+states the search each one runs: GEA is the guided run, REA (aging
+evolution) the unguided one, and random search (RS) the unguided
+initialization with pop_size == init_candidates == cycles, so every sample
+is kept and no cycle runs.  Every method runs through `run_search`.
 
 Every random draw comes from a named substream of the run stream, so
 trajectories are reproducible event for event.  Substream layout:
@@ -38,6 +42,7 @@ The "score" streams seed the scorer (guided runs only).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Collection, Optional
@@ -55,6 +60,8 @@ __all__ = [
     "TrajectoryEvent",
     "Trajectory",
     "Scorer",
+    "METHODS",
+    "method_config",
     "rea_config",
     "init_population",
     "tournament_select",
@@ -84,6 +91,11 @@ class CheckpointError(ValueError):
     """Checkpoint file malformed or from a different search space."""
 
 
+def _is_count(value) -> bool:
+    """Whether `value` is an int and not a bool (a JSON `true` is no count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class Individual:
     arch: ArchEncoding
@@ -100,14 +112,14 @@ class SearchConfig:
     `gen_size` defaults to `pop_size` and `init_candidates` to `cycles`.
     `guided=False` gives baseline aging-evolution semantics: no proxy calls
     (every score is the sentinel), one child per cycle (gen_size is forced
-    to 1), and `init_candidates` defaults to `pop_size`.  The unguided
-    defaults are set here only: `rea_config`, random search and the
-    experiment runner leave both fields at None.  `budget_counts_init` keeps
-    the total number of trained architectures at `cycles`, counting the
-    initial population; switching it off runs `cycles` evolution steps on
-    top of the initial population; it and `guided` must be bools.  An
-    experiment sweep `dataclasses.replace`s one field, keeping the resolved
-    `gen_size` and `init_candidates`.
+    to 1), no proxy cost (proxy_cost_s is forced to 0.0), and
+    `init_candidates` defaults to `pop_size`.  The unguided defaults are set
+    here only.  `budget_counts_init` keeps the total number of trained
+    architectures at `cycles`, counting the initial population; switching it
+    off runs `cycles` evolution steps on top of the initial population.
+    Counts must be ints, `proxy_cost_s` a finite real and the two switches
+    bools; anything else raises ConfigError.  `method_config` states which
+    of these fields each search method reads.
     """
 
     pop_size: int = 10
@@ -126,6 +138,15 @@ class SearchConfig:
         for name in ("guided", "budget_counts_init"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        for name in ("pop_size", "tournament_size", "cycles", "gen_size", "init_candidates", "seed"):
+            value = getattr(self, name)
+            if not (_is_count(value) or value is None and name in ("gen_size", "init_candidates")):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        cost = self.proxy_cost_s
+        if isinstance(cost, bool) or not isinstance(cost, (int, float)) or not 0 <= cost < math.inf:
+            raise ConfigError(f"proxy_cost_s must be a finite nonnegative number, got {cost!r}")
+        if not self.guided:
+            object.__setattr__(self, "proxy_cost_s", 0.0)
         if not self.guided or self.gen_size is None:
             object.__setattr__(self, "gen_size", self.pop_size if self.guided else 1)
         if self.init_candidates is None:
@@ -144,8 +165,23 @@ class SearchConfig:
             raise ConfigError(f"parent_mode must be one of {_PARENT_MODES}")
         if self.removal_mode not in _REMOVAL_MODES:
             raise ConfigError(f"removal_mode must be one of {_REMOVAL_MODES}")
-        if self.proxy_cost_s < 0:
-            raise ConfigError("proxy_cost_s must be nonnegative")
+
+
+METHODS = ("gea", "rea", "rs")
+
+
+def method_config(method: str, base: SearchConfig, **fields) -> SearchConfig:
+    """The search `method` runs from `base`, with `fields` replaced in one
+    step.  gea: guided.  rea: unguided, leaving `gen_size` and
+    `init_candidates` to SearchConfig.  rs: `cycles` uniform samples, all
+    kept, so it reads only `cycles` and `seed`."""
+    if method == "rs":
+        cycles, seed = (fields.get(name, getattr(base, name)) for name in ("cycles", "seed"))
+        return SearchConfig(pop_size=cycles, cycles=cycles, guided=False, seed=seed)
+    if method not in METHODS:
+        raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
+    run = {"guided": True} if method == "gea" else {"guided": False, "gen_size": None, "init_candidates": None}
+    return replace(base, **{**fields, **run})
 
 
 def rea_config(**fields) -> SearchConfig:
@@ -358,9 +394,7 @@ def run_random_search(cfg: SearchConfig, bench: Benchmark, rng: Optional[RngStre
     cycle run.  The samples form no population to evolve or transfer, so
     `final_population` stays empty.
     """
-    n = cfg.cycles
-    sampling = replace(cfg, guided=False, pop_size=n, init_candidates=None, budget_counts_init=True)
-    traj = run_search(sampling, bench, rng=rng)
+    traj = run_search(method_config("rs", cfg), bench, rng=rng)
     traj.final_population = []
     return traj
 
@@ -396,18 +430,23 @@ def load_checkpoint(path) -> list:
         doc = json.loads(Path(path).read_text("utf-8"))
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"{path}: a checkpoint is a JSON object, got {type(doc).__name__}")
     space = doc.get("space", {})
     if not matches_space(space):
         raise CheckpointError(f"{path}: checkpoint space {space!r} does not match target space")
+    rows = doc.get("individuals", [])
+    if not isinstance(rows, list):
+        raise CheckpointError(f"{path}: individuals must be a list, got {type(rows).__name__}")
     pop = []
     last_birth = None
-    for idx, row in enumerate(doc.get("individuals", [])):
+    for idx, row in enumerate(rows):
         try:
             arch = decode_str(row["arch"])
             fitness = float(row["fitness"])
             proxy = ProxyScore.sentinel() if row["proxy"] == "sentinel" else ProxyScore(float(row["proxy"]))
             birth = int(row["birth_index"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: individual {idx} is malformed: {exc}") from None
         if last_birth is not None and birth <= last_birth:
             raise CheckpointError(f"{path}: birth_index must increase along the population")

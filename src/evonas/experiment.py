@@ -27,7 +27,7 @@ from pathlib import Path
 from . import __version__
 from .batches import SyntheticBatchSpec, load_raw_batch, make_batch
 from .cellspace import ArchEncoding, encode_str
-from .evolution import ConfigError, SearchConfig, Trajectory, run_random_search, run_search
+from .evolution import ConfigError, SearchConfig, Trajectory, _is_count, method_config, run_search
 from .oracle import Benchmark, SyntheticSpec, best_of, gen_synthetic, load_tabular
 from .rng import RngStream, derive_seed
 from .stats import mean_std
@@ -45,15 +45,8 @@ __all__ = [
     "emit_results",
 ]
 
-_METHODS = ("gea", "rea", "rs")
 # the master seed derives every run seed, and the method decides guidance
 _SWEEPABLE = {f.name for f in dataclasses.fields(SearchConfig)} - {"seed", "guided"}
-# what the method decides of each run's search (SearchConfig sets the unguided
-# defaults); rs also keeps every sample: its pop_size is the run's cycles
-_METHOD_FIELDS = {"gea": {"guided": True},
-                  "rea": {"guided": False, "gen_size": None, "init_candidates": None},
-                  "rs": {"guided": False, "gen_size": None, "init_candidates": None,
-                         "budget_counts_init": True}}
 # the experiment document's dataclass objects and benchmark/batch sources
 _OBJECTS = (("search", SearchConfig), ("skeleton", SkeletonConfig), ("proxy", ProxyParams))
 _SOURCES = (("benchmark", SyntheticSpec), ("batch", SyntheticBatchSpec))
@@ -68,12 +61,13 @@ class ExperimentConfig:
     raw-image file path scores real networks at the batch's input shape
     (the result's `skeleton` echoes it); None falls back to the benchmark's
     bundled proxy map.  `sweep` lists (search-field, values) pairs, each
-    swept one field at a time from the base search config: a point changes
-    only its own field, so a swept `pop_size` or `cycles` keeps the base's
-    resolved `gen_size` and `init_candidates` (as `summary.json` echoes
-    them); random search takes `pop_size = init_candidates = cycles`.
-    `seed` and `guided` are not sweepable: the master seed derives every
-    run seed and `method` decides guidance.
+    swept one field at a time: a point runs `method_config(method, search,
+    field=value)`, so under gea a swept `pop_size` or `cycles` keeps the
+    base's resolved `gen_size` and `init_candidates` (as `summary.json`
+    echoes them).  A sweep whose values give equal searches fails (a field
+    the method decides or never reads, or a repeated value), and so does
+    one over `seed` or `guided`: the master seed derives every run seed and
+    `method` decides guidance.  `num_runs` and `batch_count` are ints.
     """
 
     method: str = "gea"
@@ -88,8 +82,10 @@ class ExperimentConfig:
     out: str = "results"
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ConfigError(f"method must be one of {_METHODS}, got {self.method!r}")
+        method_config(self.method, self.search)  # an unknown method fails here
+        for name in ("num_runs", "batch_count"):
+            if not _is_count(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.num_runs < 1:
             raise ConfigError("num_runs must be >= 1")
         if self.benchmark is None:
@@ -99,6 +95,9 @@ class ExperimentConfig:
                 raise ConfigError(f"sweep parameter {param!r} is not a sweepable search field")
             if not values:
                 raise ConfigError(f"sweep over {param!r} has no values")
+            if len({method_config(self.method, self.search, **{param: v}) for v in values}) < len(values):
+                raise ConfigError(f"sweep over {param!r} runs equal {self.method} searches: "
+                                  f"{self.method} decides or never reads it, or a value repeats")
 
 
 @dataclass(frozen=True)
@@ -124,6 +123,10 @@ class RunResult:
     simulated_time_s: float
     n_proxy_evals: int
     curve: list  # (cycle, best_so_far, simulated_time_s)
+
+
+# summary.json's per-run keys: every RunResult field but the curve, which curves.csv holds
+_RUN_KEYS = tuple(f.name for f in dataclasses.fields(RunResult) if f.name != "curve")
 
 
 @dataclass
@@ -154,9 +157,9 @@ def load_batch(source, count: int, skeleton: SkeletonConfig):
     return batch, labels, dataclasses.replace(skeleton, input_channels=channels, input_hw=hw)
 
 
-def _resolve_scorer(cfg: ExperimentConfig, bench: Benchmark):
-    """Scorer for guided runs (None for baselines) and the skeleton it runs at."""
-    if cfg.method != "gea":
+def _resolve_scorer(cfg: ExperimentConfig, bench: Benchmark, guided: bool):
+    """Scorer for guided runs (None for unguided ones) and the skeleton it runs at."""
+    if not guided:
         return None, cfg.skeleton
     if cfg.batch is not None:
         batch, labels, skeleton = load_batch(cfg.batch, cfg.batch_count, cfg.skeleton)
@@ -165,13 +168,6 @@ def _resolve_scorer(cfg: ExperimentConfig, bench: Benchmark):
         proxy_map = bench.synthetic_proxy
         return (lambda arch, stream: ProxyScore(value=proxy_map[arch])), cfg.skeleton
     raise ConfigError("guided method needs a batch source or a benchmark with a proxy map")
-
-
-def _search_cfg(cfg: ExperimentConfig, override: dict, seed: int) -> SearchConfig:
-    fields = {**override, "seed": seed, **_METHOD_FIELDS[cfg.method]}
-    if cfg.method == "rs":
-        fields["pop_size"] = fields.get("cycles", cfg.search.cycles)
-    return dataclasses.replace(cfg.search, **fields)
 
 
 def _curve(traj: Trajectory, first: int) -> list:
@@ -198,9 +194,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     points = [(cfg.method, {})] if not cfg.sweep else [
         (f"{cfg.method}:{param}={_token(value)}", {param: value}) for param, values in cfg.sweep for value in values
     ]
-    plan = [(label, [_search_cfg(cfg, override, seed) for seed in seeds]) for label, override in points]
+    plan = [(label, [method_config(cfg.method, cfg.search, **override, seed=seed) for seed in seeds])
+            for label, override in points]
+    ran = method_config(cfg.method, cfg.search)
     bench = _resolve_benchmark(cfg)
-    scorer, skeleton = _resolve_scorer(cfg, bench)
+    scorer, skeleton = _resolve_scorer(cfg, bench, ran.guided)
     ref_arch, ref_rec = best_of(bench)
 
     runs: list = []
@@ -208,10 +206,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for label, searches in plan:
         point_runs = []
         for run_id, search in enumerate(searches):
-            if cfg.method == "rs":
-                traj, first = run_random_search(search, bench), 0
-            else:
-                traj, first = run_search(search, bench, scorer), search.pop_size - 1
+            traj = run_search(search, bench, scorer)
+            first = 0 if cfg.method == "rs" else search.pop_size - 1
             point_runs.append(
                 RunResult(
                     label=label,
@@ -241,7 +237,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         )
         runs.extend(point_runs)
     return ExperimentResult(
-        config=dataclasses.replace(cfg, search=_search_cfg(cfg, {}, cfg.search.seed), skeleton=skeleton),
+        config=dataclasses.replace(cfg, search=ran, skeleton=skeleton),
         reference_arch=ref_arch,
         reference_val_acc=ref_rec.val_acc,
         runs=runs,
@@ -284,7 +280,12 @@ def config_from_doc(doc) -> ExperimentConfig:
         fields.setdefault("batch_count", batch["raw"].get("count", ExperimentConfig.batch_count))
     for name, spec_cls in _SOURCES:
         fields[name] = _source(fields.get(name), spec_cls, name)
-    fields["sweep"] = tuple((param, list(values)) for param, values in fields.get("sweep", ()))
+    sweep = fields.get("sweep", ())
+    for entry in sweep if isinstance(sweep, tuple) else [sweep]:
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                and isinstance(entry[1], list)):
+            raise ConfigError(f"a sweep entry is [field, [values...]], got {entry!r}")
+    fields["sweep"] = tuple((param, values) for param, values in sweep)
     return ExperimentConfig(**fields)
 
 
@@ -330,20 +331,8 @@ def emit_results(result: ExperimentResult, out=None) -> tuple[Path, Path]:
             "val_acc": result.reference_val_acc,
         },
         "rows": [dataclasses.asdict(row) for row in result.rows],
-        "runs": [
-            {
-                "label": r.label,
-                "run_id": r.run_id,
-                "seed": r.seed,
-                "final_arch": encode_str(r.final_arch),
-                "final_val_acc": r.final_val_acc,
-                "final_test_acc": r.final_test_acc,
-                "regret": r.regret,
-                "simulated_time_s": r.simulated_time_s,
-                "n_proxy_evals": r.n_proxy_evals,
-            }
-            for r in result.runs
-        ],
+        "runs": [{**{name: getattr(r, name) for name in _RUN_KEYS}, "final_arch": encode_str(r.final_arch)}
+                 for r in result.runs],
     }
     summary_path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", "utf-8")
     return curves_path, summary_path

@@ -6,6 +6,7 @@ import pytest
 from evonas.cellspace import ArchEncoding, OpKind, enumerate_all, mutate, random_arch
 from evonas.evolution import (
     CheckpointError,
+    METHODS,
     ConfigError,
     Individual,
     SearchConfig,
@@ -13,6 +14,7 @@ from evonas.evolution import (
     _scoring,
     init_population,
     load_checkpoint,
+    method_config,
     rea_config,
     remove_survivor,
     run_random_search,
@@ -98,6 +100,43 @@ def test_rea_config_semantics():
     assert cfg.init_candidates == 7
     # unguided configs always collapse to one child per cycle
     assert SearchConfig(guided=False, gen_size=9, init_candidates=10).gen_size == 1
+
+
+@pytest.mark.parametrize("name, value", [
+    ("pop_size", 4.0), ("pop_size", True), ("cycles", "12"), ("tournament_size", None),
+    ("gen_size", 2.0), ("init_candidates", False), ("seed", 1.5),
+    ("proxy_cost_s", float("nan")), ("proxy_cost_s", float("inf")), ("proxy_cost_s", "0.1"),
+    ("proxy_cost_s", True),
+])
+def test_search_counts_must_be_integers(name, value):
+    with pytest.raises(ConfigError, match=name):
+        SearchConfig(**{name: value})
+
+
+def test_unguided_runs_are_charged_no_proxy_time():
+    assert SearchConfig(proxy_cost_s=0.3).proxy_cost_s == 0.3
+    assert rea_config(proxy_cost_s=0.3).proxy_cost_s == 0.0
+
+
+def test_method_config_states_what_each_method_runs():
+    base = SearchConfig(pop_size=4, tournament_size=3, cycles=20, gen_size=2, init_candidates=20,
+                        removal_mode="highest", seed=9, proxy_cost_s=0.2, budget_counts_init=False)
+    assert METHODS == ("gea", "rea", "rs")
+    assert method_config("gea", base) == base
+    assert method_config("rea", base) == rea_config(pop_size=4, tournament_size=3, cycles=20,
+                                                    removal_mode="highest", seed=9, budget_counts_init=False)
+    # random search reads only cycles and seed
+    assert method_config("rs", base) == SearchConfig(pop_size=20, cycles=20, guided=False, seed=9)
+    assert method_config("rs", base, cycles=3, seed=2, tournament_size=1) == method_config(
+        "rs", SearchConfig(pop_size=3, cycles=3, seed=2))
+    with pytest.raises(ConfigError, match="method"):
+        method_config("annealing", base)
+
+
+def test_method_config_replaces_in_one_step():
+    # each field alone would fail against the base: cycles < pop_size, pop_size > init_candidates
+    assert method_config("rs", SearchConfig(pop_size=4, cycles=20), cycles=3).cycles == 3
+    assert method_config("rea", SearchConfig(init_candidates=20, cycles=30), pop_size=25).init_candidates == 25
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +621,21 @@ def test_checkpoint_space_mismatch(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError, match="space"):
         load_checkpoint(path)
+
+
+def test_checkpoint_shape_errors(tmp_path):
+    import json
+
+    path = tmp_path / "pop.json"
+    save_checkpoint(individuals([1.0]), path)
+    doc = json.loads(path.read_text())
+    row = doc["individuals"][0]
+    for bad in ([doc], "pop", 3, None, {**doc, "individuals": {"0": row}}, {**doc, "individuals": 3},
+                {**doc, "individuals": None}, {**doc, "individuals": [[row]]},
+                {**doc, "individuals": [{**row, "arch": 5}]}):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
 
 def test_checkpoint_birth_order_enforced(tmp_path):

@@ -146,9 +146,9 @@ PINNED_OUTPUTS = {
     "gea": ("f1a3c5145857cde344eda981998ee79a78938b3de0d7432264246e486dd3cc64",
             "0124840b096bf7293eb12c704466f7a278afad966ab40187419e8e226c29f8bf"),
     "rea": ("70831656c058faa53a30a4f4ab78abf364f40bf23d7db943ed022c63cec73f30",
-            "aee48d2063c24212fc9815c4c2aecac1e81317debc4b246ed3dac20ccf511e43"),
+            "251810095b7ac1434dae9f972d159c19b15a578e1c86eb999164e6959fba1466"),
     "rs": ("dd59cdf40bbbb7400a913073de373799754976a1490a2e7674521be6d23d132b",
-           "e3c3fd6b4236c1854e717a8c11ef49fc4f56ad7f866a8d1189d7ad292bfe0da8"),
+           "6ef2f6368589a035e1e713a5c2ed77ba110f699ca084be16b90ae17b1fe21aac"),
 }
 
 
@@ -216,7 +216,7 @@ def test_config_doc_round_trips_through_json():
         method="rea", search=SMALL_SEARCH, benchmark=BENCH_SPEC,
         batch=SyntheticBatchSpec(num_classes=3, samples_per_class=2, image_shape=(2, 8, 8)),
         batch_count=7, skeleton=SkeletonConfig(input_hw=8), num_runs=2,
-        sweep=(("removal_mode", ["oldest", "lowest"]), ("proxy_cost_s", [0.5, 1])), out="x",
+        sweep=(("removal_mode", ["oldest", "lowest"]), ("tournament_size", [2, 3])), out="x",
     )
     doc = json.loads(json.dumps(_config_echo(cfg)))
     assert doc["benchmark"] == {"synthetic": dataclasses.asdict(BENCH_SPEC)}
@@ -255,6 +255,52 @@ def test_config_doc_raw_batch_form():
 def test_run_fields_are_not_sweepable(param, values):
     with pytest.raises(ConfigError, match=param):
         ExperimentConfig(benchmark=BENCH_SPEC, sweep=((param, values),))
+
+
+@pytest.mark.parametrize("method, param, values", [
+    ("rs", "pop_size", [3, 5]),
+    ("rs", "tournament_size", [1, 3]),
+    ("rs", "removal_mode", ["oldest", "highest"]),
+    ("rs", "budget_counts_init", [False, True]),
+    ("rea", "gen_size", [2, 7]),
+    ("rea", "init_candidates", [4, 9]),
+    ("rea", "proxy_cost_s", [0.1, 0.9]),
+    ("gea", "gen_size", [None, 4]),  # null resolves to pop_size 4
+    ("gea", "cycles", [12, 12]),
+])
+def test_sweep_of_equal_searches_fails(method, param, values):
+    # a field the method decides or never reads would run identical points
+    with pytest.raises(ConfigError, match=f"{param}.*{method}"):
+        small_config(method=method, sweep=((param, values),))
+
+
+@pytest.mark.parametrize("doc, name", [
+    ('{"search": {"pop_size": 4.0}}', "pop_size"),
+    ('{"search": {"pop_size": true}}', "pop_size"),
+    ('{"search": {"cycles": "12"}}', "cycles"),
+    ('{"search": {"seed": 1.5}}', "seed"),
+    ('{"search": {"proxy_cost_s": NaN}}', "proxy_cost_s"),
+    ('{"num_runs": true}', "num_runs"),
+    ('{"batch_count": 8.0}', "batch_count"),
+])
+def test_config_doc_counts_must_be_integers(doc, name):
+    from evonas.experiment import config_from_doc
+
+    with pytest.raises(ConfigError, match=name):
+        config_from_doc({"benchmark": "bench.json", **json.loads(doc)})
+
+
+@pytest.mark.parametrize("sweep", [
+    [["pop_size", "3,4"]], [["pop_size", 3]], [["pop_size"]], [[3, [1, 2]]], ["pop_size"],
+    "pop_size", {"pop_size": [3, 4]}, 3,
+])
+def test_config_doc_sweep_entries_are_field_and_values(sweep):
+    from evonas.experiment import config_from_doc
+
+    with pytest.raises(ConfigError, match="sweep"):
+        config_from_doc({"benchmark": "bench.json", "sweep": sweep})
+    cfg = config_from_doc({"benchmark": "bench.json", "sweep": [["pop_size", [3, 4]]]})
+    assert cfg.sweep == (("pop_size", [3, 4]),)
 
 
 def test_sweep_changes_one_field_at_a_time():
