@@ -4,9 +4,9 @@ The package's parts, bottom up: `rng` (deterministic splittable streams),
 `cellspace` (genotype, mutation, string codec), `tensornet` (forward pass
 and input Jacobian of untrained networks), `zeroproxy` (the
 Jacobian-correlation score), `oracle` (tabular and synthetic fitness),
-`evolution` (the search loop and the search methods), plus `batches`,
-`stats`, `experiment` and `cli` for running multi-seed comparisons end to
-end.
+`evolution` (the search loop and the search methods), plus `config` (the
+field rule), `batches`, `stats`, `experiment` and `cli` for running
+multi-seed comparisons end to end.
 """
 
 __version__ = "0.1.0"

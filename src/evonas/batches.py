@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError, check_fields, is_int
 from .rng import RngStream
 
 __all__ = ["SyntheticBatchSpec", "BatchFormatError", "make_batch", "load_raw_batch"]
@@ -33,12 +34,12 @@ class SyntheticBatchSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
+        check_fields(self)
         if self.samples_per_class < 2:
-            raise ValueError("samples_per_class must be >= 2 (correlations need pairs)")
-        if len(self.image_shape) != 3 or any(d < 1 for d in self.image_shape):
-            raise ValueError(f"image_shape must be (channels, h, w), got {self.image_shape}")
+            raise ConfigError("samples_per_class must be >= 2 (correlations need pairs)")
+        shape = self.image_shape
+        if not (isinstance(shape, tuple) and len(shape) == 3 and all(is_int(d) and d >= 1 for d in shape)):
+            raise ConfigError(f"image_shape must be (channels, h, w), ints >= 1, got {shape!r}")
 
 
 def make_batch(spec: SyntheticBatchSpec) -> tuple[np.ndarray, np.ndarray]:

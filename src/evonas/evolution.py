@@ -42,12 +42,12 @@ The "score" streams seed the scorer (guided runs only).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Collection, Optional
 
 from .cellspace import ArchEncoding, decode_str, encode_str, matches_space, mutate, random_arch, space_doc
+from .config import ConfigError, check_fields, is_int, is_real
 from .oracle import Benchmark, query
 from .rng import RngStream
 from .zeroproxy import ProxyScore
@@ -83,17 +83,8 @@ _PARENT_MODES = ("tournament", "highest", "lowest")
 _REMOVAL_MODES = ("oldest", "highest", "lowest")
 
 
-class ConfigError(ValueError):
-    """Invalid search configuration."""
-
-
 class CheckpointError(ValueError):
     """Checkpoint file malformed or from a different search space."""
-
-
-def _is_count(value) -> bool:
-    """Whether `value` is an int and not a bool (a JSON `true` is no count)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -113,13 +104,11 @@ class SearchConfig:
     `guided=False` gives baseline aging-evolution semantics: no proxy calls
     (every score is the sentinel), one child per cycle (gen_size is forced
     to 1), no proxy cost (proxy_cost_s is forced to 0.0), and
-    `init_candidates` defaults to `pop_size`.  The unguided defaults are set
-    here only.  `budget_counts_init` keeps the total number of trained
-    architectures at `cycles`, counting the initial population; switching it
-    off runs `cycles` evolution steps on top of the initial population.
-    Counts must be ints, `proxy_cost_s` a finite real and the two switches
-    bools; anything else raises ConfigError.  `method_config` states which
-    of these fields each search method reads.
+    `init_candidates` defaults to `pop_size`.  `budget_counts_init` keeps
+    the total number of trained architectures at `cycles`, counting the
+    initial population; switching it off runs `cycles` evolution steps on
+    top of the initial population.  `method_config` states which of these
+    fields each search method reads.
     """
 
     pop_size: int = 10
@@ -135,32 +124,19 @@ class SearchConfig:
     budget_counts_init: bool = True
 
     def __post_init__(self):
-        for name in ("guided", "budget_counts_init"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        for name in ("pop_size", "tournament_size", "cycles", "gen_size", "init_candidates", "seed"):
-            value = getattr(self, name)
-            if not (_is_count(value) or value is None and name in ("gen_size", "init_candidates")):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        cost = self.proxy_cost_s
-        if isinstance(cost, bool) or not isinstance(cost, (int, float)) or not 0 <= cost < math.inf:
-            raise ConfigError(f"proxy_cost_s must be a finite nonnegative number, got {cost!r}")
+        check_fields(self)
+        if self.proxy_cost_s < 0:
+            raise ConfigError(f"proxy_cost_s must be nonnegative, got {self.proxy_cost_s!r}")
         if not self.guided:
             object.__setattr__(self, "proxy_cost_s", 0.0)
         if not self.guided or self.gen_size is None:
             object.__setattr__(self, "gen_size", self.pop_size if self.guided else 1)
         if self.init_candidates is None:
-            object.__setattr__(
-                self, "init_candidates", self.pop_size if not self.guided else self.cycles
-            )
-        if self.tournament_size < 1:
-            raise ConfigError("tournament_size must be >= 1")
-        if not 1 <= self.pop_size <= self.init_candidates:
-            raise ConfigError("need 1 <= pop_size <= init_candidates")
+            object.__setattr__(self, "init_candidates", self.pop_size if not self.guided else self.cycles)
+        if self.pop_size > self.init_candidates:
+            raise ConfigError("need pop_size <= init_candidates")
         if self.cycles < self.pop_size:
             raise ConfigError("cycles must be >= pop_size")
-        if self.gen_size < 1:
-            raise ConfigError("gen_size must be >= 1")
         if self.parent_mode not in _PARENT_MODES:
             raise ConfigError(f"parent_mode must be one of {_PARENT_MODES}")
         if self.removal_mode not in _REMOVAL_MODES:
@@ -442,14 +418,14 @@ def load_checkpoint(path) -> list:
     last_birth = None
     for idx, row in enumerate(rows):
         try:
-            arch = decode_str(row["arch"])
-            fitness = float(row["fitness"])
-            proxy = ProxyScore.sentinel() if row["proxy"] == "sentinel" else ProxyScore(float(row["proxy"]))
-            birth = int(row["birth_index"])
+            arch, fitness, proxy, birth = decode_str(row["arch"]), row["fitness"], row["proxy"], row["birth_index"]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: individual {idx} is malformed: {exc}") from None
+        if not (is_real(fitness) and (proxy == "sentinel" or is_real(proxy)) and is_int(birth)):
+            raise CheckpointError(f"{path}: individual {idx} needs finite fitness and proxy, int birth_index")
         if last_birth is not None and birth <= last_birth:
             raise CheckpointError(f"{path}: birth_index must increase along the population")
         last_birth = birth
-        pop.append(Individual(arch, proxy, fitness, birth, origin="init"))
+        proxy = ProxyScore.sentinel() if proxy == "sentinel" else ProxyScore(proxy)
+        pop.append(Individual(arch, proxy, float(fitness), birth, origin="init"))
     return pop

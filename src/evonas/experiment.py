@@ -21,13 +21,15 @@ import csv
 import dataclasses
 import io
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
 from .batches import SyntheticBatchSpec, load_raw_batch, make_batch
 from .cellspace import ArchEncoding, encode_str
-from .evolution import ConfigError, SearchConfig, Trajectory, _is_count, method_config, run_search
+from .config import ConfigError, check_fields
+from .evolution import SearchConfig, Trajectory, method_config, run_search
 from .oracle import Benchmark, SyntheticSpec, best_of, gen_synthetic, load_tabular
 from .rng import RngStream, derive_seed
 from .stats import mean_std
@@ -56,7 +58,7 @@ _SOURCES = (("benchmark", SyntheticSpec), ("batch", SyntheticBatchSpec))
 class ExperimentConfig:
     """One experiment: a method, its knobs, data sources and replication.
 
-    `benchmark` is either a tabular-file path or a SyntheticSpec.  `batch`
+    `benchmark` is a tabular-file path, a SyntheticSpec or a Benchmark.  `batch`
     selects how guided runs score architectures: a SyntheticBatchSpec or a
     raw-image file path scores real networks at the batch's input shape
     (the result's `skeleton` echoes it); None falls back to the benchmark's
@@ -67,7 +69,7 @@ class ExperimentConfig:
     echoes them).  A sweep whose values give equal searches fails (a field
     the method decides or never reads, or a repeated value), and so does
     one over `seed` or `guided`: the master seed derives every run seed and
-    `method` decides guidance.  `num_runs` and `batch_count` are ints.
+    `method` decides guidance.
     """
 
     method: str = "gea"
@@ -82,14 +84,12 @@ class ExperimentConfig:
     out: str = "results"
 
     def __post_init__(self):
+        check_fields(self)
         method_config(self.method, self.search)  # an unknown method fails here
-        for name in ("num_runs", "batch_count"):
-            if not _is_count(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.num_runs < 1:
-            raise ConfigError("num_runs must be >= 1")
-        if self.benchmark is None:
-            raise ConfigError("an experiment needs a benchmark source (path or SyntheticSpec)")
+        if not isinstance(self.benchmark, (str, os.PathLike, SyntheticSpec, Benchmark)):
+            raise ConfigError(f"benchmark must be a path, a SyntheticSpec or a Benchmark, got {self.benchmark!r}")
+        if not isinstance(self.batch, (type(None), str, os.PathLike, SyntheticBatchSpec)):
+            raise ConfigError(f"batch must be null, a path or a SyntheticBatchSpec, got {self.batch!r}")
         for param, values in self.sweep:
             if param not in _SWEEPABLE:
                 raise ConfigError(f"sweep parameter {param!r} is not a sweepable search field")
@@ -269,21 +269,22 @@ def _source(doc, spec_cls, where: str):
 
 def config_from_doc(doc) -> ExperimentConfig:
     """The ExperimentConfig of an experiment document: the inverse of the
-    `config` block that `summary.json` echoes.  Absent keys take the
-    dataclass defaults and unknown keys raise ConfigError."""
+    `config` block that `summary.json` echoes."""
     fields = _fields(ExperimentConfig, doc, "experiment")
     for name, cls in _OBJECTS:
         fields[name] = cls(**_fields(cls, fields.get(name, {}), name))
     batch = fields.get("batch")
     if isinstance(batch, dict) and batch.keys() == {"raw"}:  # an explicit batch_count beats its count
-        fields["batch"] = batch["raw"]["path"]
-        fields.setdefault("batch_count", batch["raw"].get("count", ExperimentConfig.batch_count))
+        raw = batch["raw"]
+        if not (isinstance(raw, dict) and isinstance(raw.get("path"), str) and raw.keys() <= {"path", "count"}):
+            raise ConfigError(f'batch.raw must be {{"path": p}} with an optional "count", got {raw!r}')
+        fields["batch"] = raw["path"]
+        fields.setdefault("batch_count", raw.get("count", ExperimentConfig.batch_count))
     for name, spec_cls in _SOURCES:
         fields[name] = _source(fields.get(name), spec_cls, name)
     sweep = fields.get("sweep", ())
     for entry in sweep if isinstance(sweep, tuple) else [sweep]:
-        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
-                and isinstance(entry[1], list)):
+        if not (isinstance(entry, list) and [type(x) for x in entry] == [str, list]):
             raise ConfigError(f"a sweep entry is [field, [values...]], got {entry!r}")
     fields["sweep"] = tuple((param, values) for param, values in sweep)
     return ExperimentConfig(**fields)

@@ -33,6 +33,7 @@ from .cellspace import (
     matches_space,
     space_doc,
 )
+from .config import ConfigError, check_fields
 from .rng import RngStream
 from .stats import TauAgainst
 
@@ -120,10 +121,11 @@ class SyntheticSpec:
     test_noise_std: float = 0.5
 
     def __post_init__(self):
+        check_fields(self)
         if self.noise_std < 0.0:
-            raise ValueError("noise_std must be nonnegative")
+            raise ConfigError("noise_std must be nonnegative")
         if not -1.0 <= self.target_proxy_tau <= 1.0:
-            raise ValueError("target_proxy_tau must lie in [-1, 1]")
+            raise ConfigError("target_proxy_tau must lie in [-1, 1]")
 
 
 def _record(bench: Benchmark, k: int) -> FitnessRecord:

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cellspace import EDGES, ArchEncoding, OpKind
+from .config import ConfigError, check_fields
 from .rng import RngStream
 
 __all__ = [
@@ -77,21 +78,10 @@ class SkeletonConfig:
     bn_eps: float = 1e-5
 
     def __post_init__(self):
-        counts = (
-            self.input_channels,
-            self.input_hw,
-            self.stem_channels,
-            self.cells_per_stage,
-            self.num_stages,
-            self.num_classes,
-        )
-        if any(c < 1 for c in counts):
-            raise ValueError(f"all skeleton counts must be >= 1, got {self}")
+        check_fields(self)
         if self.input_hw % 2 ** (self.num_stages - 1) != 0:
-            raise ValueError(
-                f"input_hw={self.input_hw} must be divisible by "
-                f"2**(num_stages-1)={2 ** (self.num_stages - 1)}"
-            )
+            raise ConfigError(f"input_hw={self.input_hw} must be divisible by "
+                              f"2**(num_stages-1)={2 ** (self.num_stages - 1)}")
 
     @property
     def input_dim(self) -> int:

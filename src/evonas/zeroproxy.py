@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cellspace import ArchEncoding
+from .config import ConfigError, check_fields
 from .rng import RngStream
 from .tensornet import JacobianBatch, SkeletonConfig, build_network, input_jacobian
 
@@ -51,10 +52,9 @@ class ProxyParams:
     tau: int = 100
 
     def __post_init__(self):
+        check_fields(self)
         if not self.t > 0:
-            raise ValueError("t must be positive")
-        if self.tau < 1:
-            raise ValueError("tau must be >= 1")
+            raise ConfigError("t must be positive")
 
 
 @dataclass

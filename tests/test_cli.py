@@ -236,6 +236,16 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_non_integer_skeleton_count_fails_before_any_output(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    doc = small_config_doc(tmp_path / "r")
+    cfg_path.write_text(json.dumps({**doc, "skeleton": {**doc["skeleton"], "stem_channels": 4.0}}))
+    err = config_error(capsys, "search", "--config", str(cfg_path))
+    assert err["error"] == "ConfigError"
+    assert "stem_channels" in err["message"]
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("sweep", ["seed=1,2", "guided=true", "budget_counts_init=False"])
 def test_misconfigured_sweep_fails(tmp_path, bench_file, capsys, sweep):
     err = config_error(

@@ -632,7 +632,10 @@ def test_checkpoint_shape_errors(tmp_path):
     row = doc["individuals"][0]
     for bad in ([doc], "pop", 3, None, {**doc, "individuals": {"0": row}}, {**doc, "individuals": 3},
                 {**doc, "individuals": None}, {**doc, "individuals": [[row]]},
-                {**doc, "individuals": [{**row, "arch": 5}]}):
+                {**doc, "individuals": [{**row, "arch": 5}]}, {**doc, "individuals": [{**row, "birth_index": 1.7}]},
+                {**doc, "individuals": [{**row, "proxy": True}]}, {**doc, "individuals": [{**row, "proxy": "x"}]},
+                {**doc, "individuals": [{**row, "fitness": "50"}]},
+                {**doc, "individuals": [{**row, "fitness": float("nan")}]}):
         path.write_text(json.dumps(bad))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)

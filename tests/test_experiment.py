@@ -282,11 +282,27 @@ def test_sweep_of_equal_searches_fails(method, param, values):
     ('{"search": {"proxy_cost_s": NaN}}', "proxy_cost_s"),
     ('{"num_runs": true}', "num_runs"),
     ('{"batch_count": 8.0}', "batch_count"),
+    ('{"benchmark": {"synthetic": {"seed": 1.5}}}', "seed"),
+    ('{"benchmark": {"synthetic": {"seed": true}}}', "seed"),
+    ('{"benchmark": {"synthetic": {"seed": 1, "target_proxy_tau": "0.5"}}}', "target_proxy_tau"),
+    ('{"skeleton": {"stem_channels": 4.0}}', "stem_channels"),
+    ('{"proxy": {"tau": 1.5}}', "tau"),
+    ('{"proxy": {"t": "x"}}', "t"),
+    ('{"batch": {"synthetic": {"num_classes": 2.0}}}', "num_classes"),
+    ('{"out": 5}', "out"),
+    ('{"batch": {"raw": {"count": 3}}}', "batch"),
+    ('{"batch": {"raw": "x.bin"}}', "batch"),
+    ('{"batch": {"raw": {"path": "x.bin", "size": 3}}}', "batch"),
+    ('{"batch": {"raw": {"path": "x.bin", "count": 3.0}}}', "batch_count"),
+    ('{"batch": {"synthetic": {"image_shape": [3, 16.0, 16]}}}', "image_shape"),
+    ('{"batch": {"synthetic": {"image_shape": [3, true, 16]}}}', "image_shape"),
+    ('{"batch": 5}', "batch"),
+    ('{"benchmark": 5}', "benchmark"),
 ])
 def test_config_doc_counts_must_be_integers(doc, name):
     from evonas.experiment import config_from_doc
 
-    with pytest.raises(ConfigError, match=name):
+    with pytest.raises(ConfigError, match=rf"^{name}\b"):
         config_from_doc({"benchmark": "bench.json", **json.loads(doc)})
 
 
