@@ -25,12 +25,12 @@ class BatchFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SyntheticBatchSpec:
-    """Balanced synthetic batch: one template per class plus sample noise."""
+    """Balanced synthetic batch: one standard-normal template per class, each
+    sample that template plus standard-normal noise scaled by 0.1."""
 
     num_classes: int = 10
     samples_per_class: int = 3
     image_shape: tuple = (3, 16, 16)
-    noise_scale: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -51,7 +51,7 @@ def make_batch(spec: SyntheticBatchSpec) -> tuple[np.ndarray, np.ndarray]:
         template = root.child("template", k).normal(size=spec.image_shape)
         for i in range(spec.samples_per_class):
             noise = root.child("sample", k, i).normal(size=spec.image_shape)
-            images.append(template + spec.noise_scale * noise)
+            images.append(template + 0.1 * noise)
             labels.append(k)
     return np.stack(images), np.asarray(labels, dtype=np.int64)
 

@@ -115,7 +115,7 @@ def _experiment_from_args(args) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"{args.config}: an experiment document is a JSON object")
     search = {name: getattr(args, name) for name in _SEARCH_FLAGS if getattr(args, name) is not None}
-    if search:
+    if search and isinstance(doc.get("search", {}), dict):  # any other block fails in config_from_doc
         doc["search"] = {**doc.get("search", {}), **search}
     doc.update({name: getattr(args, name) for name in _EXPERIMENT_FLAGS if getattr(args, name) is not None})
     if getattr(args, "sweep", None):

@@ -21,7 +21,8 @@ Guided mode off degenerates to the classic aging-evolution baseline:
 init_candidates == pop_size, one child per cycle, and no proxy calls or
 proxy cost (every individual carries the sentinel score).  Those unguided
 defaults are set in `SearchConfig.__post_init__` alone, and `_scoring`
-alone decides whether a run calls its scorer and pays for it.
+alone decides whether a run calls its scorer and pays `PROXY_COST_S` of
+simulated time per call.
 
 `METHODS` names the compared search methods and `method_config` alone
 states the search each one runs: GEA is the guided run, REA (aging
@@ -79,6 +80,9 @@ __all__ = [
 # candidates, then each cycle's children), in index order.
 Scorer = Callable[[ArchEncoding, RngStream], "ProxyScore | float"]
 
+# simulated seconds charged per proxy scoring of a guided run
+PROXY_COST_S = 0.05
+
 _PARENT_MODES = ("tournament", "highest", "lowest")
 _REMOVAL_MODES = ("oldest", "highest", "lowest")
 
@@ -100,15 +104,13 @@ class Individual:
 class SearchConfig:
     """All evolution knobs.
 
-    `gen_size` defaults to `pop_size` and `init_candidates` to `cycles`.
-    `guided=False` gives baseline aging-evolution semantics: no proxy calls
-    (every score is the sentinel), one child per cycle (gen_size is forced
-    to 1), no proxy cost (proxy_cost_s is forced to 0.0), and
-    `init_candidates` defaults to `pop_size`.  `budget_counts_init` keeps
-    the total number of trained architectures at `cycles`, counting the
-    initial population; switching it off runs `cycles` evolution steps on
-    top of the initial population.  `method_config` states which of these
-    fields each search method reads.
+    `cycles` is the number of trained architectures, the initial population
+    included.  `gen_size` defaults to `pop_size` and `init_candidates` to
+    `cycles`.  `guided=False` gives baseline aging-evolution semantics: no
+    proxy calls or proxy cost (every score is the sentinel), one child per
+    cycle (gen_size is forced to 1), and `init_candidates` defaults to
+    `pop_size`.  `method_config` states which of these fields each search
+    method reads.
     """
 
     pop_size: int = 10
@@ -120,15 +122,9 @@ class SearchConfig:
     removal_mode: str = "oldest"
     guided: bool = True
     seed: int = 0
-    proxy_cost_s: float = 0.05
-    budget_counts_init: bool = True
 
     def __post_init__(self):
         check_fields(self)
-        if self.proxy_cost_s < 0:
-            raise ConfigError(f"proxy_cost_s must be nonnegative, got {self.proxy_cost_s!r}")
-        if not self.guided:
-            object.__setattr__(self, "proxy_cost_s", 0.0)
         if not self.guided or self.gen_size is None:
             object.__setattr__(self, "gen_size", self.pop_size if self.guided else 1)
         if self.init_candidates is None:
@@ -203,7 +199,7 @@ def _scoring(cfg: SearchConfig, scorer: Optional[Scorer], traj: Trajectory) -> C
 
     Unguided, it returns sentinels, never calls `scorer` and charges
     nothing.  Guided, it calls `scorer` once per arch and charges `traj`
-    one proxy evaluation and `cfg.proxy_cost_s` of simulated time per arch.
+    one proxy evaluation and `PROXY_COST_S` of simulated time per arch.
     """
     if not cfg.guided:
         return lambda archs, streams: [ProxyScore.sentinel() for _ in archs]
@@ -212,7 +208,7 @@ def _scoring(cfg: SearchConfig, scorer: Optional[Scorer], traj: Trajectory) -> C
 
     def score(archs: list, streams: list) -> list:
         traj.n_proxy_evals += len(archs)
-        traj.simulated_time_s += len(archs) * cfg.proxy_cost_s
+        traj.simulated_time_s += len(archs) * PROXY_COST_S
         return [_as_proxy(scorer(arch, stream)) for arch, stream in zip(archs, streams)]
 
     return score
@@ -351,8 +347,7 @@ def run_search(
         first_birth = max(ind.birth_index for ind in pop) + 1
     pop = [train(ind) for ind in pop]
 
-    target = cfg.cycles if cfg.budget_counts_init else cfg.cycles + cfg.pop_size
-    for cycle in range(target - cfg.pop_size):
+    for cycle in range(cfg.cycles - cfg.pop_size):
         stream = rng.child("cycle", cycle)
         parent = tournament_select(pop, cfg, stream.child("tournament"))
         arch, proxy = spawn_generation(parent, cfg, score, stream, trained=trained)

@@ -9,10 +9,10 @@ byte-identical across reruns of the same configuration.
 
 This module owns the experiment's JSON document: `_config_echo` writes it
 as the `config` block of `summary.json` and `config_from_doc` reads it
-back, so a run's own echo reruns it.  `search`, `skeleton` and `proxy` are
-objects of their dataclass fields; `benchmark` and `batch` are a path,
-`{"path": p}` or `{"synthetic": {...}}` (a batch also `{"raw": {"path",
-"count"}}`).  Absent keys take the dataclass defaults; unknown keys fail.
+back, so a run's own echo reruns it.  `search` and `skeleton` are objects
+of their dataclass fields; `benchmark` and `batch` are a path or
+`{"synthetic": {...}}`, and a raw batch reads its first `batch_count`
+records.  Absent keys take the dataclass defaults; unknown keys fail.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ __all__ = [
 # the master seed derives every run seed, and the method decides guidance
 _SWEEPABLE = {f.name for f in dataclasses.fields(SearchConfig)} - {"seed", "guided"}
 # the experiment document's dataclass objects and benchmark/batch sources
-_OBJECTS = (("search", SearchConfig), ("skeleton", SkeletonConfig), ("proxy", ProxyParams))
+_OBJECTS = (("search", SearchConfig), ("skeleton", SkeletonConfig))
 _SOURCES = (("benchmark", SyntheticSpec), ("batch", SyntheticBatchSpec))
 
 
@@ -60,9 +60,10 @@ class ExperimentConfig:
 
     `benchmark` is a tabular-file path, a SyntheticSpec or a Benchmark.  `batch`
     selects how guided runs score architectures: a SyntheticBatchSpec or a
-    raw-image file path scores real networks at the batch's input shape
-    (the result's `skeleton` echoes it); None falls back to the benchmark's
-    bundled proxy map.  `sweep` lists (search-field, values) pairs, each
+    raw-image file path (its first `batch_count` records, at least 2)
+    scores real networks at the batch's input shape (the result's
+    `skeleton` echoes it); None falls back to the benchmark's bundled proxy
+    map.  `sweep` lists (search-field, values) pairs, each
     swept one field at a time: a point runs `method_config(method, search,
     field=value)`, so under gea a swept `pop_size` or `cycles` keeps the
     base's resolved `gen_size` and `init_candidates` (as `summary.json`
@@ -78,7 +79,6 @@ class ExperimentConfig:
     batch: object = None
     batch_count: int = 32
     skeleton: SkeletonConfig = field(default_factory=SkeletonConfig)
-    proxy: ProxyParams = field(default_factory=ProxyParams)
     num_runs: int = 1
     sweep: tuple = ()
     out: str = "results"
@@ -86,6 +86,8 @@ class ExperimentConfig:
     def __post_init__(self):
         check_fields(self)
         method_config(self.method, self.search)  # an unknown method fails here
+        if self.batch_count < 2:
+            raise ConfigError(f"batch_count must be >= 2 (correlations need pairs), got {self.batch_count!r}")
         if not isinstance(self.benchmark, (str, os.PathLike, SyntheticSpec, Benchmark)):
             raise ConfigError(f"benchmark must be a path, a SyntheticSpec or a Benchmark, got {self.benchmark!r}")
         if not isinstance(self.batch, (type(None), str, os.PathLike, SyntheticBatchSpec)):
@@ -163,7 +165,7 @@ def _resolve_scorer(cfg: ExperimentConfig, bench: Benchmark, guided: bool):
         return None, cfg.skeleton
     if cfg.batch is not None:
         batch, labels, skeleton = load_batch(cfg.batch, cfg.batch_count, cfg.skeleton)
-        return (lambda arch, stream: score_arch(arch, batch, labels, skeleton, cfg.proxy, stream)), skeleton
+        return (lambda arch, stream: score_arch(arch, batch, labels, skeleton, ProxyParams(), stream)), skeleton
     if bench.synthetic_proxy is not None:
         proxy_map = bench.synthetic_proxy
         return (lambda arch, stream: ProxyScore(value=proxy_map[arch])), cfg.skeleton
@@ -180,9 +182,9 @@ def _curve(traj: Trajectory, first: int) -> list:
 
 
 def _token(value) -> str:
-    """A sweep value as its label spells it: bools and None as their JSON
-    tokens (`false`, `null`), like a `--sweep` token; anything else by str."""
-    return json.dumps(value) if value is None or isinstance(value, bool) else str(value)
+    """A sweep value as its label spells it: None as its JSON token `null`,
+    like a `--sweep` token; anything else by str."""
+    return "null" if value is None else str(value)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -257,14 +259,12 @@ def _fields(cls, doc, where: str) -> dict:
 
 
 def _source(doc, spec_cls, where: str):
-    """A benchmark or batch source: a path, {"path": p} or {"synthetic": {...}}."""
+    """A benchmark or batch source: a path or {"synthetic": {...}}."""
     if not isinstance(doc, dict):
         return doc
-    if doc.keys() == {"path"}:
-        return doc["path"]
     if doc.keys() == {"synthetic"}:
         return spec_cls(**_fields(spec_cls, doc["synthetic"], f"{where}.synthetic"))
-    raise ConfigError(f'{where} must be a path, {{"path": p}} or {{"synthetic": {{...}}}}, got {doc!r}')
+    raise ConfigError(f'{where} must be a path or {{"synthetic": {{...}}}}, got {doc!r}')
 
 
 def config_from_doc(doc) -> ExperimentConfig:
@@ -273,13 +273,6 @@ def config_from_doc(doc) -> ExperimentConfig:
     fields = _fields(ExperimentConfig, doc, "experiment")
     for name, cls in _OBJECTS:
         fields[name] = cls(**_fields(cls, fields.get(name, {}), name))
-    batch = fields.get("batch")
-    if isinstance(batch, dict) and batch.keys() == {"raw"}:  # an explicit batch_count beats its count
-        raw = batch["raw"]
-        if not (isinstance(raw, dict) and isinstance(raw.get("path"), str) and raw.keys() <= {"path", "count"}):
-            raise ConfigError(f'batch.raw must be {{"path": p}} with an optional "count", got {raw!r}')
-        fields["batch"] = raw["path"]
-        fields.setdefault("batch_count", raw.get("count", ExperimentConfig.batch_count))
     for name, spec_cls in _SOURCES:
         fields[name] = _source(fields.get(name), spec_cls, name)
     sweep = fields.get("sweep", ())
@@ -297,7 +290,8 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     for name, spec_cls in _SOURCES:
         value = doc[name]
         doc[name] = ({"synthetic": dataclasses.asdict(value)} if isinstance(value, spec_cls)
-                     else value if isinstance(value, (str, type(None))) else "<in-memory>")
+                     else os.fspath(value) if isinstance(value, (str, os.PathLike))
+                     else value if value is None else "<in-memory>")
     doc["sweep"] = [[p, list(v)] for p, v in cfg.sweep]
     return doc
 

@@ -118,7 +118,6 @@ class SyntheticSpec:
     noise_std: float = 0.0
     target_proxy_tau: float = 1.0
     interaction_scale: float = 0.0
-    test_noise_std: float = 0.5
 
     def __post_init__(self):
         check_fields(self)
@@ -298,7 +297,7 @@ def gen_synthetic(spec: SyntheticSpec) -> Benchmark:
     Per-(edge, op) utilities are standard normal; architectures score the
     sum of their edge utilities plus interaction terms for node-sharing
     edge pairs plus optional noise, affinely rescaled into [0, 100].
-    test_acc is val_acc plus a small seeded perturbation; train_time_s is
+    test_acc is val_acc plus seeded normal noise of std 0.5; train_time_s is
     uniform in [5, 15].  The proxy map is val_acc plus calibrated noise so
     its Kendall tau against val_acc lands within 0.05 of the target.
     """
@@ -320,7 +319,7 @@ def gen_synthetic(spec: SyntheticSpec) -> Benchmark:
         val = np.full_like(raw, 50.0)
     else:
         val = np.clip((raw - lo) / (hi - lo) * 100.0, 0.0, 100.0)
-    test = np.clip(val + spec.test_noise_std * root.child("test-noise").normal(size=raw.size), 0.0, 100.0)
+    test = np.clip(val + 0.5 * root.child("test-noise").normal(size=raw.size), 0.0, 100.0)
     times = root.child("train-time").uniform(5.0, 15.0, size=raw.size)
     proxy = _calibrate_proxy(val, root.child("proxy-noise").normal(size=raw.size), spec.target_proxy_tau)
     return Benchmark(f"synthetic-{spec.seed}", val, test, times, proxy)

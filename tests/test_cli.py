@@ -65,7 +65,7 @@ def test_config_file_and_flag_precedence(tmp_path, bench_file, capsys):
         "method": "rea",
         "num_runs": 1,
         "search": {"pop_size": 3, "tournament_size": 2, "cycles": 8, "seed": 9},
-        "benchmark": {"path": str(bench_file)},
+        "benchmark": str(bench_file),
         "out": str(tmp_path / "from_file"),
     }
     cfg_path = tmp_path / "cfg.json"
@@ -229,10 +229,22 @@ def config_error(capsys, *argv):
 
 def test_unknown_config_key_fails(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**small_config_doc(tmp_path / "r"), "num_run": 3}))
-    err = config_error(capsys, "search", "--config", str(cfg_path))
-    assert err["error"] == "ConfigError"
-    assert "num_run" in err["message"]
+    doc = small_config_doc(tmp_path / "r")
+    for key, bad in (("num_run", {**doc, "num_run": 3}), ("proxy", {**doc, "proxy": {}}),
+                     ("budget_counts_init", {**doc, "search": {**doc["search"], "budget_counts_init": False}})):
+        cfg_path.write_text(json.dumps(bad))
+        err = config_error(capsys, "search", "--config", str(cfg_path))
+        assert err["error"] == "ConfigError"
+        assert key in err["message"]
+    assert not (tmp_path / "r").exists()
+
+
+def test_search_flags_over_a_non_object_search_block_fail(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**small_config_doc(tmp_path / "r"), "search": 5}))
+    for flags in ((), ("--cycles", "6")):
+        err = config_error(capsys, "search", "--config", str(cfg_path), *flags)
+        assert (err["error"], err["message"]) == ("ConfigError", "search must be an object, got 5")
     assert not (tmp_path / "r").exists()
 
 
@@ -259,14 +271,14 @@ def test_misconfigured_sweep_fails(tmp_path, bench_file, capsys, sweep):
 def test_sweep_tokens_are_json_values(tmp_path, bench_file, capsys):
     code, stdout, err = run_cli(
         capsys, "ablate", "--benchmark", str(bench_file), "--pop-size", "3", "--tournament", "2",
-        "--cycles", "6", "--gen-size", "2", "--out", str(tmp_path / "r"),
-        "--sweep", "budget_counts_init=false,true",
+        "--cycles", "6", "--out", str(tmp_path / "r"), "--sweep", "gen_size=null,2",
     )
     assert code == 0, err
-    off, on = json.loads(stdout)["rows"]
-    assert (off["label"], on["label"]) == ("gea:budget_counts_init=false", "gea:budget_counts_init=true")
-    # off runs 6 cycles on top of the 3 initial individuals, so it trains more
-    assert off["mean_time_s"] > on["mean_time_s"]
+    default, two = json.loads(stdout)["rows"]
+    assert (default["label"], two["label"]) == ("gea:gen_size=null", "gea:gen_size=2")
+    # null is the default gen_size, pop_size 3: 6 initial candidates, then 3 cycles of 3 or 2 children
+    runs = json.loads((tmp_path / "r" / "summary.json").read_text("utf-8"))["runs"]
+    assert [run["n_proxy_evals"] for run in runs] == [6 + 3 * 3, 6 + 3 * 2]
 
 
 def test_raw_batch_config_form_runs(tmp_path, bench_file, capsys):
@@ -277,7 +289,8 @@ def test_raw_batch_config_form_runs(tmp_path, bench_file, capsys):
     cfg_path.write_text(json.dumps({
         "search": {"pop_size": 2, "tournament_size": 2, "cycles": 3, "gen_size": 2},
         "benchmark": str(bench_file),
-        "batch": {"raw": {"path": str(batch_file), "count": 20}},
+        "batch": str(batch_file),
+        "batch_count": 20,
         "out": str(out_dir),
     }))
     code, _, err = run_cli(capsys, "search", "--config", str(cfg_path))

@@ -26,7 +26,7 @@ CONFIGS = {
     SyntheticBatchSpec: {},
 }
 # annotations the rule leaves to the class: sources, nested configs and tuples
-OWN_CHECKS = {"object", "tuple", "SearchConfig", "SkeletonConfig", "ProxyParams"}
+OWN_CHECKS = {"object", "tuple", "SearchConfig", "SkeletonConfig"}
 
 
 def test_config_error_is_one_class():

@@ -7,6 +7,7 @@ from evonas.cellspace import ArchEncoding, OpKind, enumerate_all, mutate, random
 from evonas.evolution import (
     CheckpointError,
     METHODS,
+    PROXY_COST_S,
     ConfigError,
     Individual,
     SearchConfig,
@@ -105,8 +106,6 @@ def test_rea_config_semantics():
 @pytest.mark.parametrize("name, value", [
     ("pop_size", 4.0), ("pop_size", True), ("cycles", "12"), ("tournament_size", None),
     ("gen_size", 2.0), ("init_candidates", False), ("seed", 1.5),
-    ("proxy_cost_s", float("nan")), ("proxy_cost_s", float("inf")), ("proxy_cost_s", "0.1"),
-    ("proxy_cost_s", True),
 ])
 def test_search_counts_must_be_integers(name, value):
     with pytest.raises(ConfigError, match=name):
@@ -114,17 +113,18 @@ def test_search_counts_must_be_integers(name, value):
 
 
 def test_unguided_runs_are_charged_no_proxy_time():
-    assert SearchConfig(proxy_cost_s=0.3).proxy_cost_s == 0.3
-    assert rea_config(proxy_cost_s=0.3).proxy_cost_s == 0.0
+    traj = run_search(rea_config(pop_size=5, cycles=20, seed=4), BENCH, mock_scorer)
+    assert traj.n_proxy_evals == 0
+    assert traj.simulated_time_s == sum(query(BENCH, e.arch).train_time_s for e in traj.events)
 
 
 def test_method_config_states_what_each_method_runs():
     base = SearchConfig(pop_size=4, tournament_size=3, cycles=20, gen_size=2, init_candidates=20,
-                        removal_mode="highest", seed=9, proxy_cost_s=0.2, budget_counts_init=False)
+                        removal_mode="highest", seed=9)
     assert METHODS == ("gea", "rea", "rs")
     assert method_config("gea", base) == base
     assert method_config("rea", base) == rea_config(pop_size=4, tournament_size=3, cycles=20,
-                                                    removal_mode="highest", seed=9, budget_counts_init=False)
+                                                    removal_mode="highest", seed=9)
     # random search reads only cycles and seed
     assert method_config("rs", base) == SearchConfig(pop_size=20, cycles=20, guided=False, seed=9)
     assert method_config("rs", base, cycles=3, seed=2, tournament_size=1) == method_config(
@@ -352,14 +352,14 @@ def test_spawn_generation_scores_all_children_in_one_call():
 
 
 def test_scoring_step_charges_guided_runs_only():
-    cfg = SearchConfig(proxy_cost_s=0.3)
+    cfg = SearchConfig()
     traj = Trajectory()
     score = _scoring(cfg, lambda a, s: float(a), traj)
     archs = list(enumerate_all())[:5]
     assert [p.value for p in score(archs[:3], [None] * 3)] == [0.0, 1.0, 2.0]
     score(archs[3:], [None] * 2)
     assert traj.n_proxy_evals == 5
-    assert traj.simulated_time_s == 3 * 0.3 + 2 * 0.3
+    assert traj.simulated_time_s == 3 * PROXY_COST_S + 2 * PROXY_COST_S
 
     def scorer(arch, stream):
         raise AssertionError("an unguided run called its scorer")
@@ -398,7 +398,7 @@ def test_run_search_invariants():
             assert e.parent_arch.hamming(e.arch) == 1
     # simulated time: one train per event plus proxy cost
     expected = sum(query(BENCH, e.arch).train_time_s for e in traj.events)
-    expected += cfg.proxy_cost_s * traj.n_proxy_evals
+    expected += PROXY_COST_S * traj.n_proxy_evals
     assert abs(traj.simulated_time_s - expected) < 1e-9
 
 
@@ -437,14 +437,6 @@ def test_guided_repeats_only_when_every_child_was_trained():
             seen.add(e.arch)
         # both the skip and the fallback were exercised
         assert skips > 0 and repeats > 0
-
-
-def test_budget_not_counting_init():
-    cfg = SearchConfig(pop_size=5, cycles=10, init_candidates=10, gen_size=2,
-                       budget_counts_init=False, seed=4)
-    traj = run_search(cfg, BENCH, mock_scorer)
-    assert traj.n_trained == 15  # pop_size + cycles
-    assert traj.n_proxy_evals == 10 + 10 * 2
 
 
 def test_best_tie_breaks_to_earliest_trained():
@@ -700,8 +692,7 @@ def test_transfer_population_size_mismatch():
         run_search(cfg, BENCH, mock_scorer, initial_population=pop)
 
 
-@pytest.mark.parametrize("name, value", [("guided", "False"), ("guided", 1),
-                                         ("budget_counts_init", "True"), ("budget_counts_init", 0)])
+@pytest.mark.parametrize("name, value", [("guided", "False"), ("guided", 1)])
 def test_search_switches_must_be_bools(name, value):
     with pytest.raises(ConfigError, match=name):
         SearchConfig(**{name: value})
