@@ -11,7 +11,7 @@ import numpy as np
 from .config import ConfigError, check_fields, is_int
 from .rng import RngStream
 
-__all__ = ["SyntheticBatchSpec", "BatchFormatError", "make_batch", "load_raw_batch"]
+__all__ = ["SyntheticBatchSpec", "BatchFormatError", "check_count", "make_batch", "load_raw_batch"]
 
 # Raw batch files use the CIFAR-10 binary layout: per record 1 label byte
 # followed by 3072 pixel bytes (1024 R, 1024 G, 1024 B, each 32x32 row-major).
@@ -42,6 +42,11 @@ class SyntheticBatchSpec:
             raise ConfigError(f"image_shape must be (channels, h, w), ints >= 1, got {shape!r}")
 
 
+def check_count(count: int) -> None:
+    if count < 2:
+        raise ConfigError(f"batch_count must be >= 2 (correlations need pairs), got {count!r}")
+
+
 def make_batch(spec: SyntheticBatchSpec) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (batch, labels); samples of one class sit together."""
     root = RngStream(spec.seed, ("batch",))
@@ -62,8 +67,7 @@ def load_raw_batch(path, count: int) -> tuple[np.ndarray, np.ndarray]:
     Pixels are scaled to [0, 1] float64.  Classes left with a single sample
     carry no pairwise information, so they are dropped with a warning.
     """
-    if count < 2:
-        raise ValueError("count must be >= 2")
+    check_count(count)
     data = Path(path).read_bytes()
     need = count * _RAW_RECORD_BYTES
     if len(data) < need:

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: `search` (one method, one configuration), `ablate` (parameter
-sweeps), `bench gen` (write a synthetic benchmark file), `score` (proxy
-score for one architecture string), `stats` (t-test / rank correlation on
+sweeps), `bench gen` (write a synthetic benchmark file), `score` (a run's
+proxy score for one architecture string), `stats` (t-test / rank correlation on
 result files).  Options beat config-file values beat defaults.  On failure
 the process exits nonzero after printing one JSON error line to stderr.
 """
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .batches import SyntheticBatchSpec
 from .cellspace import decode_str, encode_str
-from .evolution import METHODS, ConfigError
+from .evolution import METHODS, ConfigError, score_stream
 from .experiment import ExperimentConfig, config_from_doc, emit_results, load_batch, run_experiment
 from .oracle import SyntheticSpec, gen_synthetic, save_tabular
 from .rng import RngStream
@@ -73,7 +73,7 @@ def _parser() -> argparse.ArgumentParser:
     score.add_argument("arch", help="canonical architecture string")
     score.add_argument("--batch", help="raw image batch file; default: synthetic batch")
     score.add_argument("--batch-count", type=int, default=32, dest="batch_count")
-    score.add_argument("--seed", type=int, default=0, help="network init / synthetic batch seed")
+    score.add_argument("--seed", type=int, default=0, help="run seed (a summary.json run seed); synthetic batch seed")
 
     stats = sub.add_parser("stats", help="statistics on result files")
     stats_sub = stats.add_subparsers(dest="stats_command", required=True)
@@ -156,9 +156,7 @@ def _cmd_score(args) -> int:
     arch = decode_str(args.arch)
     source = args.batch or SyntheticBatchSpec(seed=args.seed)
     batch, labels, skeleton = load_batch(source, args.batch_count, SkeletonConfig())
-    result = score_arch(
-        arch, batch, labels, skeleton, ProxyParams(), RngStream(args.seed, ("score-cli",))
-    )
+    result = score_arch(arch, batch, labels, skeleton, ProxyParams(), score_stream(RngStream(args.seed), arch))
     print(json.dumps({
         "arch": encode_str(arch),
         "score": "sentinel" if result.is_sentinel else result.value,

@@ -13,7 +13,8 @@ trained.
 A run has one scoring step and one training step.  Scoring takes a whole
 generation at once (the initial candidates, then each cycle's children)
 and charges the run's proxy evaluations and simulated time; the scorer is
-called once per candidate, generation by generation, in index order.
+called once per candidate, generation by generation, in index order; its
+`score_stream` makes a score depend only on the run seed and the genotype.
 Training is one oracle query per trained architecture, whether initial,
 transferred or a child, and logs one trajectory event.
 
@@ -30,14 +31,13 @@ evolution) the unguided one, and random search (RS) the unguided
 initialization with pop_size == init_candidates == cycles, so every sample
 is kept and no cycle runs.  Every method runs through `run_search`.
 
-Every random draw comes from a named substream of the run stream, so
-trajectories are reproducible event for event.  Substream layout:
+Every random draw comes from a named substream of the run stream
+`RngStream(seed)`, so trajectories are reproducible event for event:
 
-    ("init", i, "arch"), ("init", i, "score")
+    ("init", i, "arch")
     ("cycle", c, "tournament")
-    ("cycle", c, "child", j, "mut"), ("cycle", c, "child", j, "score")
-
-The "score" streams seed the scorer (guided runs only).
+    ("cycle", c, "child", j, "mut")
+    ("score", k)    the scorer's, for genotype index k
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ __all__ = [
     "TrajectoryEvent",
     "Trajectory",
     "Scorer",
+    "score_stream",
     "METHODS",
     "method_config",
     "rea_config",
@@ -74,11 +75,9 @@ __all__ = [
     "load_checkpoint",
 ]
 
-# A scorer maps (arch, dedicated stream) to a proxy score; the stream seeds
-# whatever randomness the scorer needs (e.g. network initialization).  A run
-# calls it once per candidate, generation by generation (the initial
-# candidates, then each cycle's children), in index order.
-Scorer = Callable[[ArchEncoding, RngStream], "ProxyScore | float"]
+# A scorer maps (arch, its score_stream) to a ProxyScore; the stream seeds
+# whatever randomness the scorer needs (e.g. network initialization).
+Scorer = Callable[[ArchEncoding, RngStream], ProxyScore]
 
 # simulated seconds charged per proxy scoring of a guided run
 PROXY_COST_S = 0.05
@@ -190,26 +189,27 @@ class Trajectory:
         return len(self.events)
 
 
-def _as_proxy(value) -> ProxyScore:
-    return value if isinstance(value, ProxyScore) else ProxyScore(value=value)
+def score_stream(rng: RngStream, arch: ArchEncoding) -> RngStream:
+    """The stream that seeds the scoring of `arch` in the run of stream `rng`."""
+    return rng.child("score", int(arch))
 
 
-def _scoring(cfg: SearchConfig, scorer: Optional[Scorer], traj: Trajectory) -> Callable[[list, list], list]:
-    """The run's scoring step, (archs, streams) -> [ProxyScore] in order.
+def _scoring(cfg: SearchConfig, scorer: Optional[Scorer], traj: Trajectory, rng: RngStream) -> Callable[[list], list]:
+    """The run's scoring step, archs -> [ProxyScore] in order.
 
     Unguided, it returns sentinels, never calls `scorer` and charges
-    nothing.  Guided, it calls `scorer` once per arch and charges `traj`
-    one proxy evaluation and `PROXY_COST_S` of simulated time per arch.
+    nothing.  Guided, it calls `scorer(arch, score_stream(rng, arch))` per
+    arch and charges `traj` one proxy evaluation and `PROXY_COST_S` each.
     """
     if not cfg.guided:
-        return lambda archs, streams: [ProxyScore.sentinel() for _ in archs]
+        return lambda archs: [ProxyScore.sentinel() for _ in archs]
     if scorer is None:
         raise ConfigError("guided search needs a scorer")
 
-    def score(archs: list, streams: list) -> list:
+    def score(archs: list) -> list:
         traj.n_proxy_evals += len(archs)
         traj.simulated_time_s += len(archs) * PROXY_COST_S
-        return [_as_proxy(scorer(arch, stream)) for arch, stream in zip(archs, streams)]
+        return [scorer(arch, score_stream(rng, arch)) for arch in archs]
 
     return score
 
@@ -253,7 +253,7 @@ def remove_survivor(pop: list, cfg: SearchConfig) -> Individual:
 def spawn_generation(
     parent: Individual,
     cfg: SearchConfig,
-    score: Callable[[list, list], list],
+    score: Callable[[list], list],
     cycle_stream: RngStream,
     trained: Collection[ArchEncoding] = frozenset(),
 ) -> tuple[ArchEncoding, ProxyScore]:
@@ -267,14 +267,13 @@ def spawn_generation(
     own indexed substream; ties (and the all-sentinel case) go to the
     lowest child index.
     """
-    subs = [cycle_stream.child("child", j) for j in range(cfg.gen_size)]
-    archs = [mutate(parent.arch, sub.child("mut")) for sub in subs]
-    results = list(zip(archs, score(archs, [sub.child("score") for sub in subs])))
+    archs = [mutate(parent.arch, cycle_stream.child("child", j, "mut")) for j in range(cfg.gen_size)]
+    results = list(zip(archs, score(archs)))
     results = [r for r in results if r[0] not in trained] or results
     return max(results, key=lambda r: r[1].value)
 
 
-def init_population(cfg: SearchConfig, score: Callable[[list, list], list], rng: RngStream) -> tuple[list, list]:
+def init_population(cfg: SearchConfig, score: Callable[[list], list], rng: RngStream) -> tuple[list, list]:
     """Sample the init_candidates, score them in one call and filter.
 
     Returns (population, candidates); the population holds the pop_size
@@ -282,10 +281,8 @@ def init_population(cfg: SearchConfig, score: Callable[[list, list], list], rng:
     yet trained (fitness None).  Unguided candidates all carry the sentinel
     score, so the first pop_size are kept.
     """
-    n = cfg.init_candidates
-    archs = [random_arch(rng.child("init", i, "arch")) for i in range(n)]
-    proxies = score(archs, [rng.child("init", i, "score") for i in range(n)])
-    candidates = [Individual(arch, proxy, None, i, "init") for i, (arch, proxy) in enumerate(zip(archs, proxies))]
+    archs = [random_arch(rng.child("init", i, "arch")) for i in range(cfg.init_candidates)]
+    candidates = [Individual(arch, proxy, None, i, "init") for i, (arch, proxy) in enumerate(zip(archs, score(archs)))]
     kept = sorted(candidates, key=lambda ind: (-ind.proxy.value, ind.birth_index))[: cfg.pop_size]
     kept.sort(key=lambda ind: ind.birth_index)
     return kept, candidates
@@ -295,7 +292,6 @@ def run_search(
     cfg: SearchConfig,
     bench: Benchmark,
     scorer: Optional[Scorer] = None,
-    rng: Optional[RngStream] = None,
     initial_population: Optional[list] = None,
 ) -> Trajectory:
     """Run one full search and return its trajectory.
@@ -308,8 +304,8 @@ def run_search(
     repeat it falls back to is still charged one training slot.
     """
     traj = Trajectory()
-    score = _scoring(cfg, scorer, traj)
-    rng = rng if rng is not None else RngStream(cfg.seed)
+    rng = RngStream(cfg.seed)
+    score = _scoring(cfg, scorer, traj, rng)
     trained: set = set()
 
     def train(ind: Individual, parent_arch: Optional[ArchEncoding] = None) -> Individual:
@@ -358,14 +354,14 @@ def run_search(
     return traj
 
 
-def run_random_search(cfg: SearchConfig, bench: Benchmark, rng: Optional[RngStream] = None) -> Trajectory:
+def run_random_search(cfg: SearchConfig, bench: Benchmark) -> Trajectory:
     """Baseline: `cycles` independent uniform samples, answer is the argmax.
 
     This is the unguided initialization with every sample kept and no
     cycle run.  The samples form no population to evolve or transfer, so
     `final_population` stays empty.
     """
-    traj = run_search(method_config("rs", cfg), bench, rng=rng)
+    traj = run_search(method_config("rs", cfg), bench)
     traj.final_population = []
     return traj
 

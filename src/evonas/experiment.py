@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .batches import SyntheticBatchSpec, load_raw_batch, make_batch
+from .batches import SyntheticBatchSpec, check_count, load_raw_batch, make_batch
 from .cellspace import ArchEncoding, encode_str
 from .config import ConfigError, check_fields
 from .evolution import SearchConfig, Trajectory, method_config, run_search
@@ -86,8 +86,7 @@ class ExperimentConfig:
     def __post_init__(self):
         check_fields(self)
         method_config(self.method, self.search)  # an unknown method fails here
-        if self.batch_count < 2:
-            raise ConfigError(f"batch_count must be >= 2 (correlations need pairs), got {self.batch_count!r}")
+        check_count(self.batch_count)
         if not isinstance(self.benchmark, (str, os.PathLike, SyntheticSpec, Benchmark)):
             raise ConfigError(f"benchmark must be a path, a SyntheticSpec or a Benchmark, got {self.benchmark!r}")
         if not isinstance(self.batch, (type(None), str, os.PathLike, SyntheticBatchSpec)):
@@ -150,7 +149,9 @@ def _resolve_benchmark(cfg: ExperimentConfig) -> Benchmark:
 
 def load_batch(source, count: int, skeleton: SkeletonConfig):
     """(batch, labels, skeleton) from a SyntheticBatchSpec or the first `count`
-    records of a raw file; the skeleton takes the batch's input shape."""
+    records of a raw file (`count` >= 2 for either source); the skeleton
+    takes the batch's input shape."""
+    check_count(count)
     if isinstance(source, SyntheticBatchSpec):
         batch, labels = make_batch(source)
     else:

@@ -274,7 +274,7 @@ def test_spawn_generation_skips_directly_constructed_trained():
     target = min(children, key=operator.index)
     assert max(children, key=operator.index) != target
     trained = {ArchEncoding(c.edge_ops) for c in children if c != target}
-    score = lambda archs, streams: [ProxyScore(float(operator.index(a))) for a in archs]  # noqa: E731
+    score = lambda archs: [ProxyScore(float(operator.index(a))) for a in archs]  # noqa: E731
     arch, proxy = spawn_generation(parent, cfg, score, stream, trained=trained)
     assert arch == target and arch not in trained
     assert proxy.value == float(operator.index(target))

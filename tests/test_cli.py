@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from evonas.batches import load_raw_batch
-from evonas.cellspace import decode_str
+from evonas.cellspace import decode_str, encode_str
 from evonas.cli import main
-from evonas.oracle import SyntheticSpec, gen_synthetic, save_tabular
+from evonas.evolution import SearchConfig, run_search, score_stream
+from evonas.oracle import SyntheticSpec, gen_synthetic, load_tabular, save_tabular
 from evonas.rng import RngStream
 from evonas.tensornet import SkeletonConfig
 from evonas.zeroproxy import ProxyParams, score_arch
@@ -141,10 +142,26 @@ def test_raw_batch_runs_at_its_own_shape(tmp_path, bench_file, capsys):
     assert code == 0
     batch, labels = load_raw_batch(batch_file, 20)
     expected = score_arch(decode_str(arch), batch, labels, SkeletonConfig(input_hw=32), ProxyParams(),
-                          RngStream(0, ("score-cli",)))
+                          score_stream(RngStream(0), decode_str(arch)))
     doc = json.loads(stdout)
     assert not expected.is_sentinel
     assert (doc["score"], doc["per_class"]) == (expected.value, list(expected.per_class))
+
+
+def test_score_command_repeats_a_runs_score(tmp_path, bench_file, capsys):
+    """`score --seed S` prints the proxy value a run of seed S gave the arch on that batch."""
+    batch_file = tmp_path / "batch.bin"
+    write_cifar_batch(batch_file)
+    batch, labels = load_raw_batch(batch_file, 20)
+    skeleton = SkeletonConfig(input_hw=32)
+    cfg = SearchConfig(pop_size=2, tournament_size=2, cycles=3, gen_size=2, seed=7)
+    traj = run_search(cfg, load_tabular(bench_file),
+                      lambda arch, stream: score_arch(arch, batch, labels, skeleton, ProxyParams(), stream))
+    for event in (traj.events[0], traj.events[-1]):  # an initial candidate and a child
+        code, stdout, _ = run_cli(capsys, "score", encode_str(event.arch), "--batch", str(batch_file),
+                                  "--batch-count", "20", "--seed", "7")
+        assert code == 0
+        assert json.loads(stdout)["score"] == event.proxy_value
 
 
 def test_stats_ttest_and_tau(tmp_path, bench_file, capsys):
@@ -225,6 +242,18 @@ def config_error(capsys, *argv):
     code, stdout, stderr = run_cli(capsys, *argv)
     assert (code, stdout) == (1, "")
     return json.loads(stderr.strip())
+
+
+@pytest.mark.parametrize("with_batch", [False, True])
+@pytest.mark.parametrize("count", ["1", "0"])
+def test_score_batch_count_below_two_fails(tmp_path, capsys, with_batch, count):
+    batch_file = tmp_path / "batch.bin"
+    write_cifar_batch(batch_file, count=4)
+    source = ("--batch", str(batch_file)) if with_batch else ()
+    arch = "|nor_conv_3x3~0|+|skip_connect~0|none~1|+|skip_connect~0|nor_conv_1x1~1|avg_pool_3x3~2|"
+    err = config_error(capsys, "score", arch, *source, "--batch-count", count)
+    assert err["error"] == "ConfigError"
+    assert "batch_count" in err["message"]
 
 
 def test_unknown_config_key_fails(tmp_path, capsys):

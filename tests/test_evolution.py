@@ -21,6 +21,7 @@ from evonas.evolution import (
     run_random_search,
     run_search,
     save_checkpoint,
+    score_stream,
     spawn_generation,
     tournament_select,
 )
@@ -45,15 +46,24 @@ def mock_scorer(arch, stream):
     return ProxyScore(value=float(sum(arch.indices)))
 
 
-def batched(scorer, calls=None):
-    """A guided run's scoring step around the per-arch `scorer`; `calls`, when
-    given, receives the archs and stream paths of every call."""
-    score = _scoring(SearchConfig(), scorer, Trajectory())
+def batched(scorer, calls=None, rng=RngStream(0)):
+    """The scoring step of a guided run of stream `rng` around the per-arch
+    `scorer`; `calls`, when given, receives the archs of every step call and
+    the stream paths the scorer saw."""
     calls = [] if calls is None else calls
+    paths = []
 
-    def recorded(archs, streams):
-        calls.append((list(archs), [s.path for s in streams]))
-        return score(archs, streams)
+    def seen(arch, stream):
+        paths.append(stream.path)
+        return scorer(arch, stream)
+
+    score = _scoring(SearchConfig(), seen, Trajectory(), rng)
+
+    def recorded(archs):
+        paths.clear()
+        proxies = score(archs)
+        calls.append((list(archs), list(paths)))
+        return proxies
 
     return recorded
 
@@ -231,12 +241,11 @@ def test_spawn_best_matches_rescoring():
     parent = individuals([1.0])[0]
     cfg = SearchConfig(pop_size=1, cycles=1, init_candidates=1, gen_size=10)
     stream = RngStream(7, ("cycle", 0))
-    arch, proxy = spawn_generation(parent, cfg, batched(mock_scorer), stream)
+    arch, proxy = spawn_generation(parent, cfg, batched(mock_scorer, rng=RngStream(7)), stream)
     rescored = []
     for j in range(10):
-        sub = stream.child("child", j)
-        child = mutate(parent.arch, sub.child("mut"))
-        rescored.append(mock_scorer(child, sub.child("score")).value)
+        child = mutate(parent.arch, stream.child("child", j, "mut"))
+        rescored.append(mock_scorer(child, score_stream(RngStream(7), child)).value)
     assert proxy.value == max(rescored)
 
 
@@ -259,13 +268,13 @@ def test_spawn_nan_first_child_never_wins():
     assert arch == mutate(parent.arch, stream.child("child", 2, "mut"))
 
 
-def scored_children(parent, cfg, scorer, stream):
-    """(arch, score) of every child spawn_generation scores, in child order."""
+def scored_children(parent, cfg, scorer, stream, rng=RngStream(0)):
+    """(arch, score) of every child spawn_generation scores from cycle stream
+    `stream` of the run of stream `rng`, in child order."""
     out = []
     for j in range(cfg.gen_size):
-        sub = stream.child("child", j)
-        arch = mutate(parent.arch, sub.child("mut"))
-        out.append((arch, scorer(arch, sub.child("score")).value))
+        arch = mutate(parent.arch, stream.child("child", j, "mut"))
+        out.append((arch, scorer(arch, score_stream(rng, arch)).value))
     return out
 
 
@@ -330,7 +339,7 @@ def test_init_population_no_filter_when_sizes_match():
 def test_init_population_nan_candidate_is_sentinel():
     cfg = SearchConfig(pop_size=3, cycles=10, init_candidates=10)
     values = iter([5.0, math.nan, 9.0, 8.0, 7.0, 0.0, 1.0, 2.0, 3.0, 4.0])
-    pop, _ = init_population(cfg, batched(lambda a, s: next(values)), RngStream(4))
+    pop, _ = init_population(cfg, batched(lambda a, s: ProxyScore(next(values))), RngStream(4))
     assert [ind.proxy.value for ind in pop] == [9.0, 8.0, 7.0]
 
 
@@ -338,7 +347,8 @@ def test_init_population_scores_all_candidates_in_one_call():
     cfg = SearchConfig(pop_size=4, cycles=20, init_candidates=9)
     calls = []
     _, candidates = init_population(cfg, batched(mock_scorer, calls), RngStream(5))
-    assert calls == [([ind.arch for ind in candidates], [("init", i, "score") for i in range(9)])]
+    archs = [ind.arch for ind in candidates]
+    assert calls == [(archs, [("score", int(a)) for a in archs])]
 
 
 def test_spawn_generation_scores_all_children_in_one_call():
@@ -348,16 +358,16 @@ def test_spawn_generation_scores_all_children_in_one_call():
     calls = []
     spawn_generation(parent, cfg, batched(mock_scorer, calls), stream)
     children = [a for a, _ in scored_children(parent, cfg, mock_scorer, stream)]
-    assert calls == [(children, [("cycle", 3, "child", j, "score") for j in range(7)])]
+    assert calls == [(children, [("score", int(a)) for a in children])]
 
 
 def test_scoring_step_charges_guided_runs_only():
     cfg = SearchConfig()
     traj = Trajectory()
-    score = _scoring(cfg, lambda a, s: float(a), traj)
+    score = _scoring(cfg, lambda a, s: ProxyScore(float(a)), traj, RngStream(0))
     archs = list(enumerate_all())[:5]
-    assert [p.value for p in score(archs[:3], [None] * 3)] == [0.0, 1.0, 2.0]
-    score(archs[3:], [None] * 2)
+    assert [p.value for p in score(archs[:3])] == [0.0, 1.0, 2.0]
+    score(archs[3:])
     assert traj.n_proxy_evals == 5
     assert traj.simulated_time_s == 3 * PROXY_COST_S + 2 * PROXY_COST_S
 
@@ -365,7 +375,7 @@ def test_scoring_step_charges_guided_runs_only():
         raise AssertionError("an unguided run called its scorer")
 
     traj = Trajectory()
-    scores = _scoring(rea_config(), scorer, traj)(archs, [None] * 5)
+    scores = _scoring(rea_config(), scorer, traj, RngStream(0))(archs)
     assert all(p.is_sentinel for p in scores) and len(scores) == 5
     assert traj == Trajectory()
 
@@ -426,9 +436,9 @@ def test_guided_repeats_only_when_every_child_was_trained():
         repeats = skips = 0
         for e in run.events[run_cfg.pop_size:]:
             cycle = int(e.origin.split(":")[1])
-            stream = RngStream(run_cfg.seed).child("cycle", cycle)
+            rng = RngStream(run_cfg.seed)
             parent = Individual(e.parent_arch, ProxyScore(0.0), 0.0, 0, "init")
-            children = scored_children(parent, run_cfg, scorer, stream)
+            children = scored_children(parent, run_cfg, scorer, rng.child("cycle", cycle), rng)
             assert e.arch in {a for a, _ in children}
             skips += e.arch != max(children, key=lambda c: c[1])[0]
             if e.arch in seen:
@@ -437,6 +447,27 @@ def test_guided_repeats_only_when_every_child_was_trained():
             seen.add(e.arch)
         # both the skip and the fallback were exercised
         assert skips > 0 and repeats > 0
+
+
+def test_score_depends_only_on_run_seed_and_genotype():
+    calls = []
+
+    def scorer(arch, stream):
+        calls.append((arch, stream.path, stream.uniform()))
+        return ProxyScore(calls[-1][2])
+
+    # the fittest individual stays the parent, so children repeat
+    cfg = SearchConfig(pop_size=3, cycles=60, gen_size=3, init_candidates=6, seed=13,
+                       parent_mode="highest", removal_mode="lowest")
+    traj = run_search(cfg, BENCH, scorer)
+    assert len(calls) == traj.n_proxy_evals
+    assert all(path == ("score", int(arch)) for arch, path, _ in calls)
+    values = {}
+    for arch, _, value in calls:
+        values.setdefault(arch, set()).add(value)
+    assert len(values) < len(calls)  # some genotype was scored more than once
+    assert all(len(v) == 1 for v in values.values())
+    assert all(e.proxy_value in values[e.arch] for e in traj.events)
 
 
 def test_best_tie_breaks_to_earliest_trained():
@@ -463,7 +494,7 @@ def test_guided_nan_scores_run_as_sentinels():
     runs = []
     for fill in (math.nan, -math.inf):
         proxy[holes] = fill
-        traj = run_search(cfg, BENCH, lambda arch, stream: proxy[arch])
+        traj = run_search(cfg, BENCH, lambda arch, stream: ProxyScore(proxy[arch]))
         runs.append([(e.arch, e.proxy_value, e.parent_arch) for e in traj.events])
     assert runs[0] == runs[1]
     assert any(e[1] == WORST_SCORE for e in runs[0])
