@@ -73,7 +73,7 @@ def _parser() -> argparse.ArgumentParser:
     score.add_argument("arch", help="canonical architecture string")
     score.add_argument("--batch", help="raw image batch file; default: synthetic batch")
     score.add_argument("--batch-count", type=int, default=32, dest="batch_count")
-    score.add_argument("--seed", type=int, default=0, help="run seed (a summary.json run seed); synthetic batch seed")
+    score.add_argument("--seed", type=int, default=0, help="run seed (a summary.json run seed)")
 
     stats = sub.add_parser("stats", help="statistics on result files")
     stats_sub = stats.add_subparsers(dest="stats_command", required=True)
@@ -154,7 +154,7 @@ def _cmd_bench_gen(args) -> int:
 
 def _cmd_score(args) -> int:
     arch = decode_str(args.arch)
-    source = args.batch or SyntheticBatchSpec(seed=args.seed)
+    source = args.batch or SyntheticBatchSpec()
     batch, labels, skeleton = load_batch(source, args.batch_count, SkeletonConfig())
     result = score_arch(arch, batch, labels, skeleton, ProxyParams(), score_stream(RngStream(args.seed), arch))
     print(json.dumps({

@@ -12,16 +12,22 @@ head: ``Network._run`` transposes the NCHW batch once on entry,
 ``Network._backprop`` its gradient once on exit, and global average pooling
 hands ``(N, C)`` to the classifier.  The public functions speak NCHW.
 
-Kernels.  A convolution fills an im2col buffer ``(c, kh, kw, n, ho, wo)``
-tap by tap from the unpadded input into zeros, so ``W (o, c*kh*kw) @ cols``
-is its output; the input gradient is ``W^T @ gy`` in the same layout, each
-tap's block added back where it was read.  One path serves every stride and
-kernel size.  Each conv kernel allocates its result before its large
-buffer, which keeps the heap (and peak RSS) smaller.  Batch norm reduces
-each channel over one contiguous row, scales the centred values in place
-and backpropagates in one buffer.  ReLU caches a bool mask and multiplies
-the gradient by it.  3x3 average pooling is a separable box sum divided by
-9; the box is symmetric, so its backward pass is the same operation.
+Kernels.  A convolution walks the batch in sample blocks: it fills an
+im2col buffer ``(c, kh, kw, m, ho, wo)`` of at most ``_BLOCK_BYTES`` (at
+least one sample) tap by tap from the unpadded input, and ``W (o,
+c*kh*kw) @ cols`` writes the block's slice of the output.  The buffer is
+allocated and zeroed once per call; the taps never write the padding, so
+it stays zero from block to block.  A stride-1 conv's input gradient is
+the same kernel run on the output gradient with flipped, transposed
+weights; a stride-2 one is ``W^T @ gy`` per block in the same layout, each
+tap's block added back where it was read.  Transient memory per kernel is
+thus its result plus one block, whatever the batch size.  Batch norm
+reduces each channel over one contiguous row, scales the centred values in
+place and backpropagates in one buffer.  ReLU caches a bool mask and
+multiplies the gradient by it.  3x3 average pooling is a separable box sum
+divided by 9 in place; the box is symmetric, so its backward pass is the
+same operation.  ``_backprop`` pops each layer cache off the tape as it
+uses it, so the forward pass's caches are freed as the gradient advances.
 
 Layer protocol: ``forward(x) -> (y, cache)``, ``backward(cache, gy) -> gx``.
 
@@ -122,43 +128,65 @@ def _spans(size, k, stride, pad, out):
 
 
 def _taps(x_shape, w_shape, stride, pad, ho, wo):
-    """(im2col index, input index) per kernel tap (i, j)."""
-    rows = _spans(x_shape[2], w_shape[2], stride, pad, ho)
-    cols = _spans(x_shape[3], w_shape[3], stride, pad, wo)
-    for (i, oy, iy), (j, ox, ix) in itertools.product(rows, cols):
-        yield np.s_[:, i, j, :, oy, ox], np.s_[:, :, iy, ix]
+    """Per kernel tap (i, j): i, j, the output rows and columns it reaches
+    and the input rows and columns they read."""
+    rows = list(_spans(x_shape[2], w_shape[2], stride, pad, ho))
+    cols = list(_spans(x_shape[3], w_shape[3], stride, pad, wo))
+    return [(i, j, oy, ox, iy, ix) for i, oy, iy in rows for j, ox, ix in cols]
+
+
+_BLOCK_BYTES = 1 << 20  # bound on a conv kernel's im2col or taps buffer
+
+
+def _blocked(c, kh, kw, n, ho, wo, make):
+    """One (c, kh, kw, m, ho, wo) buffer of at most _BLOCK_BYTES (but m >= 1)
+    from `make`, and the sample slices of the batch it serves in turn."""
+    m = min(n, max(1, _BLOCK_BYTES // (8 * c * kh * kw * ho * wo)))
+    return make((c, kh, kw, m, ho, wo)), [slice(s, min(s + m, n)) for s in range(0, n, m)]
 
 
 def _conv_forward(x, w, stride, pad):
     c, n, h, width = x.shape
     o, _, kh, kw = w.shape
     ho, wo = (h + 2 * pad - kh) // stride + 1, (width + 2 * pad - kw) // stride + 1
-    y = np.empty((o, n, ho, wo))  # allocated before cols; see the module docstring
-    cols = np.zeros((c, kh, kw, n, ho, wo))
-    for col, inp in _taps(x.shape, w.shape, stride, pad, ho, wo):
-        cols[col] = x[inp]
-    np.matmul(w.reshape(o, -1), cols.reshape(-1, n * ho * wo), out=y.reshape(o, -1))
+    y = np.empty((o, n, ho, wo))
+    w2 = w.reshape(o, -1)
+    cols, blocks = _blocked(c, kh, kw, n, ho, wo, np.zeros)  # taps never write the padding
+    taps = _taps(x.shape, w.shape, stride, pad, ho, wo)
+    for b in blocks:
+        blk = cols[:, :, :, : b.stop - b.start]
+        for i, j, oy, ox, iy, ix in taps:
+            blk[:, i, j, :, oy, ox] = x[:, b, iy, ix]
+        np.matmul(w2, blk.reshape(c * kh * kw, -1), out=y[:, b].reshape(o, -1))
     return y
 
 
 def _conv_backward_input(gy, w, x_shape, stride, pad):
     o, c, kh, kw = w.shape
+    if stride == 1:  # the forward kernel on gy, with flipped, transposed weights
+        return _conv_forward(gy, w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], 1, kh - 1 - pad)
     _, n, ho, wo = gy.shape
-    gx = np.zeros(x_shape)  # allocated before taps, likewise
-    taps = (w.reshape(o, -1).T @ gy.reshape(o, -1)).reshape(c, kh, kw, n, ho, wo)
-    for col, inp in _taps(x_shape, w.shape, stride, pad, ho, wo):
-        gx[inp] += taps[col]
+    gx = np.zeros(x_shape)
+    w2 = w.reshape(o, -1).T
+    buf, blocks = _blocked(c, kh, kw, n, ho, wo, np.empty)
+    taps = _taps(x_shape, w.shape, stride, pad, ho, wo)
+    for b in blocks:
+        blk = buf[:, :, :, : b.stop - b.start]
+        np.matmul(w2, gy[:, b].reshape(o, -1), out=blk.reshape(c * kh * kw, -1))
+        for i, j, oy, ox, iy, ix in taps:
+            gx[:, b, iy, ix] += blk[:, i, j, :, oy, ox]
     return gx
 
 
 def _box3(x):
-    """Zero-padded 3x3 box sum, separably: rows, then columns."""
+    """Zero-padded 3x3 box mean, separably: rows, then columns, then / 9."""
     rows = x.copy()
     rows[:, :, 1:] += x[:, :, :-1]
     rows[:, :, :-1] += x[:, :, 1:]
     out = rows.copy()
     out[..., 1:] += rows[..., :-1]
     out[..., :-1] += rows[..., 1:]
+    out /= 9.0
     return out
 
 
@@ -218,10 +246,10 @@ class _AvgPool3x3:
     """
 
     def forward(self, x):
-        return _box3(x) / 9.0, None
+        return _box3(x), None
 
     def backward(self, cache, gy):
-        return _box3(gy) / 9.0
+        return _box3(gy)
 
 
 class _Identity:
@@ -310,7 +338,7 @@ class Network:
         grads = {_OUT: gy}
         for i in reversed(range(len(self.steps))):
             layer, src, dst = self.steps[i]
-            g = layer.backward(tape[i], grads.pop(dst) if first_write[dst] == i else grads[dst])
+            g = layer.backward(tape.pop(), grads.pop(dst) if first_write[dst] == i else grads[dst])
             grads[src] = grads[src] + g if src in grads else g
         return grads[0].transpose(1, 0, 2, 3) if 0 in grads else np.zeros(x_shape)
 

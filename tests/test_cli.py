@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from evonas.batches import load_raw_batch
+from evonas.batches import SyntheticBatchSpec, load_raw_batch, make_batch
 from evonas.cellspace import decode_str, encode_str
 from evonas.cli import main
 from evonas.evolution import SearchConfig, run_search, score_stream
@@ -160,6 +160,18 @@ def test_score_command_repeats_a_runs_score(tmp_path, bench_file, capsys):
     for event in (traj.events[0], traj.events[-1]):  # an initial candidate and a child
         code, stdout, _ = run_cli(capsys, "score", encode_str(event.arch), "--batch", str(batch_file),
                                   "--batch-count", "20", "--seed", "7")
+        assert code == 0
+        assert json.loads(stdout)["score"] == event.proxy_value
+
+
+def test_score_command_repeats_a_runs_score_on_the_default_batch(bench_file, capsys):
+    """Without --batch, `score --seed S` scores on the default synthetic batch, as a run of seed S does."""
+    batch, labels = make_batch(SyntheticBatchSpec())
+    cfg = SearchConfig(pop_size=2, tournament_size=2, cycles=3, gen_size=2, seed=5)
+    traj = run_search(cfg, load_tabular(bench_file),
+                      lambda arch, stream: score_arch(arch, batch, labels, SkeletonConfig(), ProxyParams(), stream))
+    for event in (traj.events[0], traj.events[-1]):  # an initial candidate and a child
+        code, stdout, _ = run_cli(capsys, "score", encode_str(event.arch), "--seed", "5")
         assert code == 0
         assert json.loads(stdout)["score"] == event.proxy_value
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from evonas.zeroproxy import ProxyParams, score_arch
 from numpy.lib.stride_tricks import sliding_window_view
 
 from evonas.tensornet import (
+    _BLOCK_BYTES,
     _OUT,
     JacobianBatch,
     Network,
@@ -453,6 +456,77 @@ def test_conv_backward_is_adjoint_of_forward(k, stride):
     lhs = np.vdot(y, gy)
     rhs = np.vdot(x, _conv_backward_input(gy, w, x.shape, stride, pad))
     assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(y), np.abs(gy))
+
+
+# (k, stride, channels, hw): a batch of 7 walks blocks of 3, 3 and 1 samples
+UNEVEN_BLOCKS = [(1, 1, 40, 32), (3, 1, 16, 16), (1, 2, 40, 64), (3, 2, 16, 32)]
+
+
+@pytest.mark.parametrize("k,stride,c,hw", UNEVEN_BLOCKS)
+def test_conv_kernels_over_uneven_sample_blocks(k, stride, c, hw):
+    stream = RngStream(33, ("blocks", k, stride))
+    n, pad = 7, (k - 1) // 2
+    ho = (hw + 2 * pad - k) // stride + 1
+    assert _BLOCK_BYTES // (8 * c * k * k * ho * ho) == 3  # one im2col or taps sample
+    if stride == 1:  # the input gradient runs the forward kernel on gy, at hw
+        assert ho == hw
+    x = stream.normal(size=(n, c, hw, hw))
+    w = stream.normal(size=(c, c, k, k))
+    gy = stream.normal(size=(n, c, ho, ho))
+    y = _conv_forward(cnhw(x), w, stride, pad)
+    assert_same(y, cnhw(ref_conv_forward(x, w, stride, pad)))
+    gx = _conv_backward_input(cnhw(gy), w, (c, n, hw, hw), stride, pad)
+    assert_same(gx, cnhw(ref_conv_backward_input(gy, w, x.shape, stride, pad)))
+    lhs, rhs = np.vdot(y, cnhw(gy)), np.vdot(cnhw(x), gx)
+    assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(y), np.abs(cnhw(gy)))
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes allocated while `fn` ran, beyond its start)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_kernels_allocate_their_result_and_one_block(stride):
+    """At the wide skeleton's stage-0 shape a whole-batch im2col buffer is
+    23.6 MB; each kernel holds one sample block instead."""
+    c, n, hw, k, pad = 16, 20, 32, 3, 1
+    o, ho = c * stride, hw // stride
+    stream = RngStream(34, ("alloc", stride))
+    x = stream.normal(size=(c, n, hw, hw))
+    w = stream.normal(size=(o, c, k, k))
+    gy = stream.normal(size=(o, n, ho, ho))
+    block = max(_BLOCK_BYTES, 8 * c * k * k * ho * ho)  # at least one sample
+    slack = 3 * 8 * np.getbufsize() + (64 << 10)  # a strided tap add's ufunc buffers, and small arrays
+    y, peak = traced_peak(_conv_forward, x, w, stride, pad)
+    assert peak <= y.nbytes + block + slack
+    gx, peak = traced_peak(_conv_backward_input, gy, w, x.shape, stride, pad)
+    assert peak <= gx.nbytes + block + slack
+
+
+def test_jacobian_peak_is_the_tape_plus_two_activations():
+    """Traced peak of one wide scoring of the all-3x3 cell, from its shapes.
+
+    When backprop starts the tape holds every batch norm's float64 output
+    and every ReLU's bool mask; as it pops them the gradients grow.  On top
+    of the full tape the peak holds at most two stage-0 activations (a
+    kernel's input and result) and one conv block.
+    """
+    cfg = SKELETONS["wide"]
+    n = 20
+    net = build_network(ArchEncoding((OpKind.CONV3X3,) * 6), cfg, RngStream(35, ("init",)))
+    batch = RngStream(36).normal(size=(n, cfg.input_channels, cfg.input_hw, cfg.input_hw))
+    sizes = [n * cfg.stem_channels * cfg.input_hw ** 2 // 2 ** s for s in range(cfg.num_stages)]
+    cells = sum(6 * 8 * e + 3 * e for e in sizes)  # six conv edges, three shared ReLUs
+    reductions = sum(e + 8 * e_next for e, e_next in zip(sizes, sizes[1:]))
+    tape = 8 * sizes[0] + cells + reductions + sizes[-1]  # stem, ..., head ReLU
+    _, peak = traced_peak(input_jacobian, net, batch, np.arange(n) % cfg.num_classes)
+    assert peak <= tape + 2 * 8 * sizes[0] + _BLOCK_BYTES
 
 
 # ---------------------------------------------------------------------------
