@@ -13,11 +13,18 @@ Philox gets the key from `_KeySeed.generate_state(2, uint64)`, not from
 Philox (4x64, 10 rounds) is used because it is a named, documented,
 counter-based algorithm whose output is identical across platforms for a
 fixed numpy version.
+
+Integers below high <= 2**32 are Lemire draws (arXiv 1805.10941) on Philox's
+32-bit words, low half of each `random_raw()` word first: the values and
+stream position of `Generator.integers`, without depending on that method,
+which NEP 19 does not freeze across numpy versions.  Only float draws (and
+integers past 2**32) build a `Generator`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
@@ -52,22 +59,42 @@ class RngStream:
 
     Draw methods advance the stream state; `child` creates an independent
     stream whose output depends only on the root seed and the child path,
-    never on how much the parent has been consumed.  The key and generator
-    are built on the first draw, so a stream used only to derive child
-    paths costs no hashing.
+    never on how much the parent has been consumed.  The key and bit
+    generator are built on the first draw, so a stream used only to derive
+    child paths costs no hashing; a `Generator` only on the first float draw.
     """
 
-    __slots__ = ("seed", "path", "_gen")
+    __slots__ = ("seed", "path", "_bits", "_half", "_gen")
 
     def __init__(self, seed: int, path: tuple = ()):
         self.seed = int(seed)
         self.path = tuple(path)
+        self._bits = None
+        self._half = None  # high 32 bits of the last raw word, not yet drawn
         self._gen = None
+
+    def _philox(self) -> np.random.Philox:
+        if self._bits is None:
+            self._bits = np.random.Philox(_KeySeed(_key(self.seed, self.path)))
+        return self._bits
 
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
-            self._gen = np.random.Generator(np.random.Philox(_KeySeed(_key(self.seed, self.path))))
+            self._gen = np.random.Generator(self._philox())
         return self._gen
+
+    def _below(self, high: int) -> int:
+        """One Lemire draw in [0, high); high == 1 draws no word."""
+        threshold = (1 << 32) % high
+        while high > 1:
+            if self._half is None:
+                word = self._philox().random_raw()
+                word, self._half = word & 0xFFFFFFFF, word >> 32
+            else:
+                word, self._half = self._half, None
+            if (word * high) & 0xFFFFFFFF >= threshold:
+                return (word * high) >> 32
+        return 0
 
     def child(self, *path) -> "RngStream":
         """Independent substream addressed by `path` components."""
@@ -76,8 +103,16 @@ class RngStream:
     # -- draws ------------------------------------------------------------
 
     def integers(self, high: int, size=None):
-        """Uniform integers in [0, high)."""
-        return self._generator().integers(high, size=size)
+        """Uniform integers in [0, high): a Python int, or an int64 array of `size`."""
+        high = operator.index(high)
+        if not 1 <= high <= 1 << 32:
+            draws = self._generator().integers(high, size=size)
+            return draws if size is not None else int(draws)
+        if size is None:
+            return self._below(high)
+        out = np.empty(size, np.int64)
+        out.flat = [self._below(high) for _ in range(out.size)]
+        return out
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self._generator().uniform(low, high, size=size)

@@ -25,9 +25,10 @@ thus its result plus one block, whatever the batch size.  Batch norm
 reduces each channel over one contiguous row, scales the centred values in
 place and backpropagates in one buffer.  ReLU caches a bool mask and
 multiplies the gradient by it.  3x3 average pooling is a separable box sum
-divided by 9 in place; the box is symmetric, so its backward pass is the
-same operation.  ``_backprop`` pops each layer cache off the tape as it
-uses it, so the forward pass's caches are freed as the gradient advances.
+divided by 9 in place, its row sums taken one sample block at a time; the
+box is symmetric, so its backward pass is the same operation.
+``_backprop`` pops each layer cache off the tape as it uses it, so the
+forward pass's caches are freed as the gradient advances.
 
 Layer protocol: ``forward(x) -> (y, cache)``, ``backward(cache, gy) -> gx``.
 
@@ -179,13 +180,19 @@ def _conv_backward_input(gy, w, x_shape, stride, pad):
 
 
 def _box3(x):
-    """Zero-padded 3x3 box mean, separably: rows, then columns, then / 9."""
-    rows = x.copy()
-    rows[:, :, 1:] += x[:, :, :-1]
-    rows[:, :, :-1] += x[:, :, 1:]
-    out = rows.copy()
-    out[..., 1:] += rows[..., :-1]
-    out[..., :-1] += rows[..., 1:]
+    """Zero-padded 3x3 box mean, separably: rows into one sample block of at
+    most _BLOCK_BYTES, then columns into the result, then / 9."""
+    c, n, h, w = x.shape
+    out = np.empty(x.shape)
+    buf, blocks = _blocked(c, 1, 1, n, h, w, np.empty)
+    for b in blocks:
+        rows, xb, ob = buf[:, 0, 0, : b.stop - b.start], x[:, b], out[:, b]
+        rows[:, :, 0] = xb[:, :, 0]
+        np.add(xb[:, :, 1:], xb[:, :, :-1], out=rows[:, :, 1:])
+        rows[:, :, :-1] += xb[:, :, 1:]
+        ob[..., 0] = rows[..., 0]
+        np.add(rows[..., 1:], rows[..., :-1], out=ob[..., 1:])
+        ob[..., :-1] += rows[..., 1:]
     out /= 9.0
     return out
 

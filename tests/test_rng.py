@@ -66,19 +66,35 @@ def test_lazy_generator_keeps_every_stream():
     assert np.array_equal(late.normal(size=6), eager(("run",)).normal(size=6))
     # a child derived after the parent's first draw is the same stream
     assert np.array_equal(late.child("c", 2).uniform(size=6), kid_first.uniform(size=6))
-    # a path-only stream builds no generator
-    assert RngStream(11).child("cycle", 0).child("child", 1)._gen is None
+    # a path-only stream builds no bit generator, an integer-only one no Generator
+    assert RngStream(11).child("cycle", 0).child("child", 1)._bits is None
+    mut = RngStream(11).child("cycle", 0, "child", 1, "mut")
+    for high in (1, 6, 2**32):
+        mut.integers(high)
+        mut.integers(high, size=3)
+    assert mut._bits is not None and mut._gen is None
 
 
 def test_key_seed_draws_equal_philox_key():
     # 120 (seed, path) pairs: every draw kind, scalar and sized, equals the
-    # generator that Philox builds from the same key given as `key=`
+    # generator that Philox builds from the same key given as `key=`; integer
+    # draws interleave with float draws, whose words they must not move
     paths = [(), ("run",), ("init", 3, "arch"), ("cycle", 17, "child", 2, "mut")]
+    highs = [1, 2, 5, 6, 7, 200, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32, np.int64(2**32 - 5), 1 << 40]
     for seed in range(30):
         for path in paths:
             ours = RngStream(seed, path)
             ref = np.random.Generator(np.random.Philox(key=_key(seed, path)))
+            for high in highs:
+                draw = ours.integers(high)
+                assert type(draw) is int and draw == ref.integers(high)
+                assert ours.normal() == ref.normal()
             assert ours.integers(6) == ref.integers(6)
+            assert ours.integers(1) == ref.integers(1) == 0  # consumes no word
+            assert ours.integers(7) == ref.integers(7)
+            for high, size in [(5, 6), (6, 7), (200, (2, 3)), (2**32 - 1, 4), (1, 3), (3, 0)]:
+                draws, expected = ours.integers(high, size=size), ref.integers(high, size=size)
+                assert draws.dtype == expected.dtype and np.array_equal(draws, expected)
             assert np.array_equal(ours.integers(1 << 40, size=7), ref.integers(1 << 40, size=7))
             assert ours.uniform() == ref.uniform()
             assert np.array_equal(ours.uniform(5.0, 15.0, size=9), ref.uniform(5.0, 15.0, size=9))

@@ -16,6 +16,7 @@ from evonas.tensornet import (
     SkeletonConfig,
     _AvgPool3x3,
     _BatchNorm,
+    _box3,
     _conv_backward_input,
     _conv_forward,
     _GlobalAvgPool,
@@ -507,6 +508,19 @@ def test_conv_kernels_allocate_their_result_and_one_block(stride):
     assert peak <= y.nbytes + block + slack
     gx, peak = traced_peak(_conv_backward_input, gy, w, x.shape, stride, pad)
     assert peak <= gx.nbytes + block + slack
+
+
+def test_box3_over_uneven_sample_blocks():
+    """At the wide skeleton's stage-0 shape (16 channels of 32x32, blocks of 8
+    samples) a batch of 20 walks blocks of 8, 8 and 4; pooling holds its
+    result and one block of row sums, not two activation-sized copies."""
+    c, n, hw = 16, 20, 32
+    assert _BLOCK_BYTES // (8 * c * hw * hw) == 8
+    x = RngStream(37, ("box3",)).normal(size=(c, n, hw, hw))
+    slack = 3 * 8 * np.getbufsize() + (64 << 10)  # strided adds' ufunc buffers, and small arrays
+    y, peak = traced_peak(_box3, x)
+    assert np.array_equal(y, ref_box3(x) / 9.0)
+    assert peak <= y.nbytes + _BLOCK_BYTES + slack
 
 
 def test_jacobian_peak_is_the_tape_plus_two_activations():
