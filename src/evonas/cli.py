@@ -2,9 +2,10 @@
 
 Subcommands: `search` (one method, one configuration), `ablate` (parameter
 sweeps), `bench gen` (write a synthetic benchmark file), `score` (a run's
-proxy score for one architecture string), `stats` (t-test / rank correlation on
-result files).  Options beat config-file values beat defaults.  On failure
-the process exits nonzero after printing one JSON error line to stderr.
+proxy score for one architecture string, at a run's skeleton and batch
+with `--config`), `stats` (t-test / rank correlation on result files).
+Options beat config-file values beat defaults.  On failure the process
+exits nonzero after printing one JSON error line to stderr.
 """
 
 from __future__ import annotations
@@ -71,8 +72,9 @@ def _parser() -> argparse.ArgumentParser:
 
     score = sub.add_parser("score", help="proxy-score one architecture string")
     score.add_argument("arch", help="canonical architecture string")
+    score.add_argument("--config", help="a run's summary.json or experiment JSON: its skeleton and batch")
     score.add_argument("--batch", help="raw image batch file; default: synthetic batch")
-    score.add_argument("--batch-count", type=int, default=32, dest="batch_count")
+    score.add_argument("--batch-count", type=int, dest="batch_count", help="default: 32")
     score.add_argument("--seed", type=int, default=0, help="run seed (a summary.json run seed)")
 
     stats = sub.add_parser("stats", help="statistics on result files")
@@ -152,10 +154,25 @@ def _cmd_bench_gen(args) -> int:
     return 0
 
 
+def _score_setup(args) -> tuple:
+    """(batch source, batch count, skeleton): the --config document's, read
+    as `config_from_doc` reads it (a summary.json through its config block),
+    else the flags' at the default skeleton."""
+    if not args.config:
+        count = 32 if args.batch_count is None else args.batch_count
+        return args.batch or SyntheticBatchSpec(), count, SkeletonConfig()
+    if args.batch is not None or args.batch_count is not None:
+        raise ConfigError("--config gives the batch: drop --batch and --batch-count")
+    doc = json.loads(Path(args.config).read_text("utf-8"))
+    cfg = config_from_doc(doc["config"] if isinstance(doc, dict) and "config" in doc else doc)
+    if cfg.batch is None:
+        raise ConfigError(f"{args.config} has no batch: its runs scored with the benchmark's proxy map")
+    return cfg.batch, cfg.batch_count, cfg.skeleton
+
+
 def _cmd_score(args) -> int:
     arch = decode_str(args.arch)
-    source = args.batch or SyntheticBatchSpec()
-    batch, labels, skeleton = load_batch(source, args.batch_count, SkeletonConfig())
+    batch, labels, skeleton = load_batch(*_score_setup(args))
     result = score_arch(arch, batch, labels, skeleton, ProxyParams(), score_stream(RngStream(args.seed), arch))
     print(json.dumps({
         "arch": encode_str(arch),

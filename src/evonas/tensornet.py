@@ -12,25 +12,23 @@ head: ``Network._run`` transposes the NCHW batch once on entry,
 ``Network._backprop`` its gradient once on exit, and global average pooling
 hands ``(N, C)`` to the classifier.  The public functions speak NCHW.
 
-Kernels.  A convolution walks the batch in sample blocks: it fills an
-im2col buffer ``(c, kh, kw, m, ho, wo)`` of at most ``_BLOCK_BYTES`` (at
-least one sample) tap by tap from the unpadded input, and ``W (o,
-c*kh*kw) @ cols`` writes the block's slice of the output.  The buffer is
-allocated and zeroed once per call; the taps never write the padding, so
-it stays zero from block to block.  A stride-1 conv's input gradient is
-the same kernel run on the output gradient with flipped, transposed
-weights; a stride-2 one is ``W^T @ gy`` per block in the same layout, each
-tap's block added back where it was read.  Transient memory per kernel is
-thus its result plus one block, whatever the batch size.  Batch norm
-reduces each channel over one contiguous row, scales the centred values in
-place and backpropagates in one buffer.  ReLU caches a bool mask and
-multiplies the gradient by it.  3x3 average pooling is a separable box sum
-divided by 9 in place, its row sums taken one sample block at a time; the
-box is symmetric, so its backward pass is the same operation.
-``_backprop`` pops each layer cache off the tape as it uses it, so the
-forward pass's caches are freed as the gradient advances.
+Kernels.  A convolution fills an im2col block ``(c, kh, kw, m, ho, wo)``
+of at most ``_BLOCK_BYTES`` (m >= 1 samples) tap by tap, zeroing only the
+padding strips no tap writes, and ``W @ cols`` writes those samples'
+output.  A stride-1 conv's input gradient is that kernel on the output
+gradient with flipped, transposed weights; a stride-2 one adds ``W^T @
+gy`` per block back where each tap read.  Batch norm normalizes its
+conv's output in place (its tape entry) and writes its gradient over it.
+ReLU caches a bool mask.  3x3 average pooling, its own backward pass,
+sums blocks of whole channels: each 3-tap sum is two shifted adds over
+the flat block, the first and last row (column), where the shift wraps,
+rewritten.  Each thread's workspace keeps its block buffer and, for the
+next scoring, its tape entries' buffers, until the skeleton or batch
+shape changes.  A result takes a kept buffer of its size and dtype that
+``sys.getrefcount`` shows unreferenced, else a new one; a layer given an
+``owned`` gradient (nothing else holds it) writes its result over it.
 
-Layer protocol: ``forward(x) -> (y, cache)``, ``backward(cache, gy) -> gx``.
+Layer protocol: ``forward(x) -> (y, cache)``, ``backward(cache, gy, owned) -> gx``.
 
 A Network is one straight-line program of steps ``(layer, src, dst)``,
 each adding ``layer(slot[src])`` into slot ``dst``.  ``build_network``
@@ -47,6 +45,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,24 +136,59 @@ def _taps(x_shape, w_shape, stride, pad, ho, wo):
     return [(i, j, oy, ox, iy, ix) for i, oy, iy in rows for j, ox, ix in cols]
 
 
-_BLOCK_BYTES = 1 << 20  # bound on a conv kernel's im2col or taps buffer
+_BLOCK_BYTES = 1 << 20  # bound on a kernel's block: a conv's im2col or taps, or whole channels
 
 
-def _blocked(c, kh, kw, n, ho, wo, make):
-    """One (c, kh, kw, m, ho, wo) buffer of at most _BLOCK_BYTES (but m >= 1)
-    from `make`, and the sample slices of the batch it serves in turn."""
-    m = min(n, max(1, _BLOCK_BYTES // (8 * c * kh * kw * ho * wo)))
-    return make((c, kh, kw, m, ho, wo)), [slice(s, min(s + m, n)) for s in range(0, n, m)]
+class _Workspace(threading.local):
+    """One thread's buffers kept for the next scoring: tape entries' by (size, dtype) and id, and a block."""
+
+    def __init__(self, key=None):
+        self.key, self.kept, self.block = key, {}, np.empty(0)
+
+    def take(self, shape, dtype=np.float64):
+        """A kept buffer of `shape`'s size and `dtype` no view holds, as `shape`; else a new one."""
+        for buf in self.kept.get((math.prod(shape), np.dtype(dtype)), {}).values():
+            if sys.getrefcount(buf) == _ALONE + 1:  # + the workspace's reference
+                return buf.reshape(shape)
+        return np.empty(shape, dtype)
+
+    def keep(self, a):
+        """Keep the buffer behind `a`, a tape entry, for later scorings; returns `a`."""
+        owner = a if a.base is None else a.base
+        self.kept.setdefault((owner.size, owner.dtype), {})[id(owner)] = owner
+        return a
 
 
-def _conv_forward(x, w, stride, pad):
+def _alone():
+    a = np.empty(0)  # one local name holds it, as in `take` and `_backprop`
+    return sys.getrefcount(a)
+
+
+_ALONE = _alone()  # measured: what a call argument adds to the count differs between Python versions
+_WS = _Workspace()
+
+
+def _blocked(lead, n, tail):
+    """The thread's block buffer as ``lead + (m,) + tail``, at most
+    _BLOCK_BYTES (but m >= 1), and the slices of range(n) it serves in turn."""
+    size = math.prod(lead) * math.prod(tail)
+    m = min(n, max(1, _BLOCK_BYTES // (8 * size)))
+    if _WS.block.size < m * size:
+        _WS.block = np.empty(max(m * size, _BLOCK_BYTES // 8))
+    return _WS.block[: m * size].reshape(lead + (m,) + tail), [slice(s, min(s + m, n)) for s in range(0, n, m)]
+
+
+def _conv_forward(x, w, stride, pad, out=None):
     c, n, h, width = x.shape
     o, _, kh, kw = w.shape
     ho, wo = (h + 2 * pad - kh) // stride + 1, (width + 2 * pad - kw) // stride + 1
-    y = np.empty((o, n, ho, wo))
+    y = _WS.take((o, n, ho, wo)) if out is None else out  # out may be x: blocks are read before written
     w2 = w.reshape(o, -1)
-    cols, blocks = _blocked(c, kh, kw, n, ho, wo, np.zeros)  # taps never write the padding
+    cols, blocks = _blocked((c, kh, kw), n, (ho, wo))
     taps = _taps(x.shape, w.shape, stride, pad, ho, wo)
+    for i, j, oy, ox, _, _ in taps:  # zero the padding strips no tap writes
+        t = cols[:, i, j]
+        t[:, :, : oy.start] = t[:, :, oy.stop :] = t[..., : ox.start] = t[..., ox.stop :] = 0.0
     for b in blocks:
         blk = cols[:, :, :, : b.stop - b.start]
         for i, j, oy, ox, iy, ix in taps:
@@ -162,14 +197,15 @@ def _conv_forward(x, w, stride, pad):
     return y
 
 
-def _conv_backward_input(gy, w, x_shape, stride, pad):
+def _conv_backward_input(gy, w, x_shape, stride, pad, out=None):
     o, c, kh, kw = w.shape
     if stride == 1:  # the forward kernel on gy, with flipped, transposed weights
-        return _conv_forward(gy, w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], 1, kh - 1 - pad)
+        return _conv_forward(gy, w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], 1, kh - 1 - pad, out)
     _, n, ho, wo = gy.shape
-    gx = np.zeros(x_shape)
+    gx = _WS.take(x_shape)
+    gx.fill(0.0)
     w2 = w.reshape(o, -1).T
-    buf, blocks = _blocked(c, kh, kw, n, ho, wo, np.empty)
+    buf, blocks = _blocked((c, kh, kw), n, (ho, wo))
     taps = _taps(x_shape, w.shape, stride, pad, ho, wo)
     for b in blocks:
         blk = buf[:, :, :, : b.stop - b.start]
@@ -179,21 +215,28 @@ def _conv_backward_input(gy, w, x_shape, stride, pad):
     return gx
 
 
+def _sum3(a, out, k, s):
+    """Contiguous `out` = 3-tap sums ``(a[i] + a[i-1]) + a[i+1]`` of `a` along an axis of length k, stride s."""
+    fa, fo, a, out = a.reshape(-1), out.reshape(-1), a.reshape(-1, k, s), out.reshape(-1, k, s)
+    if k == 1:
+        return np.copyto(out, a)
+    fo[:s] = fa[:s]  # the first slice is rewritten below, but never read unset
+    np.add(fa[s:], fa[:-s], out=fo[s:])
+    fo[:-s] += fa[s:]
+    np.add(a[:, 0], a[:, 1], out=out[:, 0])
+    np.add(a[:, -1], a[:, -2], out=out[:, -1])
+
+
 def _box3(x):
-    """Zero-padded 3x3 box mean, separably: rows into one sample block of at
-    most _BLOCK_BYTES, then columns into the result, then / 9."""
+    """Zero-padded 3x3 box mean per block of whole channels: rows, then columns, then / 9."""
     c, n, h, w = x.shape
-    out = np.empty(x.shape)
-    buf, blocks = _blocked(c, 1, 1, n, h, w, np.empty)
+    out = _WS.take(x.shape)
+    buf, blocks = _blocked((), c, (n, h, w))
     for b in blocks:
-        rows, xb, ob = buf[:, 0, 0, : b.stop - b.start], x[:, b], out[:, b]
-        rows[:, :, 0] = xb[:, :, 0]
-        np.add(xb[:, :, 1:], xb[:, :, :-1], out=rows[:, :, 1:])
-        rows[:, :, :-1] += xb[:, :, 1:]
-        ob[..., 0] = rows[..., 0]
-        np.add(rows[..., 1:], rows[..., :-1], out=ob[..., 1:])
-        ob[..., :-1] += rows[..., 1:]
-    out /= 9.0
+        rows, ob = buf[: b.stop - b.start], out[b]
+        _sum3(x[b], rows, h, w)
+        _sum3(rows, ob, w, 1)
+        ob /= 9.0
     return out
 
 
@@ -210,28 +253,30 @@ class _Conv:
     def forward(self, x):
         return _conv_forward(x, self.w, self.stride, self.pad), x.shape
 
-    def backward(self, cache, gy):
-        return _conv_backward_input(gy, self.w, cache, self.stride, self.pad)
+    def backward(self, cache, gy, owned):
+        out = gy if owned and gy.shape == cache else None  # the input gradient written over gy
+        return _conv_backward_input(gy, self.w, cache, self.stride, self.pad, out)
 
 
 class _BatchNorm:
-    """Batch-statistics normalization: no affine, no running stats."""
+    """Batch-statistics normalization, no affine or running stats, in place over its conv's output."""
 
     def __init__(self, eps):
         self.eps = eps
 
     def forward(self, x):
         rows = x.reshape(x.shape[0], -1)
-        xhat = rows - rows.mean(axis=1, keepdims=True)
-        inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=1, keepdims=True) + self.eps)
-        xhat *= inv
-        return xhat.reshape(x.shape), (xhat, inv)
+        rows -= rows.mean(axis=1, keepdims=True)
+        inv = 1.0 / np.sqrt(np.square(rows, out=_WS.take(rows.shape)).mean(axis=1, keepdims=True) + self.eps)
+        rows *= inv
+        return _WS.keep(rows).reshape(x.shape), (rows, inv)
 
-    def backward(self, cache, gy):
-        xhat, inv = cache
-        rows = gy.reshape(xhat.shape)
-        gx = rows * xhat
-        np.multiply(xhat, gx.mean(axis=1, keepdims=True), out=gx)
+    def backward(self, cache, gy, owned):
+        gx, inv = cache  # xhat
+        rows = gy.reshape(gx.shape)
+        buf, blocks = _blocked((), len(gx), gx.shape[1:])  # mean(rows * xhat) per channel, in channel blocks
+        gx *= np.concatenate([np.multiply(rows[b], gx[b], out=buf[: b.stop - b.start]).mean(axis=1, keepdims=True)
+                              for b in blocks])
         np.subtract(rows, gx, out=gx)
         gx -= rows.mean(axis=1, keepdims=True)
         gx *= inv
@@ -240,10 +285,10 @@ class _BatchNorm:
 
 class _ReLU:
     def forward(self, x):
-        return np.maximum(x, 0.0), x > 0
+        return np.maximum(x, 0.0, out=_WS.take(x.shape)), _WS.keep(np.greater(x, 0.0, out=_WS.take(x.shape, bool)))
 
-    def backward(self, cache, gy):
-        return gy * cache
+    def backward(self, cache, gy, owned):
+        return np.multiply(gy, cache, out=gy if owned else _WS.take(gy.shape))
 
 
 class _AvgPool3x3:
@@ -255,7 +300,7 @@ class _AvgPool3x3:
     def forward(self, x):
         return _box3(x), None
 
-    def backward(self, cache, gy):
+    def backward(self, cache, gy, owned):
         return _box3(gy)
 
 
@@ -263,7 +308,7 @@ class _Identity:
     def forward(self, x):
         return x, None
 
-    def backward(self, cache, gy):
+    def backward(self, cache, gy, owned):
         return gy
 
 
@@ -271,8 +316,8 @@ class _GlobalAvgPool:
     def forward(self, x):
         return x.mean(axis=(2, 3)).T, x.shape
 
-    def backward(self, cache, gy):
-        return np.broadcast_to(gy.T[:, :, None, None], cache) / (cache[2] * cache[3])
+    def backward(self, cache, gy, owned):
+        return np.divide(np.broadcast_to(gy.T[:, :, None, None], cache), cache[2] * cache[3], out=_WS.take(cache))
 
 
 class _Linear:
@@ -282,7 +327,7 @@ class _Linear:
     def forward(self, x):
         return x @ self.w.T, None
 
-    def backward(self, cache, gy):
+    def backward(self, cache, gy, owned):
         return gy @ self.w
 
 
@@ -326,6 +371,8 @@ class Network:
     def _run(self, x, tape=None, margins=None):
         """Logits of NCHW `x`; fills `tape` with step caches and `margins`
         with ReLU kink margins.  Each slot is dropped after its last read."""
+        if _WS.key != (self.cfg, x.shape):  # keep one skeleton's buffers only
+            _WS.__init__((self.cfg, x.shape))
         last_read = {src: i for i, (_, src, _) in enumerate(self.steps)}
         slots = {0: np.ascontiguousarray(x.transpose(1, 0, 2, 3))}
         for i, (layer, src, dst) in enumerate(self.steps):
@@ -335,7 +382,7 @@ class Network:
             y, cache = layer.forward(h)
             if tape is not None:
                 tape.append(cache)
-            slots[dst] = slots[dst] + y if dst in slots else y
+            slots[dst] = np.add(slots[dst], y, out=_WS.take(y.shape)) if dst in slots else y
         return slots[_OUT] if _OUT in slots else np.zeros((x.shape[0], self.cfg.num_classes))
 
     def _backprop(self, tape, gy, x_shape):
@@ -345,8 +392,11 @@ class Network:
         grads = {_OUT: gy}
         for i in reversed(range(len(self.steps))):
             layer, src, dst = self.steps[i]
-            g = layer.backward(tape.pop(), grads.pop(dst) if first_write[dst] == i else grads[dst])
-            grads[src] = grads[src] + g if src in grads else g
+            gy = grads.pop(dst) if first_write[dst] == i else grads[dst]
+            owned = sys.getrefcount(gy) == _ALONE  # read before gy is pushed as an argument
+            g = layer.backward(tape.pop(), gy, owned)
+            grads[src] = np.add(grads[src], g, out=_WS.take(g.shape)) if src in grads else g
+            del g  # a summand's buffer is free for the next step
         return grads[0].transpose(1, 0, 2, 3) if 0 in grads else np.zeros(x_shape)
 
 

@@ -6,7 +6,8 @@ import pytest
 from evonas.batches import SyntheticBatchSpec, load_raw_batch, make_batch
 from evonas.cellspace import decode_str, encode_str
 from evonas.cli import main
-from evonas.evolution import SearchConfig, run_search, score_stream
+from evonas.evolution import SearchConfig, method_config, run_search, score_stream
+from evonas.experiment import config_from_doc, load_batch
 from evonas.oracle import SyntheticSpec, gen_synthetic, load_tabular, save_tabular
 from evonas.rng import RngStream
 from evonas.tensornet import SkeletonConfig
@@ -339,3 +340,48 @@ def test_raw_batch_config_form_runs(tmp_path, bench_file, capsys):
     config = json.loads((out_dir / "summary.json").read_text("utf-8"))["config"]
     assert (config["batch"], config["batch_count"]) == (str(batch_file), 20)
     assert (config["skeleton"]["input_channels"], config["skeleton"]["input_hw"]) == (3, 32)
+
+
+def test_score_command_repeats_a_runs_score_from_its_summary(tmp_path, capsys):
+    """`score --config summary.json --seed S` scores at that run's own skeleton and batch."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config_doc(tmp_path / "run")))
+    code, _, err = run_cli(capsys, "search", "--config", str(cfg_path))
+    assert code == 0, err
+    summary_path = tmp_path / "run" / "summary.json"
+    summary = json.loads(summary_path.read_text("utf-8"))
+    cfg = config_from_doc(summary["config"])
+    assert cfg.skeleton.stem_channels == 4  # not the default skeleton
+    run = summary["runs"][1]
+    batch, labels, skeleton = load_batch(cfg.batch, cfg.batch_count, cfg.skeleton)
+    traj = run_search(method_config(cfg.method, cfg.search, seed=run["seed"]), gen_synthetic(cfg.benchmark),
+                      lambda arch, stream: score_arch(arch, batch, labels, skeleton, ProxyParams(), stream))
+    assert (encode_str(traj.best.arch), traj.best.fitness) == (run["final_arch"], run["final_val_acc"])
+    events = [e for e in traj.events if np.isfinite(e.proxy_value)]
+    for event in (events[0], events[-1]):
+        for config in (summary_path, cfg_path):  # a summary.json, or the experiment document itself
+            code, stdout, err = run_cli(capsys, "score", encode_str(event.arch), "--config", str(config),
+                                        "--seed", str(run["seed"]))
+            assert code == 0, err
+            assert json.loads(stdout)["score"] == event.proxy_value
+
+
+@pytest.mark.parametrize("flag", [("--batch", "b.bin"), ("--batch-count", "8")])
+def test_score_config_excludes_batch_flags(tmp_path, capsys, flag):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config_doc(tmp_path / "run")))
+    arch = "|nor_conv_3x3~0|+|skip_connect~0|none~1|+|skip_connect~0|nor_conv_1x1~1|avg_pool_3x3~2|"
+    err = config_error(capsys, "score", arch, "--config", str(cfg_path), *flag)
+    assert err["error"] == "ConfigError"
+    assert "--config" in err["message"]
+
+
+def test_score_config_without_a_batch_fails(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    doc = small_config_doc(tmp_path / "run")
+    del doc["batch"]
+    cfg_path.write_text(json.dumps(doc))
+    arch = "|nor_conv_3x3~0|+|skip_connect~0|none~1|+|skip_connect~0|nor_conv_1x1~1|avg_pool_3x3~2|"
+    err = config_error(capsys, "score", arch, "--config", str(cfg_path))
+    assert err["error"] == "ConfigError"
+    assert "proxy map" in err["message"]

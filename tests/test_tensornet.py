@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from evonas.tensornet import (
     _BLOCK_BYTES,
     _OUT,
+    _WS,
     JacobianBatch,
     Network,
     SkeletonConfig,
@@ -419,10 +422,10 @@ def test_kernels_match_reference(skeleton, kind, shape):
         y, cache = live.forward(cnhw(x))
         ref_y, ref_cache = ref.forward(x)
         assert_same(y, cnhw(ref_y))
-        assert_same(live.backward(cache, cnhw(gy)), cnhw(ref.backward(ref_cache, gy)))
+        assert_same(live.backward(cache, cnhw(gy), False), cnhw(ref.backward(ref_cache, gy)))
         if kind == "pool":  # and against the sliding-window definition
             assert_same(y, cnhw(reference_avgpool_forward(x)))
-            assert_same(live.backward(cache, cnhw(gy)), cnhw(reference_avgpool_backward(x.shape, gy)))
+            assert_same(live.backward(cache, cnhw(gy), False), cnhw(reference_avgpool_backward(x.shape, gy)))
         return
     if kind == "gap":
         c, hw = shape
@@ -431,7 +434,7 @@ def test_kernels_match_reference(skeleton, kind, shape):
         y, cache = _GlobalAvgPool().forward(cnhw(x))
         ref_y, ref_cache = RefGlobalAvgPool().forward(x)
         assert_same(y, ref_y)
-        assert_same(_GlobalAvgPool().backward(cache, gy), cnhw(RefGlobalAvgPool().backward(ref_cache, gy)))
+        assert_same(_GlobalAvgPool().backward(cache, gy, False), cnhw(RefGlobalAvgPool().backward(ref_cache, gy)))
         return
     c_in, c_out, hw, k, stride = shape
     pad = (k - 1) // 2
@@ -510,12 +513,13 @@ def test_conv_kernels_allocate_their_result_and_one_block(stride):
     assert peak <= gx.nbytes + block + slack
 
 
-def test_box3_over_uneven_sample_blocks():
-    """At the wide skeleton's stage-0 shape (16 channels of 32x32, blocks of 8
-    samples) a batch of 20 walks blocks of 8, 8 and 4; pooling holds its
-    result and one block of row sums, not two activation-sized copies."""
+def test_box3_over_uneven_channel_blocks():
+    """At the wide skeleton's stage-0 shape (16 channels of 20 32x32 samples,
+    blocks of 6 channels) a box sum walks blocks of 6, 6 and 4 channels; it
+    holds its result and one block of row sums, not two activation-sized
+    copies."""
     c, n, hw = 16, 20, 32
-    assert _BLOCK_BYTES // (8 * c * hw * hw) == 8
+    assert _BLOCK_BYTES // (8 * n * hw * hw) == 6
     x = RngStream(37, ("box3",)).normal(size=(c, n, hw, hw))
     slack = 3 * 8 * np.getbufsize() + (64 << 10)  # strided adds' ufunc buffers, and small arrays
     y, peak = traced_peak(_box3, x)
@@ -523,24 +527,149 @@ def test_box3_over_uneven_sample_blocks():
     assert peak <= y.nbytes + _BLOCK_BYTES + slack
 
 
+@pytest.mark.parametrize("shape", [(3, 2, 1, 5), (3, 2, 5, 1), (2, 3, 1, 1), (2, 3, 2, 2), (4, 2, 2, 7), (5, 1, 7, 2)])
+def test_box3_where_the_flat_shift_wraps(shape):
+    """Rows and columns of length 1 or 2 are all edge: every output there is rewritten."""
+    x = RngStream(38, ("box3",) + shape).normal(size=shape)
+    y = _box3(x)
+    assert np.array_equal(y, ref_box3(x) / 9.0)
+    assert_same(y, cnhw(reference_avgpool_forward(cnhw(x))))
+
+
+def in_fresh_thread(fn, *args):
+    """fn(*args) in a new thread: its workspace starts empty (a cold scoring)."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result()
+
+
 def test_jacobian_peak_is_the_tape_plus_two_activations():
-    """Traced peak of one wide scoring of the all-3x3 cell, from its shapes.
+    """Traced peak of one cold wide scoring of the all-3x3 cell (a fresh
+    thread: an empty workspace), from its shapes.
 
     When backprop starts the tape holds every batch norm's float64 output
-    and every ReLU's bool mask; as it pops them the gradients grow.  On top
-    of the full tape the peak holds at most two stage-0 activations (a
-    kernel's input and result) and one conv block.
+    and every ReLU's bool mask; as backprop pops them their buffers serve
+    the gradients that follow (batch norm and conv gradients are written
+    over them).  On top of the full tape the peak holds at most two stage-0
+    activations (a kernel's input and result) and one conv block.
     """
-    cfg = SKELETONS["wide"]
-    n = 20
-    net = build_network(ArchEncoding((OpKind.CONV3X3,) * 6), cfg, RngStream(35, ("init",)))
-    batch = RngStream(36).normal(size=(n, cfg.input_channels, cfg.input_hw, cfg.input_hw))
+    cfg, n = SKELETONS["wide"], 20
+    net, batch, labels = wide_all_3x3(n)
     sizes = [n * cfg.stem_channels * cfg.input_hw ** 2 // 2 ** s for s in range(cfg.num_stages)]
     cells = sum(6 * 8 * e + 3 * e for e in sizes)  # six conv edges, three shared ReLUs
     reductions = sum(e + 8 * e_next for e, e_next in zip(sizes, sizes[1:]))
     tape = 8 * sizes[0] + cells + reductions + sizes[-1]  # stem, ..., head ReLU
-    _, peak = traced_peak(input_jacobian, net, batch, np.arange(n) % cfg.num_classes)
+    _, peak = in_fresh_thread(traced_peak, input_jacobian, net, batch, labels)
     assert peak <= tape + 2 * 8 * sizes[0] + _BLOCK_BYTES
+
+
+def test_take_skips_a_kept_buffer_something_still_holds():
+    """`take` hands out a kept buffer only once no name and no view holds it."""
+
+    def takes():
+        view = _WS.keep(np.empty(24).reshape(4, 6))  # a tape entry that is a view: its owner is kept
+        owner = id(view.base)
+        named = _WS.keep(np.empty(30))
+        held = [_WS.take((6, 4)), _WS.take((30,))]
+        del view
+        freed = _WS.take((2, 12))
+        return owner, named, held, freed
+
+    owner, named, held, freed = in_fresh_thread(takes)
+    assert all(buf.base is None for buf in held) and held[1] is not named
+    assert id(freed.base) == owner and freed.shape == (2, 12)
+
+
+def wide_all_3x3(n=20):
+    cfg = SKELETONS["wide"]
+    net = build_network(ArchEncoding((OpKind.CONV3X3,) * 6), cfg, RngStream(35, ("init",)))
+    batch = RngStream(36).normal(size=(n, cfg.input_channels, cfg.input_hw, cfg.input_hw))
+    return net, batch, np.arange(n) % cfg.num_classes
+
+
+def test_warm_scoring_allocates_a_tenth_of_a_cold_one():
+    """The workspace keeps one scoring's tape buffers for the next: scoring
+    the same skeleton again takes nearly every buffer from it."""
+    net, batch, labels = wide_all_3x3()
+
+    def cold_then_warm():
+        _, cold = traced_peak(input_jacobian, net, batch, labels)
+        input_jacobian(net, batch, labels)
+        _, warm = traced_peak(input_jacobian, net, batch, labels)
+        return cold, warm
+
+    cold, warm = in_fresh_thread(cold_then_warm)
+    assert warm < 0.1 * cold
+
+
+def test_returned_jacobian_outlives_later_scorings():
+    net, batch, labels = wide_all_3x3(n=6)
+    jac = input_jacobian(net, batch, labels)
+    first = jac.J.copy()
+    other = build_network(random_arch(RngStream(40)), SKELETONS["wide"], RngStream(41, ("init",)))
+    for k in range(20):
+        input_jacobian(other if k % 2 else net, batch, labels)
+    assert np.array_equal(jac.J, first)
+
+
+def test_workspace_keeps_one_skeletons_buffers():
+    cfg = SKELETONS["desk"]
+    desk = (build_network(ArchEncoding((OpKind.CONV3X3,) * 6), cfg, RngStream(45, ("init",))),
+            RngStream(46).normal(size=(20, cfg.input_channels, cfg.input_hw, cfg.input_hw)), np.arange(20) % 10)
+
+    def kept_bytes(*jobs):
+        for job in jobs:
+            input_jacobian(*job)
+        return sum(buf.nbytes for kept in _WS.kept.values() for buf in kept.values())
+
+    assert in_fresh_thread(kept_bytes, wide_all_3x3(), desk) == in_fresh_thread(kept_bytes, desk) > 0
+
+
+def test_threads_score_with_their_own_workspaces():
+    """More scoring threads than cores, switching often, give the Jacobians one thread gives."""
+    nets = [build_network(random_arch(RngStream(47, ("threads", k))), SMALL, RngStream(48)) for k in range(4)]
+    batch, labels = small_batch(49, n=6), np.arange(6) % SMALL.num_classes
+    want = [input_jacobian(net, batch, labels).J for net in nets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(lambda net: input_jacobian(net, batch, labels).J, net) for net in nets * 6]
+            got = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(j, w) for j, w in zip(got, want * 6))
+
+
+def workspace_cases():
+    """(skeleton, genotypes): random ones, the all-3x3 and all-pool cells, an
+    empty program, and a sentinel whose conv reaches no logit."""
+    dead_conv = ArchEncoding((OpKind.CONV3X3,) + (OpKind.ZEROIZE,) * 5)
+    sample = [random_arch(RngStream(42, ("ws", k))) for k in range(6)]
+    archs = sample + [ArchEncoding((op,) * 6) for op in (OpKind.CONV3X3, OpKind.AVGPOOL3X3)] + [ALL_ZERO, dead_conv]
+    return [pytest.param(name, archs, id=name) for name in ("desk", "wide")]
+
+
+@pytest.mark.parametrize("skeleton,archs", workspace_cases())
+def test_cold_and_warm_scorings_agree(skeleton, archs):
+    """Every genotype's Jacobian is the same bits whether its thread's
+    workspace is empty or holds the buffers of the scorings before it (and
+    matches the nested network's), and scoring A, then B, then A again
+    gives A's Jacobian both times."""
+    cfg = SKELETONS[skeleton]
+    batch = RngStream(43, ("ws", skeleton)).normal(size=(20, cfg.input_channels, cfg.input_hw, cfg.input_hw))
+    labels = np.arange(20) % cfg.num_classes
+    nets = [build_network(arch, cfg, RngStream(44, ("init",))) for arch in archs]
+    sentinel = score_arch(archs[-1], batch, labels, cfg, ProxyParams(), RngStream(44, ("init",)))
+    assert not nets[-1].steps and sentinel.is_sentinel
+    warm = [input_jacobian(net, batch, labels).J for net in nets]
+    for arch, net, j in zip(archs, nets, warm):
+        assert np.array_equal(in_fresh_thread(input_jacobian, net, batch, labels).J, j)
+        want = ref_jacobian(ref_build_network(arch, cfg, RngStream(44, ("init",))), batch)
+        assert np.max(np.abs(j - want)) <= 1e-12 * np.max(np.abs(want))
+    for a, b in zip(nets, nets[1:]):
+        first = input_jacobian(a, batch, labels).J
+        input_jacobian(b, batch, labels)
+        assert np.array_equal(input_jacobian(a, batch, labels).J, first)
 
 
 # ---------------------------------------------------------------------------
