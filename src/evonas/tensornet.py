@@ -13,22 +13,34 @@ head: ``Network._run`` transposes the NCHW batch once on entry,
 hands ``(N, C)`` to the classifier.  The public functions speak NCHW.
 
 Kernels.  A convolution fills an im2col block ``(c, kh, kw, m, ho, wo)``
-of at most ``_BLOCK_BYTES`` (m >= 1 samples) tap by tap, zeroing only the
-padding strips no tap writes, and ``W @ cols`` writes those samples'
-output.  A stride-1 conv's input gradient is that kernel on the output
-gradient with flipped, transposed weights; a stride-2 one adds ``W^T @
-gy`` per block back where each tap read.  Batch norm normalizes its
-conv's output in place (its tape entry) and writes its gradient over it.
-ReLU caches a bool mask.  3x3 average pooling, its own backward pass,
-sums blocks of whole channels: each 3-tap sum is two shifted adds over
-the flat block, the first and last row (column), where the shift wraps,
-rewritten.  Each thread's workspace keeps its block buffer and, for the
-next scoring, its tape entries' buffers, until the skeleton or batch
-shape changes.  A result takes a kept buffer of its size and dtype that
-``sys.getrefcount`` shows unreferenced, else a new one; a layer given an
-``owned`` gradient (nothing else holds it) writes its result over it.
+of at most ``_BLOCK_BYTES`` (m >= 1 samples) and ``W @ cols`` writes those
+samples' output.  Kernel offset i reads input phase ``(i - pad) mod
+stride`` shifted by ``(i - pad) // stride``, so each tap is one flat
+shifted copy of its phase over the block's ``m * ho * wo`` plane: at
+stride 1 the phase is the input block itself, at stride 2 the four
+phases are gathered once, into the block past the taps.  Zero writes,
+one per shifted row (column) of taps and past each gathered phase's end,
+cover the padding and where a shift wraps.  A 1x1 stride-1 conv is one
+GEMM over the input, no copy.  A stride-1 conv's input gradient is that
+kernel on the output gradient with flipped, transposed weights; a
+stride-2 one runs one GEMM per input phase, over its taps' transposed
+weights and the output gradient shifted once per tap (the shifts stacked
+so each phase's are consecutive), and copies the phase into place.
+Batch norm normalizes its conv's output in place (its tape entry), takes
+the variance and ``mean(gy * xhat)`` as row dot products, and writes its
+gradient over that output.  ReLU caches a bool mask.  3x3 average
+pooling, its own backward pass, sums blocks of whole channels: each
+3-tap sum is two shifted adds over the flat block, the first and last
+row (column), where the shift wraps, rewritten.  Each thread's workspace
+keeps its block buffer and, for the next scoring, its tape entries'
+buffers, until the skeleton or batch shape changes.  A result takes a
+kept buffer of its size and dtype that ``sys.getrefcount`` shows
+unreferenced, else a new one.  A ReLU or a same-shape conv given an
+``owned`` input or gradient (one nothing else holds) writes its result
+over it, and ``_run`` writes a node sum over a summand nothing else
+holds, so the workspace keeps no buffer beyond the tape's.
 
-Layer protocol: ``forward(x) -> (y, cache)``, ``backward(cache, gy, owned) -> gx``.
+Layer protocol: ``forward(x, owned) -> (y, cache)``, ``backward(cache, gy, owned) -> gx``.
 
 A Network is one straight-line program of steps ``(layer, src, dst)``,
 each adding ``layer(slot[src])`` into slot ``dst``.  ``build_network``
@@ -119,23 +131,6 @@ class JacobianBatch:
 # convolution primitives
 
 
-def _spans(size, k, stride, pad, out):
-    """Per kernel offset i along one axis: the outputs o it reaches and the
-    inputs ``o * stride + i - pad`` they read, the zero padding left out."""
-    for i in range(k):
-        lo = max(0, -((i - pad) // stride))
-        hi = max(lo, min(out, (size - 1 - i + pad) // stride + 1))
-        yield i, slice(lo, hi), slice(lo * stride + i - pad, hi * stride + i - pad, stride)
-
-
-def _taps(x_shape, w_shape, stride, pad, ho, wo):
-    """Per kernel tap (i, j): i, j, the output rows and columns it reaches
-    and the input rows and columns they read."""
-    rows = list(_spans(x_shape[2], w_shape[2], stride, pad, ho))
-    cols = list(_spans(x_shape[3], w_shape[3], stride, pad, wo))
-    return [(i, j, oy, ox, iy, ix) for i, oy, iy in rows for j, ox, ix in cols]
-
-
 _BLOCK_BYTES = 1 << 20  # bound on a kernel's block: a conv's im2col or taps, or whole channels
 
 
@@ -149,8 +144,13 @@ class _Workspace(threading.local):
         """A kept buffer of `shape`'s size and `dtype` no view holds, as `shape`; else a new one."""
         for buf in self.kept.get((math.prod(shape), np.dtype(dtype)), {}).values():
             if sys.getrefcount(buf) == _ALONE + 1:  # + the workspace's reference
-                return buf.reshape(shape)
+                return buf if buf.shape == shape else buf.reshape(shape)
         return np.empty(shape, dtype)
+
+    def sole(self, refs, a):
+        """Whether `a` owns its buffer and only one local name, on which
+        ``sys.getrefcount`` read `refs`, and the workspace hold it."""
+        return a.base is None and refs == _ALONE + (id(a) in self.kept.get((a.size, a.dtype), {}))
 
     def keep(self, a):
         """Keep the buffer behind `a`, a tape entry, for later scorings; returns `a`."""
@@ -178,40 +178,109 @@ def _blocked(lead, n, tail):
     return _WS.block[: m * size].reshape(lead + (m,) + tail), [slice(s, min(s + m, n)) for s in range(0, n, m)]
 
 
+def _phase_taps(size, k, stride, pad, out):
+    """Per kernel offset i along one axis, (r, q) with ``i - pad == stride * q + r``:
+    its output o reads element o + q of input phase r (``x[r::stride]``).
+    Each phase read fits in `out`."""
+    taps = [divmod(i - pad, stride)[::-1] for i in range(k)]
+    if any(len(range(r, size, stride)) > out for r, _ in taps):
+        raise ValueError(f"no phase im2col for kernel {k}, stride {stride}, pad {pad} over {size} to {out}")
+    return taps
+
+
+def _edge(n, e):
+    """The indices a of range(n) that ``a + e`` takes out of range(n)."""
+    return slice(max(n - e, 0), None) if e > 0 else slice(0, min(-e, n))
+
+
+def _shift(d, n):
+    """Slices (to, fr) of range(n) with ``to[k] = fr[k] + d``: the flat shift
+    by d that stays inside the block; one longer than the block copies nothing."""
+    k = max(0, n - abs(d))
+    return slice(max(0, -d), max(0, -d) + k), slice(max(0, d), max(0, d) + k)
+
+
 def _conv_forward(x, w, stride, pad, out=None):
     c, n, h, width = x.shape
     o, _, kh, kw = w.shape
     ho, wo = (h + 2 * pad - kh) // stride + 1, (width + 2 * pad - kw) // stride + 1
-    y = _WS.take((o, n, ho, wo)) if out is None else out  # out may be x: blocks are read before written
+    # `out`, if of the result's shape, takes the result; it may be x: blocks are read before written
+    y = out if out is not None and out.shape == (o, n, ho, wo) else _WS.take((o, n, ho, wo))
     w2 = w.reshape(o, -1)
-    cols, blocks = _blocked((c, kh, kw), n, (ho, wo))
-    taps = _taps(x.shape, w.shape, stride, pad, ho, wo)
-    for i, j, oy, ox, _, _ in taps:  # zero the padding strips no tap writes
-        t = cols[:, i, j]
-        t[:, :, : oy.start] = t[:, :, oy.stop :] = t[..., : ox.start] = t[..., ox.stop :] = 0.0
+    if kh == kw == 1 and stride == 1 and pad == 0 and y is not x:  # one tap, the input itself
+        np.matmul(w2, x.reshape(c, -1), out=y.reshape(o, -1))
+        return y
+    rows, cols = _phase_taps(h, kh, stride, pad, ho), _phase_taps(width, kw, stride, pad, wo)
+    # every tap is a flat shift of the phase it reads: at stride 1 onto a same-size output the input
+    # itself, else a copy gathered past the taps (not into them: numpy copies between views of one
+    # buffer whose extents overlap through a temporary)
+    phases = [] if (stride, h, width) == (1, ho, wo) else sorted({(ri, rj) for ri, _ in rows for rj, _ in cols})
+    plan = [(i * kw + j, phases.index((ri, rj)) if phases else 0, qi * wo + qj)
+            for i, (ri, qi) in enumerate(rows) for j, (rj, qj) in enumerate(cols)]
+    ntaps = c * kh * kw
+    buf, blocks = _blocked((ntaps + len(phases) * c,), n, (ho, wo))
     for b in blocks:
-        blk = cols[:, :, :, : b.stop - b.start]
-        for i, j, oy, ox, iy, ix in taps:
-            blk[:, i, j, :, oy, ox] = x[:, b, iy, ix]
-        np.matmul(w2, blk.reshape(c * kh * kw, -1), out=y[:, b].reshape(o, -1))
+        blk = buf[:, : b.stop - b.start]
+        flat = blk[:ntaps].reshape(c, kh * kw, -1)
+        srcs = [] if phases else [x[:, b].reshape(c, -1)]
+        for p, (ri, rj) in enumerate(phases):  # each phase zero past its end
+            ph, v = blk[ntaps + p * c : ntaps + (p + 1) * c], x[:, b, ri::stride, rj::stride]
+            ph[:, :, : v.shape[2], : v.shape[3]] = v
+            ph[:, :, v.shape[2] :] = ph[..., v.shape[3] :] = 0.0
+            srcs.append(ph.reshape(c, -1))
+        for t, p, d in plan:
+            to, fr = _shift(d, flat.shape[2])
+            flat[:, t, to] = srcs[p][:, fr]
+        taps = blk[:ntaps].reshape((c, kh, kw) + blk.shape[1:])
+        for i, (_, q) in enumerate(rows):  # zero where a tap reads padding or its shift wrapped
+            if q:
+                taps[:, i, :, :, _edge(ho, q)] = 0.0
+        for j, (_, q) in enumerate(cols):
+            if q:
+                taps[:, :, j, ..., _edge(wo, q)] = 0.0
+        np.matmul(w2, flat.reshape(ntaps, -1), out=y[:, b].reshape(o, -1))
     return y
 
 
 def _conv_backward_input(gy, w, x_shape, stride, pad, out=None):
+    """The input gradient; at stride 1 `out` serves as in `_conv_forward`."""
     o, c, kh, kw = w.shape
     if stride == 1:  # the forward kernel on gy, with flipped, transposed weights
         return _conv_forward(gy, w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], 1, kh - 1 - pad, out)
+    # input phase (ri, rj) at (a, b) gathers W[:, :, i, j]^T gy[a - qi, b - qj] over the taps that read it:
+    # one GEMM per phase over gy shifted by e = -q, the shifts stacked so each phase's are consecutive
     _, n, ho, wo = gy.shape
+    rows, cols = _phase_taps(x_shape[2], kh, stride, pad, ho), _phase_taps(x_shape[3], kw, stride, pad, wo)
+    ei, ej = sorted({-q for _, q in rows}), sorted({-q for _, q in cols})
+    order = [(a, b) for t, a in enumerate(ei) for b in (ej[::-1] if t % 2 == 0 else ej)]
     gx = _WS.take(x_shape)
-    gx.fill(0.0)
-    w2 = w.reshape(o, -1).T
-    buf, blocks = _blocked((c, kh, kw), n, (ho, wo))
-    taps = _taps(x_shape, w.shape, stride, pad, ho, wo)
+    phases = []
+    for ri, rj in itertools.product(range(stride), repeat=2):
+        taps = sorted((order.index((-qi, -qj)), i, j) for i, (r, qi) in enumerate(rows) if r == ri
+                      for j, (r2, qj) in enumerate(cols) if r2 == rj)
+        if not taps:  # no tap reads this phase
+            gx[:, :, ri::stride, rj::stride] = 0.0
+        elif [t for t, _, _ in taps] != list(range(taps[0][0], taps[0][0] + len(taps))):
+            raise ValueError(f"no phase GEMM for kernel {kh}x{kw}, stride {stride}, pad {pad}")
+        else:
+            t, i, j = (list(v) for v in zip(*taps))
+            phases.append((ri, rj, t[0], t[-1] + 1, w[:, :, i, j].transpose(1, 2, 0).reshape(c, -1)))
+    buf, blocks = _blocked((len(order) * o + c,), n, (ho, wo))
     for b in blocks:
-        blk = buf[:, :, :, : b.stop - b.start]
-        np.matmul(w2, gy[:, b].reshape(o, -1), out=blk.reshape(c * kh * kw, -1))
-        for i, j, oy, ox, iy, ix in taps:
-            gx[:, b, iy, ix] += blk[:, i, j, :, oy, ox]
+        blk = buf[:, : b.stop - b.start]
+        stack, res = blk[: len(order) * o].reshape((len(order), o) + blk.shape[1:]), blk[len(order) * o :]
+        g = gy[:, b].reshape(o, -1)
+        for s, (a, e) in zip(stack, order):
+            to, fr = _shift(a * wo + e, g.shape[1])
+            s.reshape(o, -1)[:, to] = g[:, fr]
+            if a:
+                s[:, :, _edge(ho, a)] = 0.0
+            if e:
+                s[..., _edge(wo, e)] = 0.0
+        for ri, rj, lo, hi, wt in phases:
+            np.matmul(wt, stack[lo:hi].reshape(wt.shape[1], -1), out=res.reshape(c, -1))
+            ph = gx[:, b, ri::stride, rj::stride]
+            ph[...] = res[:, :, : ph.shape[2], : ph.shape[3]]
     return gx
 
 
@@ -250,12 +319,11 @@ class _Conv:
         self.stride = stride
         self.pad = pad
 
-    def forward(self, x):
-        return _conv_forward(x, self.w, self.stride, self.pad), x.shape
+    def forward(self, x, owned):
+        return _conv_forward(x, self.w, self.stride, self.pad, x if owned else None), x.shape
 
     def backward(self, cache, gy, owned):
-        out = gy if owned and gy.shape == cache else None  # the input gradient written over gy
-        return _conv_backward_input(gy, self.w, cache, self.stride, self.pad, out)
+        return _conv_backward_input(gy, self.w, cache, self.stride, self.pad, gy if owned else None)
 
 
 class _BatchNorm:
@@ -264,19 +332,17 @@ class _BatchNorm:
     def __init__(self, eps):
         self.eps = eps
 
-    def forward(self, x):
+    def forward(self, x, owned):
         rows = x.reshape(x.shape[0], -1)
         rows -= rows.mean(axis=1, keepdims=True)
-        inv = 1.0 / np.sqrt(np.square(rows, out=_WS.take(rows.shape)).mean(axis=1, keepdims=True) + self.eps)
+        inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", rows, rows)[:, None] / rows.shape[1] + self.eps)
         rows *= inv
         return _WS.keep(rows).reshape(x.shape), (rows, inv)
 
     def backward(self, cache, gy, owned):
         gx, inv = cache  # xhat
         rows = gy.reshape(gx.shape)
-        buf, blocks = _blocked((), len(gx), gx.shape[1:])  # mean(rows * xhat) per channel, in channel blocks
-        gx *= np.concatenate([np.multiply(rows[b], gx[b], out=buf[: b.stop - b.start]).mean(axis=1, keepdims=True)
-                              for b in blocks])
+        gx *= np.einsum("ij,ij->i", rows, gx)[:, None] / gx.shape[1]  # mean(gy * xhat) per channel
         np.subtract(rows, gx, out=gx)
         gx -= rows.mean(axis=1, keepdims=True)
         gx *= inv
@@ -284,8 +350,9 @@ class _BatchNorm:
 
 
 class _ReLU:
-    def forward(self, x):
-        return np.maximum(x, 0.0, out=_WS.take(x.shape)), _WS.keep(np.greater(x, 0.0, out=_WS.take(x.shape, bool)))
+    def forward(self, x, owned):
+        mask = _WS.keep(np.greater(x, 0.0, out=_WS.take(x.shape, bool)))
+        return np.maximum(x, 0.0, out=x if owned else _WS.take(x.shape)), mask
 
     def backward(self, cache, gy, owned):
         return np.multiply(gy, cache, out=gy if owned else _WS.take(gy.shape))
@@ -297,7 +364,7 @@ class _AvgPool3x3:
     The box sum is symmetric, so the backward pass is the same pooling.
     """
 
-    def forward(self, x):
+    def forward(self, x, owned):
         return _box3(x), None
 
     def backward(self, cache, gy, owned):
@@ -305,7 +372,7 @@ class _AvgPool3x3:
 
 
 class _Identity:
-    def forward(self, x):
+    def forward(self, x, owned):
         return x, None
 
     def backward(self, cache, gy, owned):
@@ -313,7 +380,7 @@ class _Identity:
 
 
 class _GlobalAvgPool:
-    def forward(self, x):
+    def forward(self, x, owned):
         return x.mean(axis=(2, 3)).T, x.shape
 
     def backward(self, cache, gy, owned):
@@ -324,7 +391,7 @@ class _Linear:
     def __init__(self, weight):
         self.w = weight  # (num_classes, channels)
 
-    def forward(self, x):
+    def forward(self, x, owned):
         return x @ self.w.T, None
 
     def backward(self, cache, gy, owned):
@@ -379,10 +446,19 @@ class Network:
             h = slots.pop(src) if last_read[src] == i else slots[src]
             if margins is not None and isinstance(layer, _ReLU):
                 margins.append(float(np.min(np.abs(h))))
-            y, cache = layer.forward(h)
+            owned = _WS.sole(sys.getrefcount(h), h)  # read before h is pushed as an argument
+            y, cache = layer.forward(h, owned)
             if tape is not None:
                 tape.append(cache)
-            slots[dst] = np.add(slots[dst], y, out=_WS.take(y.shape)) if dst in slots else y
+            del h, cache  # no name outlives its step: a buffer only its slot holds may be written over
+            if dst in slots:  # the sum goes over a summand nothing else holds
+                s = slots.pop(dst)
+                out = (s if _WS.sole(sys.getrefcount(s), s) else
+                       y if _WS.sole(sys.getrefcount(y), y) else _WS.take(y.shape))
+                y = np.add(s, y, out=out)
+                del s, out
+            slots[dst] = y
+            del y
         return slots[_OUT] if _OUT in slots else np.zeros((x.shape[0], self.cfg.num_classes))
 
     def _backprop(self, tape, gy, x_shape):

@@ -10,6 +10,7 @@ from evonas.rng import RngStream
 from evonas.zeroproxy import ProxyParams, score_arch
 from numpy.lib.stride_tricks import sliding_window_view
 
+import evonas.tensornet as tensornet
 from evonas.tensornet import (
     _BLOCK_BYTES,
     _OUT,
@@ -26,6 +27,7 @@ from evonas.tensornet import (
     _he_conv,
     _Identity,
     _ReLU,
+    _shift,
     build_network,
     finite_diff_jacobian,
     forward,
@@ -419,7 +421,7 @@ def test_kernels_match_reference(skeleton, kind, shape):
         x = stream.normal(size=(n, c, hw, hw))
         gy = stream.normal(size=(n, c, hw, hw))
         live, ref = (make() for make in ELEMENTWISE[kind])
-        y, cache = live.forward(cnhw(x))
+        y, cache = live.forward(cnhw(x), False)
         ref_y, ref_cache = ref.forward(x)
         assert_same(y, cnhw(ref_y))
         assert_same(live.backward(cache, cnhw(gy), False), cnhw(ref.backward(ref_cache, gy)))
@@ -431,7 +433,7 @@ def test_kernels_match_reference(skeleton, kind, shape):
         c, hw = shape
         x = stream.normal(size=(n, c, hw, hw))
         gy = stream.normal(size=(n, c))
-        y, cache = _GlobalAvgPool().forward(cnhw(x))
+        y, cache = _GlobalAvgPool().forward(cnhw(x), False)
         ref_y, ref_cache = RefGlobalAvgPool().forward(x)
         assert_same(y, ref_y)
         assert_same(_GlobalAvgPool().backward(cache, gy, False), cnhw(RefGlobalAvgPool().backward(ref_cache, gy)))
@@ -485,6 +487,94 @@ def test_conv_kernels_over_uneven_sample_blocks(k, stride, c, hw):
     assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(y), np.abs(cnhw(gy)))
 
 
+@pytest.mark.parametrize("block_bytes", [1, 20000, _BLOCK_BYTES])
+@pytest.mark.parametrize("hw", [1, 2, 5, 7, 9])
+@pytest.mark.parametrize("k,stride", [(1, 1), (3, 1), (1, 2), (3, 2)])
+def test_phase_kernels_match_reference(k, stride, hw, block_bytes, monkeypatch):
+    """Every input phase, flat shift and wrapped edge: odd and even sizes down
+    to 1 (a 1x1 stride-2 conv leaves three phases no tap reads), over blocks
+    of one sample, of a few (7 samples walk uneven blocks) and of all seven."""
+    monkeypatch.setattr(tensornet, "_BLOCK_BYTES", block_bytes)
+    stream = RngStream(50, ("phases", k, stride, hw))
+    n, c, o, pad = 7, 3, 4, (k - 1) // 2
+    ho = (hw + 2 * pad - k) // stride + 1
+    x = stream.normal(size=(n, c, hw, hw))
+    w = stream.normal(size=(o, c, k, k))
+    gy = stream.normal(size=(n, o, ho, ho))
+    assert_same(_conv_forward(cnhw(x), w, stride, pad), cnhw(ref_conv_forward(x, w, stride, pad)))
+    gx = _conv_backward_input(cnhw(gy), w, (c, n, hw, hw), stride, pad)
+    assert_same(gx, cnhw(ref_conv_backward_input(gy, w, x.shape, stride, pad)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+def test_flat_shift_stays_inside_the_block(n):
+    """A shift as long as the block or longer copies nothing, and never wraps through a negative index."""
+    for d in range(-7, 8):
+        to, fr = _shift(d, n)
+        inside = [k for k in range(n) if 0 <= k + d < n]
+        assert list(range(n))[to] == inside
+        assert list(range(n))[fr] == [k + d for k in inside]
+
+
+def test_unsupported_conv_geometry_raises():
+    x, gy = np.zeros((2, 2, 8, 8)), np.zeros((2, 2, 5, 5))
+    with pytest.raises(ValueError):
+        _conv_forward(x, np.zeros((2, 2, 3, 3)), 2, 0)  # the last phase row lies past every output
+    with pytest.raises(ValueError):
+        _conv_backward_input(gy, np.zeros((2, 2, 3, 3)), x.shape, 2, 2)
+
+
+POISON_CASES = [(hw, k, stride) for hw in (1, 2, 5, 8) for k, stride in ((1, 1), (3, 1), (1, 2), (3, 2))]
+
+
+@pytest.mark.parametrize("hw,k,stride", POISON_CASES)
+def test_conv_kernels_write_everything_they_read(hw, k, stride):
+    """With the block buffer and the result buffers the workspace hands out
+    filled with NaN, both kernels give the clean call's bits: no phase,
+    padding or wrapped position is read unwritten."""
+    stream = RngStream(51, ("poison", hw, k, stride))
+    n, c, o, pad = 5, 3, 4, (k - 1) // 2
+    ho = (hw + 2 * pad - k) // stride + 1
+    x, w = stream.normal(size=(c, n, hw, hw)), stream.normal(size=(o, c, k, k))
+    gy = stream.normal(size=(o, n, ho, ho))
+
+    def run(poison):
+        if poison:
+            _WS.block = np.full(_BLOCK_BYTES // 8, np.nan)  # the size a first block takes
+            _WS.keep(np.full(gy.shape, np.nan))
+            _WS.keep(np.full(x.shape, np.nan))
+        y = _conv_forward(x, w, stride, pad).copy()
+        return y, _conv_backward_input(gy, w, x.shape, stride, pad).copy()
+
+    clean, poisoned = in_fresh_thread(run, False), in_fresh_thread(run, True)
+    assert all(np.array_equal(a, b) for a, b in zip(clean, poisoned))
+
+
+@pytest.mark.parametrize("skeleton", ["desk", "wide"])
+def test_scoring_over_a_poisoned_workspace(skeleton):
+    """A warm scoring whose kept buffers and block hold NaN (True for masks)
+    gives a clean scoring's Jacobian, bit for bit."""
+    cfg = SKELETONS[skeleton]
+    batch = RngStream(52, ("poison", skeleton)).normal(size=(6, cfg.input_channels, cfg.input_hw, cfg.input_hw))
+    labels = np.arange(6) % cfg.num_classes
+    nets = [build_network(arch, cfg, RngStream(53, ("init",)))
+            for arch in (ArchEncoding((OpKind.CONV3X3,) * 6), random_arch(RngStream(54)), random_arch(RngStream(55)))]
+
+    def rescore():
+        want = [input_jacobian(net, batch, labels).J for net in nets]
+        got = []
+        for net in nets:
+            _WS.block.fill(np.nan)
+            for kept in _WS.kept.values():
+                for buf in kept.values():
+                    buf.fill(np.nan if buf.dtype == np.float64 else True)
+            got.append(input_jacobian(net, batch, labels).J)
+        return want, got
+
+    want, got = in_fresh_thread(rescore)
+    assert all(np.array_equal(a, b) for a, b in zip(want, got))
+
+
 def traced_peak(fn, *args):
     """(result, peak bytes allocated while `fn` ran, beyond its start)."""
     tracemalloc.start()
@@ -511,6 +601,22 @@ def test_conv_kernels_allocate_their_result_and_one_block(stride):
     assert peak <= y.nbytes + block + slack
     gx, peak = traced_peak(_conv_backward_input, gy, w, x.shape, stride, pad)
     assert peak <= gx.nbytes + block + slack
+
+
+def test_batch_norm_allocates_nothing_activation_sized():
+    """At the wide skeleton's stage-0 shape (a 2.6 MB activation) batch norm
+    works in place: its variance and mean(gy * xhat) are row dot products."""
+    stream = RngStream(56, ("bn",))
+    x, gy = stream.normal(size=(16, 20, 32, 32)), stream.normal(size=(16, 20, 32, 32))
+
+    def peaks():
+        bn = _BatchNorm(1e-5)
+        (_, cache), forward_peak = traced_peak(bn.forward, x, False)
+        _, backward_peak = traced_peak(bn.backward, cache, gy, False)
+        return forward_peak, backward_peak
+
+    slack = 3 * 8 * np.getbufsize() + (64 << 10)  # ufunc buffers, and per-channel arrays
+    assert max(in_fresh_thread(peaks)) <= slack < x.nbytes // 8
 
 
 def test_box3_over_uneven_channel_blocks():
@@ -552,14 +658,40 @@ def test_jacobian_peak_is_the_tape_plus_two_activations():
     over them).  On top of the full tape the peak holds at most two stage-0
     activations (a kernel's input and result) and one conv block.
     """
-    cfg, n = SKELETONS["wide"], 20
+    n = 20
     net, batch, labels = wide_all_3x3(n)
+    tape, sizes = wide_all_3x3_tape(n)
+    _, peak = in_fresh_thread(traced_peak, input_jacobian, net, batch, labels)
+    assert peak <= tape + 2 * 8 * sizes[0] + _BLOCK_BYTES
+
+
+def wide_all_3x3_tape(n):
+    """Bytes of the all-3x3 cell's tape at the wide skeleton, and each stage's activation size."""
+    cfg = SKELETONS["wide"]
     sizes = [n * cfg.stem_channels * cfg.input_hw ** 2 // 2 ** s for s in range(cfg.num_stages)]
     cells = sum(6 * 8 * e + 3 * e for e in sizes)  # six conv edges, three shared ReLUs
     reductions = sum(e + 8 * e_next for e, e_next in zip(sizes, sizes[1:]))
-    tape = 8 * sizes[0] + cells + reductions + sizes[-1]  # stem, ..., head ReLU
-    _, peak = in_fresh_thread(traced_peak, input_jacobian, net, batch, labels)
-    assert peak <= tape + 2 * 8 * sizes[0] + _BLOCK_BYTES
+    return 8 * sizes[0] + cells + reductions + sizes[-1], sizes  # stem, ..., head ReLU
+
+
+def test_workspace_holds_one_tape_after_many_genotypes():
+    """After 60 random genotypes and then the all-3x3 cell at the wide
+    skeleton, the workspace holds no more than that cell's tape and one
+    block: ReLU outputs, node sums and same-shape conv outputs are written
+    over inputs nothing else holds, so the forward pass needs no buffer
+    beyond those it keeps for the tape, besides transient ones."""
+    cfg = SKELETONS["wide"]
+    net, batch, labels = wide_all_3x3()
+    archs = [random_arch(RngStream(57, ("tape", k))) for k in range(60)]
+
+    def held():
+        for arch in archs:
+            input_jacobian(build_network(arch, cfg, RngStream(58, ("init",))), batch, labels)
+        input_jacobian(net, batch, labels)
+        return sum(buf.nbytes for kept in _WS.kept.values() for buf in kept.values()) + _WS.block.nbytes
+
+    block = max(_BLOCK_BYTES, 8 * cfg.stem_channels * 9 * cfg.input_hw ** 2)  # one stage-0 im2col sample
+    assert in_fresh_thread(held) <= wide_all_3x3_tape(20)[0] + block
 
 
 def test_take_skips_a_kept_buffer_something_still_holds():
@@ -867,9 +999,9 @@ def test_relu_kink_margin_is_min_over_run_relus():
     seen = []
 
     class SpyReLU(_ReLU):
-        def forward(self, x):
+        def forward(self, x, owned):
             seen.append(float(np.min(np.abs(x))))
-            return super().forward(x)
+            return super().forward(x, owned)
 
     batch = small_batch(46)
     for arch in STRATIFIED.values():
