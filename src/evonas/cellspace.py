@@ -200,6 +200,8 @@ def decode_str(text: str) -> ArchEncoding:
     """Inverse of encode_str; raises ArchParseError naming the bad token.
 
     Non-canonical spellings the grammar allows (e.g. `none~00`) decode too."""
+    if not isinstance(text, str):
+        raise ArchParseError(f"an architecture string must be a str, got {type(text).__name__}: {text!r}")
     arch = _by_string().get(text)
     return arch if arch is not None else _parse_str(text)
 

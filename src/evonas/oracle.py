@@ -190,6 +190,8 @@ def load_tabular(path) -> Benchmark:
         raise BenchmarkError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    if not isinstance(doc, dict):
+        raise BenchmarkError(f"{path}: a benchmark file is a JSON object, got {type(doc).__name__}")
     for key in ("space", "dataset", "records"):
         if key not in doc:
             raise BenchmarkError(f"{path}: missing top-level key {key!r}")
@@ -198,6 +200,8 @@ def load_tabular(path) -> Benchmark:
             f"{path}: space descriptor {doc['space']!r} does not match "
             f"nodes={NUM_NODES}, ops={list(OP_NAMES)}"
         )
+    if not isinstance(doc["records"], list):
+        raise BenchmarkError(f"{path}: records must be a list, got {type(doc['records']).__name__}")
     seen = bytearray(SPACE_SIZE)
     slots, vals, tests, times, proxies = [], [], [], [], []  # per record; proxies where present
     for idx, row in enumerate(doc["records"]):
@@ -271,8 +275,7 @@ def _calibrate_proxy(val: np.ndarray, eta: np.ndarray, target: float) -> np.ndar
         if abs(t_hi - target) <= 0.04:
             # tau has flattened near its large-amplitude asymptote but is
             # already inside the tolerance; take this amplitude as is
-            lo = hi
-            break
+            return base + hi * eta
         lo, hi = hi, hi * 2.0
     else:
         raise CalibrationError(f"could not bracket target tau {target}")

@@ -9,7 +9,7 @@ coupling introduced by batch-statistics normalization).
 
 Layout.  Activations are channel-major, ``(C, N, H, W)``, from stem to
 head: ``Network._run`` transposes the NCHW batch once on entry,
-``Network._backprop`` its gradient once on exit, and global average pooling
+``input_jacobian`` its gradient once on exit, and global average pooling
 hands ``(N, C)`` to the classifier.  The public functions speak NCHW.
 
 Kernels.  A convolution fills an im2col block ``(c, kh, kw, m, ho, wo)``
@@ -34,11 +34,12 @@ pooling, its own backward pass, sums blocks of whole channels: each
 row (column), where the shift wraps, rewritten.  Each thread's workspace
 keeps its block buffer and, for the next scoring, its tape entries'
 buffers, until the skeleton or batch shape changes.  A result takes a
-kept buffer of its size and dtype that ``sys.getrefcount`` shows
-unreferenced, else a new one.  A ReLU or a same-shape conv given an
-``owned`` input or gradient (one nothing else holds) writes its result
-over it, and ``_run`` writes a node sum over a summand nothing else
-holds, so the workspace keeps no buffer beyond the tape's.
+kept buffer of its shape and dtype that ``sys.getrefcount`` shows
+unreferenced, else a new one.  One rule, ``_Workspace.sole``, says when
+a buffer may be written over: it owns its memory and only one name (and
+the workspace) holds it.  A ReLU or a same-shape conv given an ``owned``
+input or gradient writes its result over it, and a sum goes over a
+summand so held, so the workspace keeps no buffer beyond the tape's.
 
 Layer protocol: ``forward(x, owned) -> (y, cache)``, ``backward(cache, gy, owned) -> gx``.
 
@@ -47,10 +48,11 @@ each adding ``layer(slot[src])`` into slot ``dst``.  ``build_network``
 emits one ReLU step per cell node with conv out-edges, then keeps only the
 steps on an input-to-logits path: the others add exact zeros or reach no
 logit.  A genotype whose cell output is identically zero leaves an empty
-program, with zero logits and Jacobian.  ``_run`` is the only forward loop
-(on request it records each ReLU step's smallest |input|, to detect
-near-kink inputs before comparing against finite differences) and
-``_backprop`` the same walk reversed.
+program, with zero logits and Jacobian.  ``_walk`` is the one loop over a
+program: ``_run`` walks its steps (on request recording each ReLU step's
+smallest |input|, to detect near-kink inputs before comparing against
+finite differences) and ``input_jacobian`` walks them reversed, each
+step's slots swapped, popping the tape.
 """
 
 from __future__ import annotations
@@ -135,32 +137,31 @@ _BLOCK_BYTES = 1 << 20  # bound on a kernel's block: a conv's im2col or taps, or
 
 
 class _Workspace(threading.local):
-    """One thread's buffers kept for the next scoring: tape entries' by (size, dtype) and id, and a block."""
+    """One thread's buffers kept for the next scoring: tape entries' by (shape, dtype) and id, and a block."""
 
     def __init__(self, key=None):
         self.key, self.kept, self.block = key, {}, np.empty(0)
 
     def take(self, shape, dtype=np.float64):
-        """A kept buffer of `shape`'s size and `dtype` no view holds, as `shape`; else a new one."""
-        for buf in self.kept.get((math.prod(shape), np.dtype(dtype)), {}).values():
+        """A kept buffer of `shape` and `dtype` nothing else holds; else a new one."""
+        for buf in self.kept.get((shape, np.dtype(dtype)), {}).values():
             if sys.getrefcount(buf) == _ALONE + 1:  # + the workspace's reference
-                return buf if buf.shape == shape else buf.reshape(shape)
+                return buf
         return np.empty(shape, dtype)
 
     def sole(self, refs, a):
         """Whether `a` owns its buffer and only one local name, on which
         ``sys.getrefcount`` read `refs`, and the workspace hold it."""
-        return a.base is None and refs == _ALONE + (id(a) in self.kept.get((a.size, a.dtype), {}))
+        return a.base is None and refs == _ALONE + (id(a) in self.kept.get((a.shape, a.dtype), {}))
 
     def keep(self, a):
-        """Keep the buffer behind `a`, a tape entry, for later scorings; returns `a`."""
-        owner = a if a.base is None else a.base
-        self.kept.setdefault((owner.size, owner.dtype), {})[id(owner)] = owner
+        """Keep `a`, a tape entry that owns its buffer, for later scorings; returns `a`."""
+        self.kept.setdefault((a.shape, a.dtype), {})[id(a)] = a
         return a
 
 
 def _alone():
-    a = np.empty(0)  # one local name holds it, as in `take` and `_backprop`
+    a = np.empty(0)  # one local name holds it, as in `take` and `_walk`
     return sys.getrefcount(a)
 
 
@@ -337,16 +338,16 @@ class _BatchNorm:
         rows -= rows.mean(axis=1, keepdims=True)
         inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", rows, rows)[:, None] / rows.shape[1] + self.eps)
         rows *= inv
-        return _WS.keep(rows).reshape(x.shape), (rows, inv)
+        return _WS.keep(x), (x, inv)
 
     def backward(self, cache, gy, owned):
-        gx, inv = cache  # xhat
-        rows = gy.reshape(gx.shape)
+        x, inv = cache  # xhat, written over with the gradient
+        gx, rows = x.reshape(x.shape[0], -1), gy.reshape(x.shape[0], -1)
         gx *= np.einsum("ij,ij->i", rows, gx)[:, None] / gx.shape[1]  # mean(gy * xhat) per channel
         np.subtract(rows, gx, out=gx)
         gx -= rows.mean(axis=1, keepdims=True)
         gx *= inv
-        return gx.reshape(gy.shape)
+        return x
 
 
 class _ReLU:
@@ -418,6 +419,27 @@ def _prune(steps):
     return kept[::-1]
 
 
+def _walk(steps, slots, apply):
+    """Run `steps` over `slots`: step ``(layer, a, b)`` adds ``apply(layer, slots[a], owned)``
+    into slot b.  A slot is dropped after its last read.  `owned`, and where a sum goes,
+    follow the one rule ``_WS.sole``: a buffer one name (and the workspace) holds."""
+    last_read = {a: i for i, (_, a, _) in enumerate(steps)}
+    for i, (layer, a, b) in enumerate(steps):
+        h = slots.pop(a) if last_read[a] == i else slots[a]
+        owned = _WS.sole(sys.getrefcount(h), h)  # read before h is pushed as an argument
+        y = apply(layer, h, owned)
+        del h  # no name outlives its step: a buffer only its slot holds may be written over
+        if b in slots:  # the sum goes over a summand nothing else holds
+            s = slots.pop(b)
+            out = (s if _WS.sole(sys.getrefcount(s), s) else
+                   y if _WS.sole(sys.getrefcount(y), y) else _WS.take(y.shape))
+            y = np.add(s, y, out=out)
+            del s, out
+        slots[b] = y
+        del y
+    return slots
+
+
 @dataclass
 class Network:
     """Immutable step program built from (arch, cfg, init stream)."""
@@ -436,44 +458,20 @@ class Network:
         return batch
 
     def _run(self, x, tape=None, margins=None):
-        """Logits of NCHW `x`; fills `tape` with step caches and `margins`
-        with ReLU kink margins.  Each slot is dropped after its last read."""
+        """Logits of NCHW `x`; fills `tape` with step caches, `margins` with ReLU kink margins."""
         if _WS.key != (self.cfg, x.shape):  # keep one skeleton's buffers only
             _WS.__init__((self.cfg, x.shape))
-        last_read = {src: i for i, (_, src, _) in enumerate(self.steps)}
-        slots = {0: np.ascontiguousarray(x.transpose(1, 0, 2, 3))}
-        for i, (layer, src, dst) in enumerate(self.steps):
-            h = slots.pop(src) if last_read[src] == i else slots[src]
+
+        def apply(layer, h, owned):
             if margins is not None and isinstance(layer, _ReLU):
                 margins.append(float(np.min(np.abs(h))))
-            owned = _WS.sole(sys.getrefcount(h), h)  # read before h is pushed as an argument
             y, cache = layer.forward(h, owned)
             if tape is not None:
                 tape.append(cache)
-            del h, cache  # no name outlives its step: a buffer only its slot holds may be written over
-            if dst in slots:  # the sum goes over a summand nothing else holds
-                s = slots.pop(dst)
-                out = (s if _WS.sole(sys.getrefcount(s), s) else
-                       y if _WS.sole(sys.getrefcount(y), y) else _WS.take(y.shape))
-                y = np.add(s, y, out=out)
-                del s, out
-            slots[dst] = y
-            del y
-        return slots[_OUT] if _OUT in slots else np.zeros((x.shape[0], self.cfg.num_classes))
+            return y
 
-    def _backprop(self, tape, gy, x_shape):
-        """NCHW input gradient for logit gradient `gy`.  Each slot's gradient
-        is dropped after its first writer, the last step to read it."""
-        first_write = {dst: i for i, (_, _, dst) in reversed(list(enumerate(self.steps)))}
-        grads = {_OUT: gy}
-        for i in reversed(range(len(self.steps))):
-            layer, src, dst = self.steps[i]
-            gy = grads.pop(dst) if first_write[dst] == i else grads[dst]
-            owned = sys.getrefcount(gy) == _ALONE  # read before gy is pushed as an argument
-            g = layer.backward(tape.pop(), gy, owned)
-            grads[src] = np.add(grads[src], g, out=_WS.take(g.shape)) if src in grads else g
-            del g  # a summand's buffer is free for the next step
-        return grads[0].transpose(1, 0, 2, 3) if 0 in grads else np.zeros(x_shape)
+        slots = _walk(self.steps, {0: np.ascontiguousarray(x.transpose(1, 0, 2, 3))}, apply)
+        return slots[_OUT] if _OUT in slots else np.zeros((x.shape[0], self.cfg.num_classes))
 
 
 def _he_conv(rng, c_out, c_in, k):
@@ -550,7 +548,9 @@ def input_jacobian(net: Network, batch: np.ndarray, labels) -> JacobianBatch:
         raise ValueError("labels must lie in [0, num_classes)")
     tape: list = []
     logits = net._run(batch, tape=tape)
-    gx = net._backprop(tape, np.ones_like(logits), batch.shape)
+    back = [(layer, b, a) for layer, a, b in reversed(net.steps)]  # each step's gradient flows from b to a
+    grads = _walk(back, {_OUT: np.ones_like(logits)}, lambda layer, g, owned: layer.backward(tape.pop(), g, owned))
+    gx = grads[0].transpose(1, 0, 2, 3) if 0 in grads else np.zeros(batch.shape)
     return JacobianBatch(J=gx.reshape(batch.shape[0], -1), labels=labels)
 
 

@@ -156,6 +156,13 @@ def test_decode_rejects_malformed(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("value", [5, None, 1.5, b"|none~0|", ["|none~0|"], {"arch": "|none~0|"}])
+def test_decode_rejects_a_non_string(value):
+    with pytest.raises(ArchParseError) as err:
+        decode_str(value)
+    assert str(err.value) == f"an architecture string must be a str, got {type(value).__name__}: {value!r}"
+
+
 def _reference_encode_str(arch):
     """encode_str as it was before the string table: formatted per edge."""
     ops = arch.edge_ops

@@ -26,7 +26,7 @@ from evonas.oracle import (
 from evonas.rng import RngStream
 from evonas.stats import TauAgainst, kendall_tau
 from evonas.zeroproxy import ProxyScore
-from evonas.cellspace import NUM_EDGES, NUM_NODES, OP_NAMES, SPACE_SIZE
+from evonas.cellspace import NUM_EDGES, NUM_NODES, OP_NAMES, SPACE_SIZE, space_doc
 
 
 def constant_benchmark(val=50.0):
@@ -170,6 +170,15 @@ def test_calibration_measures_exact_tau_with_ties(calibration_spy):
     assert abs(kendall_tau(proxy, val) - 0.5) <= 0.05
 
 
+def test_calibration_near_the_asymptote_skips_bisection(calibration_spy):
+    # a target near tau's large-amplitude asymptote is met, within 0.04, by
+    # an amplitude the doubling reaches: that one is taken as it is
+    bench = gen_synthetic(SyntheticSpec(seed=7, target_proxy_tau=0.0))
+    x, got = calibration_spy.measured[-1]
+    assert len(calibration_spy.measured) < 10 and abs(got) <= 0.04
+    assert np.array_equal(x, bench.synthetic_proxy)
+
+
 # sha256 of the synthetic_proxy bytes, computed when kendall_tau was still
 # scipy.stats.kendalltau: calibration bisects on exact tau values, so any
 # drift in the tau moves these maps
@@ -288,6 +297,34 @@ def test_load_reports_the_first_bad_record(duplicate_at, malformed_at, tmp_path)
     else:
         message = f"{path}: record {malformed_at} is malformed: 'val_acc'"
     with pytest.raises(BenchmarkError, match=f"^{re.escape(message)}$"):
+        load_tabular(path)
+
+
+@pytest.mark.parametrize(
+    "doc,fragment",
+    [
+        (5, "a benchmark file is a JSON object, got int"),
+        ("space dataset records", "a benchmark file is a JSON object, got str"),
+        (None, "a benchmark file is a JSON object, got NoneType"),
+        (["space", "dataset", "records"], "a benchmark file is a JSON object, got list"),
+        ({"space": space_doc(), "dataset": "d", "records": 5}, "records must be a list, got int"),
+    ],
+)
+def test_load_rejects_a_document_of_the_wrong_shape(doc, fragment, tmp_path):
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BenchmarkError, match=f"^{re.escape(f'{path}: {fragment}')}$"):
+        load_tabular(path)
+
+
+@pytest.mark.parametrize("arch", [5, None, ["|none~0|"], {"a": 1}])
+def test_load_rejects_a_record_whose_arch_is_not_a_string(arch, tmp_path):
+    path = tmp_path / "bench.json"
+    save_tabular(constant_benchmark(), path)
+    doc = json.loads(path.read_text())
+    doc["records"][3]["arch"] = arch
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BenchmarkError, match="record 3 is malformed: an architecture string must be a str"):
         load_tabular(path)
 
 

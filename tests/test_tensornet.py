@@ -38,6 +38,15 @@ from evonas.tensornet import (
 ALL_ZERO = ArchEncoding((OpKind.ZEROIZE,) * 6)
 ALL_SKIP = ArchEncoding((OpKind.SKIP_CONNECT,) * 6)
 
+N1, SK, C1, C3, PL = OpKind.ZEROIZE, OpKind.SKIP_CONNECT, OpKind.CONV1X1, OpKind.CONV3X3, OpKind.AVGPOOL3X3
+# edge order (0->1), (0->2), (1->2), (0->3), (1->3), (2->3); a skip edge copies a slot that is read
+# again, so two slots hold one buffer: in the forward pass, and (a skip into a node an earlier
+# edge also feeds) in the gradient's
+SHARED_SLOT = {
+    "skip-shares-a-slot": ArchEncoding((SK, C3, C1, SK, C3, PL)),
+    "skips-and-one-conv": ArchEncoding((SK, SK, SK, SK, C3, SK)),
+}
+
 SMALL = SkeletonConfig(input_channels=2, input_hw=8, stem_channels=4, num_classes=5)
 
 
@@ -698,17 +707,18 @@ def test_take_skips_a_kept_buffer_something_still_holds():
     """`take` hands out a kept buffer only once no name and no view holds it."""
 
     def takes():
-        view = _WS.keep(np.empty(24).reshape(4, 6))  # a tape entry that is a view: its owner is kept
-        owner = id(view.base)
+        viewed = _WS.keep(np.empty((4, 6)))
+        view, owner = viewed.reshape(2, 12), id(viewed)  # a view holds the kept buffer
+        del viewed
         named = _WS.keep(np.empty(30))
-        held = [_WS.take((6, 4)), _WS.take((30,))]
+        held = [_WS.take((4, 6)), _WS.take((30,))]
         del view
-        freed = _WS.take((2, 12))
+        freed = _WS.take((4, 6))
         return owner, named, held, freed
 
     owner, named, held, freed = in_fresh_thread(takes)
-    assert all(buf.base is None for buf in held) and held[1] is not named
-    assert id(freed.base) == owner and freed.shape == (2, 12)
+    assert id(held[0]) != owner and held[1] is not named
+    assert id(freed) == owner and freed.shape == (4, 6)
 
 
 def wide_all_3x3(n=20):
@@ -773,11 +783,13 @@ def test_threads_score_with_their_own_workspaces():
 
 
 def workspace_cases():
-    """(skeleton, genotypes): random ones, the all-3x3 and all-pool cells, an
-    empty program, and a sentinel whose conv reaches no logit."""
+    """(skeleton, genotypes): random ones, the all-3x3 and all-pool cells,
+    two whose slots share a buffer, an empty program, and a sentinel whose
+    conv reaches no logit."""
     dead_conv = ArchEncoding((OpKind.CONV3X3,) + (OpKind.ZEROIZE,) * 5)
     sample = [random_arch(RngStream(42, ("ws", k))) for k in range(6)]
-    archs = sample + [ArchEncoding((op,) * 6) for op in (OpKind.CONV3X3, OpKind.AVGPOOL3X3)] + [ALL_ZERO, dead_conv]
+    archs = sample + [ArchEncoding((op,) * 6) for op in (OpKind.CONV3X3, OpKind.AVGPOOL3X3)] + list(SHARED_SLOT.values())
+    archs += [ALL_ZERO, dead_conv]
     return [pytest.param(name, archs, id=name) for name in ("desk", "wide")]
 
 
@@ -944,14 +956,13 @@ def ref_live_weights(blocks, arch):
     return out
 
 
-N1, SK, C1, C3, PL = OpKind.ZEROIZE, OpKind.SKIP_CONNECT, OpKind.CONV1X1, OpKind.CONV3X3, OpKind.AVGPOOL3X3
-# edge order (0->1), (0->2), (1->2), (0->3), (1->3), (2->3)
 STRATIFIED = {
     "dead-source": ArchEncoding((N1, C3, C3, SK, C1, PL)),  # node 1 gets no signal
     "dead-destination": ArchEncoding((C3, C1, C3, SK, SK, N1)),  # node 2 never reaches node 3
     "zero-output": ArchEncoding((C3, C1, C3, N1, N1, N1)),
     "zero-output-dead-convs": ArchEncoding((N1, N1, C3, N1, C1, C3)),
     "two-conv-out": ArchEncoding((C1, PL, C3, SK, C3, C1)),  # node 1 feeds two convs
+    **SHARED_SLOT,
 }
 
 
