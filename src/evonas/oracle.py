@@ -178,6 +178,19 @@ def save_tabular(bench: Benchmark, path) -> None:
     Path(path).write_text(text, "utf-8")
 
 
+def _number(row: dict, key: str) -> float:
+    """row[key], a JSON number (NaN and Infinity included), as a float; a bool is no number."""
+    value = row[key]
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        raise TypeError(f"{key} must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise TypeError(f"{key} must be a number, got an int past float range") from None
+
+
 def load_tabular(path) -> Benchmark:
     """Read and validate a tabular benchmark file (see save_tabular).
 
@@ -195,6 +208,8 @@ def load_tabular(path) -> Benchmark:
     for key in ("space", "dataset", "records"):
         if key not in doc:
             raise BenchmarkError(f"{path}: missing top-level key {key!r}")
+    if not isinstance(doc["dataset"], str):
+        raise BenchmarkError(f"{path}: dataset must be a string, got {type(doc['dataset']).__name__}")
     if not matches_space(doc["space"]):
         raise BenchmarkError(
             f"{path}: space descriptor {doc['space']!r} does not match "
@@ -207,9 +222,9 @@ def load_tabular(path) -> Benchmark:
     for idx, row in enumerate(doc["records"]):
         try:
             k = operator.index(decode_str(row["arch"]))
-            val, test, time = float(row["val_acc"]), float(row["test_acc"]), float(row["train_time_s"])
+            val, test, time = _number(row, "val_acc"), _number(row, "test_acc"), _number(row, "train_time_s")
             if "proxy" in row:
-                proxies.append(float(row["proxy"]))
+                proxies.append(_number(row, "proxy"))
         except (KeyError, TypeError, ValueError) as exc:
             raise BenchmarkError(f"{path}: record {idx} is malformed: {exc}") from None
         if seen[k]:
@@ -231,7 +246,7 @@ def load_tabular(path) -> Benchmark:
     columns = [vals, tests, times] + ([proxies] if proxies else [])
     table = np.empty((len(columns), SPACE_SIZE))
     table[:, slots] = columns
-    return Benchmark(str(doc["dataset"]), *table)
+    return Benchmark(doc["dataset"], *table)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,16 @@ stride 1 the phase is the input block itself, at stride 2 the four
 phases are gathered once, into the block past the taps.  Zero writes,
 one per shifted row (column) of taps and past each gathered phase's end,
 cover the padding and where a shift wraps.  A 1x1 stride-1 conv is one
-GEMM over the input, no copy.  A stride-1 conv's input gradient is that
-kernel on the output gradient with flipped, transposed weights; a
+GEMM over the input, no copy.  A 3x3 stride-1 pad-1 conv from c to
+o < 2c channels takes row taps instead: its block holds the three
+column taps, ``(c, 3, m, h, w)`` (3c rows where im2col has 9c), and one
+GEMM's product with each kernel row (3o rows); the outer rows' products,
+their last (first) image row zeroed, are added into the middle row's by
+flat shifts of one image row, which is copied to the output.  From few
+channels to many (o >= 2c, as a stem's 3 to 16) the 3o rows and their
+adds cost more than the 6c saved, and im2col stays.  A stride-1 conv's
+input gradient is the forward kernel on the output gradient with
+flipped, transposed weights; a
 stride-2 one runs one GEMM per input phase, over its taps' transposed
 weights and the output gradient shifted once per tap (the shifts stacked
 so each phase's are consecutive), and copies the phase into place.
@@ -100,6 +108,8 @@ class SkeletonConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if self.bn_eps < 0:
+            raise ConfigError(f"bn_eps must be >= 0, got {self.bn_eps!r}")
         if self.input_hw % 2 ** (self.num_stages - 1) != 0:
             raise ConfigError(f"input_hw={self.input_hw} must be divisible by "
                               f"2**(num_stages-1)={2 ** (self.num_stages - 1)}")
@@ -195,10 +205,37 @@ def _edge(n, e):
 
 
 def _shift(d, n):
-    """Slices (to, fr) of range(n) with ``to[k] = fr[k] + d``: the flat shift
+    """Slices (to, fr) of range(n) with ``fr[k] = to[k] + d``: the flat shift
     by d that stays inside the block; one longer than the block copies nothing."""
     k = max(0, n - abs(d))
     return slice(max(0, -d), max(0, -d) + k), slice(max(0, d), max(0, d) + k)
+
+
+def _row_taps(x, w, y):
+    """3x3, stride 1, pad 1: per sample block the three column taps, ``(c, 3)``
+    rows, and one GEMM for the three kernel rows; the outer rows' results are
+    added into the middle row's by flat shifts of one image row."""
+    c, n, h, width = x.shape
+    o = w.shape[0]
+    wr = w.transpose(2, 0, 1, 3).reshape(3 * o, 3 * c)  # per kernel row, (o, (c, kw))
+    buf, blocks = _blocked((), n, (3 * (c + o) * h * width,))
+    for b in blocks:
+        blk = buf[: b.stop - b.start].reshape(3 * (c + o), -1)  # a leading slice: dense for a short block too
+        cols, rows, src = blk[: 3 * c], blk[3 * c :], x[:, b].reshape(c, -1)
+        taps = cols.reshape(c, 3, -1)
+        for j in range(3):
+            to, fr = _shift(j - 1, src.shape[1])
+            taps[:, j, to] = src[:, fr]
+        taps = taps.reshape(c, 3, -1, h, width)
+        taps[:, 0, ..., 0] = taps[:, 2, ..., -1] = 0.0  # padding, where the shift wrapped
+        np.matmul(wr, cols, out=rows)
+        top, mid, bottom = rows.reshape(3, o, -1, h, width)
+        top[:, :, -1] = bottom[:, :, 0] = 0.0  # rows shifted out of their image
+        flat = rows.reshape(3, -1)  # flat adds: numpy buffers a strided add, at 4-5x the time
+        flat[1, width:] += flat[0, :-width]
+        flat[1, :-width] += flat[2, width:]
+        y[:, b] = mid  # y may be x: its block is in cols
+    return y
 
 
 def _conv_forward(x, w, stride, pad, out=None):
@@ -207,6 +244,8 @@ def _conv_forward(x, w, stride, pad, out=None):
     ho, wo = (h + 2 * pad - kh) // stride + 1, (width + 2 * pad - kw) // stride + 1
     # `out`, if of the result's shape, takes the result; it may be x: blocks are read before written
     y = out if out is not None and out.shape == (o, n, ho, wo) else _WS.take((o, n, ho, wo))
+    if (kh, kw, stride, pad) == (3, 3, 1, 1) and o < 2 * c:  # 3c + 3o rows per position, not 9c
+        return _row_taps(x, w, y)
     w2 = w.reshape(o, -1)
     if kh == kw == 1 and stride == 1 and pad == 0 and y is not x:  # one tap, the input itself
         np.matmul(w2, x.reshape(c, -1), out=y.reshape(o, -1))

@@ -306,6 +306,7 @@ def test_sweep_of_equal_searches_fails(method, param, values):
     ('{"benchmark": {"synthetic": {"seed": 1, "target_proxy_tau": "0.5"}}}', "target_proxy_tau"),
     ('{"benchmark": {"synthetic": {"seed": 1, "noise_std": NaN}}}', "noise_std"),
     ('{"skeleton": {"stem_channels": 4.0}}', "stem_channels"),
+    ('{"skeleton": {"bn_eps": -1.0}}', "bn_eps"),  # a negative eps makes most scorings NaN
     ('{"batch": {"synthetic": {"num_classes": 2.0}}}', "num_classes"),
     ('{"out": 5}', "out"),
     # a raw batch is a path, not an object

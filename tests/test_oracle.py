@@ -300,6 +300,12 @@ def test_load_reports_the_first_bad_record(duplicate_at, malformed_at, tmp_path)
         load_tabular(path)
 
 
+def one_record(**values):
+    """A benchmark document of one record, its values overridden by `values`."""
+    record = {"arch": encode_str(ArchEncoding.from_index(0)), "val_acc": 1.0, "test_acc": 1.0, "train_time_s": 1.0}
+    return {"space": space_doc(), "dataset": "d", "records": [{**record, **values}]}
+
+
 @pytest.mark.parametrize(
     "doc,fragment",
     [
@@ -308,6 +314,14 @@ def test_load_reports_the_first_bad_record(duplicate_at, malformed_at, tmp_path)
         (None, "a benchmark file is a JSON object, got NoneType"),
         (["space", "dataset", "records"], "a benchmark file is a JSON object, got list"),
         ({"space": space_doc(), "dataset": "d", "records": 5}, "records must be a list, got int"),
+        ({"space": space_doc(), "dataset": None, "records": []}, "dataset must be a string, got NoneType"),
+        ({"space": space_doc(), "dataset": 5, "records": []}, "dataset must be a string, got int"),
+        (one_record(val_acc=True), "record 0 is malformed: val_acc must be a number, got bool"),
+        (one_record(val_acc="93.5"), "record 0 is malformed: val_acc must be a number, got str"),
+        (one_record(train_time_s=None), "record 0 is malformed: train_time_s must be a number, got NoneType"),
+        (one_record(proxy=False), "record 0 is malformed: proxy must be a number, got bool"),
+        (one_record(test_acc=[1.0]), "record 0 is malformed: test_acc must be a number, got list"),
+        (one_record(train_time_s=10**400), "record 0 is malformed: train_time_s must be a number, got an int past float range"),
     ],
 )
 def test_load_rejects_a_document_of_the_wrong_shape(doc, fragment, tmp_path):
@@ -315,6 +329,15 @@ def test_load_rejects_a_document_of_the_wrong_shape(doc, fragment, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(BenchmarkError, match=f"^{re.escape(f'{path}: {fragment}')}$"):
         load_tabular(path)
+
+
+def test_load_takes_integer_values(tmp_path):
+    path = tmp_path / "bench.json"
+    save_tabular(constant_benchmark(), path)
+    doc = json.loads(path.read_text())
+    doc["records"][0].update(val_acc=50, test_acc=50, train_time_s=1)
+    path.write_text(json.dumps(doc))
+    assert_benchmarks_equal(load_tabular(path), constant_benchmark())
 
 
 @pytest.mark.parametrize("arch", [5, None, ["|none~0|"], {"a": 1}])

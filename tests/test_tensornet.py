@@ -473,27 +473,53 @@ def test_conv_backward_is_adjoint_of_forward(k, stride):
     assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(y), np.abs(gy))
 
 
-# (k, stride, channels, hw): a batch of 7 walks blocks of 3, 3 and 1 samples
-UNEVEN_BLOCKS = [(1, 1, 40, 32), (3, 1, 16, 16), (1, 2, 40, 64), (3, 2, 16, 32)]
+# (k, stride, channels, hw) -> the sample blocks a batch of 7 walks, forward and input gradient: a 1x1
+# stride-1 conv is one GEMM, no block; a 3x3 stride-1 one (c -> c channels) takes row taps
+UNEVEN_BLOCKS = {
+    (1, 1, 40, 32): ([], []),
+    (3, 1, 16, 16): ([5, 2], [5, 2]),
+    (3, 1, 16, 20): ([3, 3, 1], [3, 3, 1]),
+    (1, 2, 40, 64): ([1] * 7, [1] * 7),
+    (3, 2, 16, 32): ([2, 2, 2, 1], [6, 1]),
+}
 
 
-@pytest.mark.parametrize("k,stride,c,hw", UNEVEN_BLOCKS)
-def test_conv_kernels_over_uneven_sample_blocks(k, stride, c, hw):
+def blocks_walked(monkeypatch):
+    """The sample-block sizes of each `_blocked` call from here on, one list per call."""
+    walked, blocked = [], tensornet._blocked
+
+    def spy(lead, n, tail):
+        buf, blocks = blocked(lead, n, tail)
+        walked.append([b.stop - b.start for b in blocks])
+        return buf, blocks
+
+    monkeypatch.setattr(tensornet, "_blocked", spy)
+    return walked
+
+
+@pytest.mark.parametrize("k,stride,c,hw", list(UNEVEN_BLOCKS))
+def test_conv_kernels_over_uneven_sample_blocks(k, stride, c, hw, monkeypatch):
     stream = RngStream(33, ("blocks", k, stride))
     n, pad = 7, (k - 1) // 2
     ho = (hw + 2 * pad - k) // stride + 1
-    assert _BLOCK_BYTES // (8 * c * k * k * ho * ho) == 3  # one im2col or taps sample
     if stride == 1:  # the input gradient runs the forward kernel on gy, at hw
         assert ho == hw
     x = stream.normal(size=(n, c, hw, hw))
     w = stream.normal(size=(c, c, k, k))
     gy = stream.normal(size=(n, c, ho, ho))
+    walked = blocks_walked(monkeypatch)
     y = _conv_forward(cnhw(x), w, stride, pad)
-    assert_same(y, cnhw(ref_conv_forward(x, w, stride, pad)))
     gx = _conv_backward_input(cnhw(gy), w, (c, n, hw, hw), stride, pad)
+    assert walked == [blocks for blocks in UNEVEN_BLOCKS[k, stride, c, hw] if blocks]
+    assert_same(y, cnhw(ref_conv_forward(x, w, stride, pad)))
     assert_same(gx, cnhw(ref_conv_backward_input(gy, w, x.shape, stride, pad)))
     lhs, rhs = np.vdot(y, cnhw(gy)), np.vdot(cnhw(x), gx)
     assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(y), np.abs(cnhw(gy)))
+
+
+# (c, o) on each side of the row-tap rule o < 2c: (3, 4) takes row taps forward and in the input
+# gradient (4 -> 3); (2, 6) takes the nine-tap im2col forward and row taps in the gradient (6 -> 2)
+STRIDE1_CHANNELS = [(3, 4), (2, 6)]
 
 
 @pytest.mark.parametrize("block_bytes", [1, 20000, _BLOCK_BYTES])
@@ -502,17 +528,22 @@ def test_conv_kernels_over_uneven_sample_blocks(k, stride, c, hw):
 def test_phase_kernels_match_reference(k, stride, hw, block_bytes, monkeypatch):
     """Every input phase, flat shift and wrapped edge: odd and even sizes down
     to 1 (a 1x1 stride-2 conv leaves three phases no tap reads), over blocks
-    of one sample, of a few (7 samples walk uneven blocks) and of all seven."""
+    of one sample, of a few (7 samples walk uneven blocks) and of all seven;
+    a 3x3 stride-1 conv through both of its kernels."""
     monkeypatch.setattr(tensornet, "_BLOCK_BYTES", block_bytes)
-    stream = RngStream(50, ("phases", k, stride, hw))
-    n, c, o, pad = 7, 3, 4, (k - 1) // 2
+    calls, row_taps = [], tensornet._row_taps
+    monkeypatch.setattr(tensornet, "_row_taps", lambda x, w, y: calls.append(w.shape) or row_taps(x, w, y))
+    n, pad = 7, (k - 1) // 2
     ho = (hw + 2 * pad - k) // stride + 1
-    x = stream.normal(size=(n, c, hw, hw))
-    w = stream.normal(size=(o, c, k, k))
-    gy = stream.normal(size=(n, o, ho, ho))
-    assert_same(_conv_forward(cnhw(x), w, stride, pad), cnhw(ref_conv_forward(x, w, stride, pad)))
-    gx = _conv_backward_input(cnhw(gy), w, (c, n, hw, hw), stride, pad)
-    assert_same(gx, cnhw(ref_conv_backward_input(gy, w, x.shape, stride, pad)))
+    for c, o in STRIDE1_CHANNELS:
+        stream = RngStream(50, ("phases", k, stride, hw, c, o))
+        x = stream.normal(size=(n, c, hw, hw))
+        w = stream.normal(size=(o, c, k, k))
+        gy = stream.normal(size=(n, o, ho, ho))
+        assert_same(_conv_forward(cnhw(x), w, stride, pad), cnhw(ref_conv_forward(x, w, stride, pad)))
+        gx = _conv_backward_input(cnhw(gy), w, (c, n, hw, hw), stride, pad)
+        assert_same(gx, cnhw(ref_conv_backward_input(gy, w, x.shape, stride, pad)))
+    assert calls == ([(4, 3, 3, 3), (3, 4, 3, 3), (2, 6, 3, 3)] if (k, stride) == (3, 1) else [])
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
@@ -541,22 +572,23 @@ def test_conv_kernels_write_everything_they_read(hw, k, stride):
     """With the block buffer and the result buffers the workspace hands out
     filled with NaN, both kernels give the clean call's bits: no phase,
     padding or wrapped position is read unwritten."""
-    stream = RngStream(51, ("poison", hw, k, stride))
-    n, c, o, pad = 5, 3, 4, (k - 1) // 2
+    n, pad = 5, (k - 1) // 2
     ho = (hw + 2 * pad - k) // stride + 1
-    x, w = stream.normal(size=(c, n, hw, hw)), stream.normal(size=(o, c, k, k))
-    gy = stream.normal(size=(o, n, ho, ho))
+    for c, o in STRIDE1_CHANNELS:
+        stream = RngStream(51, ("poison", hw, k, stride, c, o))
+        x, w = stream.normal(size=(c, n, hw, hw)), stream.normal(size=(o, c, k, k))
+        gy = stream.normal(size=(o, n, ho, ho))
 
-    def run(poison):
-        if poison:
-            _WS.block = np.full(_BLOCK_BYTES // 8, np.nan)  # the size a first block takes
-            _WS.keep(np.full(gy.shape, np.nan))
-            _WS.keep(np.full(x.shape, np.nan))
-        y = _conv_forward(x, w, stride, pad).copy()
-        return y, _conv_backward_input(gy, w, x.shape, stride, pad).copy()
+        def run(poison):
+            if poison:
+                _WS.block = np.full(_BLOCK_BYTES // 8, np.nan)  # the size a first block takes
+                _WS.keep(np.full(gy.shape, np.nan))
+                _WS.keep(np.full(x.shape, np.nan))
+            y = _conv_forward(x, w, stride, pad).copy()
+            return y, _conv_backward_input(gy, w, x.shape, stride, pad).copy()
 
-    clean, poisoned = in_fresh_thread(run, False), in_fresh_thread(run, True)
-    assert all(np.array_equal(a, b) for a, b in zip(clean, poisoned))
+        clean, poisoned = in_fresh_thread(run, False), in_fresh_thread(run, True)
+        assert all(np.array_equal(a, b) for a, b in zip(clean, poisoned))
 
 
 @pytest.mark.parametrize("skeleton", ["desk", "wide"])
