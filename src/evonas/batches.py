@@ -65,7 +65,8 @@ def load_raw_batch(path, count: int) -> tuple[np.ndarray, np.ndarray]:
     """First `count` records of a CIFAR-10-format binary file.
 
     Pixels are scaled to [0, 1] float64.  Classes left with a single sample
-    carry no pairwise information, so they are dropped with a warning.
+    carry no pairwise information, so they are dropped with a warning; if
+    every class is a singleton, nothing is left and the file is refused.
     """
     check_count(count)
     data = Path(path).read_bytes()
@@ -81,6 +82,8 @@ def load_raw_batch(path, count: int) -> tuple[np.ndarray, np.ndarray]:
     images = raw[:, 1:].reshape(count, *_RAW_SHAPE).astype(np.float64) / 255.0
     present, counts = np.unique(labels, return_counts=True)
     singletons = present[counts < 2]
+    if singletons.size == present.size:
+        raise BatchFormatError(f"{path}: no class among the first {count} records has 2 samples")
     if singletons.size:
         warnings.warn(
             f"dropping {singletons.size} singleton class(es) {singletons.tolist()} "

@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -200,7 +201,8 @@ def _cmd_stats(args) -> int:
             raise ConfigError(f"columns {args.col_x!r}/{args.col_y!r} not found in {args.csv_file}")
         x = [float(r[args.col_x]) for r in rows]
         y = [float(r[args.col_y]) for r in rows]
-        print(json.dumps({"tau": kendall_tau(x, y), "n": len(x)}, sort_keys=True))
+        tau = kendall_tau(x, y)  # NaN for a constant column or a NaN entry: JSON null
+        print(json.dumps({"tau": tau if math.isfinite(tau) else None, "n": len(x)}, sort_keys=True))
     return 0
 
 

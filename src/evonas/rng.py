@@ -7,8 +7,10 @@ Philox counter-based bit generator.  Because the key fully determines the
 stream, substreams can be created in any order, from any thread, and the
 numbers they produce never change: trajectories replay bit-exactly.
 
-Philox gets the key from `_KeySeed.generate_state(2, uint64)`, not from
-`Philox(key=...)`, which first builds an OS-entropy SeedSequence.
+A stream's first block of four raw words comes from one per-thread Philox,
+re-keyed through its `state` setter.  A fifth word or a float draw builds
+the stream's own Philox, keyed by `_KeySeed` (`Philox(key=...)` would first
+build an OS-entropy SeedSequence) and advanced past the words drawn.
 
 Philox (4x64, 10 rounds) is used because it is a named, documented,
 counter-based algorithm whose output is identical across platforms for a
@@ -25,16 +27,38 @@ from __future__ import annotations
 
 import hashlib
 import operator
+import struct
+import threading
 
 import numpy as np
 
 __all__ = ["RngStream", "derive_seed"]
 
 
+def _digest(seed: int, path: tuple) -> bytes:
+    return hashlib.sha256(repr((int(seed),) + path).encode("utf-8")).digest()
+
+
 def _key(seed: int, path: tuple) -> int:
-    material = repr((int(seed),) + path).encode("utf-8")
-    digest = hashlib.sha256(material).digest()
-    return int.from_bytes(digest[:16], "little")
+    return int.from_bytes(_digest(seed, path)[:16], "little")
+
+
+class _Scratch(threading.local):
+    """One thread's Philox, re-keyed through one reused state dict of plain ints."""
+
+    def __init__(self):
+        self.bits = np.random.Philox(0)
+        self.state = {"bit_generator": "Philox", "state": {"counter": (0,) * 4, "key": (0, 0)},
+                      "buffer": (0,) * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def first_block(self, seed: int, path: tuple) -> list:
+        """The (seed, path) Philox's first four raw words, last word first."""
+        self.state["state"]["key"] = struct.unpack_from("<QQ", _digest(seed, path))
+        self.bits.state = self.state
+        return self.bits.random_raw(4).tolist()[::-1]
+
+
+_SCRATCH = _Scratch()
 
 
 class _KeySeed(np.random.bit_generator.ISeedSequence):
@@ -59,23 +83,35 @@ class RngStream:
 
     Draw methods advance the stream state; `child` creates an independent
     stream whose output depends only on the root seed and the child path,
-    never on how much the parent has been consumed.  The key and bit
-    generator are built on the first draw, so a stream used only to derive
-    child paths costs no hashing; a `Generator` only on the first float draw.
+    never on how much the parent has been consumed.  The key is hashed on
+    the first draw, so a stream used only to derive child paths costs no
+    hashing.  The stream's own bit generator is built on its fifth raw word
+    or first float draw, a `Generator` only on the first float draw.
     """
 
-    __slots__ = ("seed", "path", "_bits", "_half", "_gen")
+    __slots__ = ("seed", "path", "_words", "_bits", "_half", "_gen")
 
     def __init__(self, seed: int, path: tuple = ()):
         self.seed = int(seed)
         self.path = tuple(path)
+        self._words = None  # the first block's words not yet drawn, last first
         self._bits = None
         self._half = None  # high 32 bits of the last raw word, not yet drawn
         self._gen = None
 
+    def _raw(self) -> int:
+        if self._bits is None:
+            if self._words is None:
+                self._words = _SCRATCH.first_block(self.seed, self.path)
+            if self._words:
+                return self._words.pop()
+        return self._philox().random_raw()
+
     def _philox(self) -> np.random.Philox:
         if self._bits is None:
             self._bits = np.random.Philox(_KeySeed(_key(self.seed, self.path)))
+            if self._words is not None:
+                self._bits.random_raw(4 - len(self._words))  # past the words drawn
         return self._bits
 
     def _generator(self) -> np.random.Generator:
@@ -88,7 +124,7 @@ class RngStream:
         threshold = (1 << 32) % high
         while high > 1:
             if self._half is None:
-                word = self._philox().random_raw()
+                word = self._raw()
                 word, self._half = word & 0xFFFFFFFF, word >> 32
             else:
                 word, self._half = self._half, None

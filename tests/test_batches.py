@@ -77,6 +77,15 @@ def test_load_raw_batch_drops_singletons(tmp_path):
     assert batch.shape == (2, 3, 32, 32)
 
 
+def test_load_raw_batch_refuses_all_singletons(tmp_path):
+    path = tmp_path / "batch.bin"
+    path.write_bytes(b"".join(raw_record(label, value=0) for label in (0, 1, 2, 0)))
+    with pytest.raises(BatchFormatError, match=r"batch\.bin: no class among the first 3 records"):
+        load_raw_batch(path, 3)
+    with pytest.warns(UserWarning, match=r"singleton class\(es\) \[1, 2\]"):
+        assert load_raw_batch(path, 4)[1].tolist() == [0, 0]
+
+
 def test_load_raw_batch_count_validation(tmp_path):
     path = tmp_path / "batch.bin"
     path.write_bytes(raw_record(0, value=0))

@@ -202,6 +202,16 @@ def test_stats_ttest_and_tau(tmp_path, bench_file, capsys):
     assert code == 0
     assert -1.0 <= json.loads(stdout)["tau"] <= 1.0
 
+    # a constant column or a NaN entry has no tau: strict JSON null, not NaN
+    def strict(text):
+        return json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
+
+    for body in ("1,2\n1,3\n1,4\n", "1,2\n2,nan\n3,4\n"):
+        path = tmp_path / "tau.csv"
+        path.write_text("a,b\n" + body, encoding="utf-8")
+        code, stdout, _ = run_cli(capsys, "stats", "tau", str(path), "a", "b")
+        assert code == 0 and strict(stdout) == {"n": 3, "tau": None}
+
 
 def test_error_is_machine_readable(tmp_path, capsys):
     code, stdout, stderr = run_cli(

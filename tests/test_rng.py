@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -72,7 +75,74 @@ def test_lazy_generator_keeps_every_stream():
     for high in (1, 6, 2**32):
         mut.integers(high)
         mut.integers(high, size=3)
+    # those draws read four raw words, the first block, so no bit generator
+    # is built; the fifth word builds one
+    assert mut._bits is None and mut._gen is None
+    mut.integers(6)
     assert mut._bits is not None and mut._gen is None
+
+
+def _reference(seed, path):
+    return np.random.Generator(np.random.Philox(key=_key(seed, path)))
+
+
+def test_interleaved_streams_continue_past_the_first_block():
+    # four streams take their first blocks in turn, then all read on past
+    # word 4 with float and wide integer draws between the 32-bit ones
+    paths = [("a",), ("b", 1), ("cycle", 3, "child", 0, "mut"), ("init", 9, "arch")]
+    ours = [RngStream(5, path) for path in paths]
+    refs = [_reference(5, path) for path in paths]
+    for step in range(12):
+        for stream, ref in zip(ours, refs):
+            assert stream.integers(6) == ref.integers(6)
+            if step % 4 == 3:
+                assert stream.normal() == ref.normal()
+            if step % 5 == 4:
+                assert stream.integers(1 << 40) == ref.integers(1 << 40)
+            if step == 7:
+                assert np.array_equal(stream.integers(2**32, size=3), ref.integers(2**32, size=3))
+    # a stream whose first float draw comes mid-block skips exactly the words drawn
+    for used in range(6):
+        stream, ref = RngStream(8, ("x", used)), _reference(8, ("x", used))
+        assert [stream.integers(2**32) for _ in range(used)] == ref.integers(2**32, size=used).tolist()
+        assert stream.uniform() == ref.uniform()
+        assert stream.integers(7) == ref.integers(7)
+
+
+def test_stream_continues_in_another_thread():
+    stream, ref = RngStream(3, ("run", 2)), _reference(3, ("run", 2))
+    first = [stream.integers(200) for _ in range(3)]  # takes the first block here
+    later = []
+    worker = threading.Thread(target=lambda: later.extend(stream.integers(200) for _ in range(9)))
+    worker.start()
+    worker.join()
+    assert first + later == ref.integers(200, size=12).tolist()
+
+
+def test_threads_draw_distinct_streams_at_once():
+    n_streams, n_threads = 300, 2
+    start = threading.Barrier(n_threads)
+    drawn = {}
+
+    def draw(t):
+        start.wait()
+        for i in range(n_streams):
+            stream = RngStream(9, ("t", t, i))
+            drawn[t, i] = [stream.integers(6) for _ in range(10)]
+
+    workers = [threading.Thread(target=draw, args=(t,)) for t in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside a re-key too
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for (t, i), draws in drawn.items():
+        assert draws == _reference(9, ("t", t, i)).integers(6, size=10).tolist()
+    assert len(drawn) == n_streams * n_threads
 
 
 def test_key_seed_draws_equal_philox_key():
