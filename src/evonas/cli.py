@@ -192,7 +192,7 @@ def _cmd_stats(args) -> int:
     if args.stats_command == "ttest":
         a = _final_vals(args.summary_a)
         b = _final_vals(args.summary_b)
-        t, p = welch_ttest(a, b)
+        t, p = (v if math.isfinite(v) else None for v in welch_ttest(a, b))  # a non-finite entry: JSON null
         print(json.dumps({"t": t, "p": p, "n_a": len(a), "n_b": len(b)}, sort_keys=True))
     else:
         with open(args.csv_file, newline="", encoding="utf-8") as fh:

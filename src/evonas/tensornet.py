@@ -14,12 +14,10 @@ hands ``(N, C)`` to the classifier.  The public functions speak NCHW.
 
 Kernels.  A convolution fills an im2col block ``(c, kh, kw, m, ho, wo)``
 of at most ``_BLOCK_BYTES`` (m >= 1 samples) and ``W @ cols`` writes those
-samples' output.  Kernel offset i reads input phase ``(i - pad) mod
-stride`` shifted by ``(i - pad) // stride``, so each tap is one flat
-shifted copy of its phase over the block's ``m * ho * wo`` plane: at
-stride 1 the phase is the input block itself, at stride 2 the four
-phases are gathered once, into the block past the taps.  Zero writes,
-one per shifted row (column) of taps and past each gathered phase's end,
+samples' output.  At stride 1 onto a same-size output each tap is one
+flat shifted copy of the input block over its ``m * ho * wo`` plane;
+otherwise each tap is one strided copy straight from the input.  Zero
+writes, one per row (column) of taps (for the copies once per call),
 cover the padding and where a shift wraps.  A 1x1 stride-1 conv is one
 GEMM over the input, no copy.  A 3x3 stride-1 pad-1 conv from c to
 o < 2c channels takes row taps instead: its block holds the three
@@ -30,8 +28,8 @@ flat shifts of one image row, which is copied to the output.  From few
 channels to many (o >= 2c, as a stem's 3 to 16) the 3o rows and their
 adds cost more than the 6c saved, and im2col stays.  A stride-1 conv's
 input gradient is the forward kernel on the output gradient with
-flipped, transposed weights; a
-stride-2 one runs one GEMM per input phase, over its taps' transposed
+flipped, transposed weights; a stride-2 one runs one GEMM per input
+phase ``(i - pad) mod stride``, over its taps' transposed
 weights and the output gradient shifted once per tap (the shifts stacked
 so each phase's are consecutive), and copies the phase into place.
 Batch norm normalizes its conv's output in place (its tape entry), takes
@@ -211,6 +209,14 @@ def _shift(d, n):
     return slice(max(0, -d), max(0, -d) + k), slice(max(0, d), max(0, d) + k)
 
 
+def _span(size, r, q, stride, out):
+    """The outputs o of range(out) whose element o + q of input phase r
+    (``x[r::stride]``) lies in range(size), and the input indices they read."""
+    lo = max(0, -q)
+    hi = max(lo, min(out, len(range(r, size, stride)) - q))
+    return slice(lo, hi), slice(r + stride * (lo + q), r + stride * (hi + q), stride)
+
+
 def _row_taps(x, w, y):
     """3x3, stride 1, pad 1: per sample block the three column taps, ``(c, 3)``
     rows, and one GEMM for the three kernel rows; the outer rows' results are
@@ -251,34 +257,33 @@ def _conv_forward(x, w, stride, pad, out=None):
         np.matmul(w2, x.reshape(c, -1), out=y.reshape(o, -1))
         return y
     rows, cols = _phase_taps(h, kh, stride, pad, ho), _phase_taps(width, kw, stride, pad, wo)
-    # every tap is a flat shift of the phase it reads: at stride 1 onto a same-size output the input
-    # itself, else a copy gathered past the taps (not into them: numpy copies between views of one
-    # buffer whose extents overlap through a temporary)
-    phases = [] if (stride, h, width) == (1, ho, wo) else sorted({(ri, rj) for ri, _ in rows for rj, _ in cols})
-    plan = [(i * kw + j, phases.index((ri, rj)) if phases else 0, qi * wo + qj)
-            for i, (ri, qi) in enumerate(rows) for j, (rj, qj) in enumerate(cols)]
-    ntaps = c * kh * kw
-    buf, blocks = _blocked((ntaps + len(phases) * c,), n, (ho, wo))
+    buf, blocks = _blocked((c, kh, kw), n, (ho, wo))
+    gathers = (stride, h, width) != (1, ho, wo)  # each tap a strided copy of the input, else a flat shift of it
+    if gathers:  # zero the padding no gather writes, once
+        ys, xs = [_span(h, r, q, stride, ho) for r, q in rows], [_span(width, r, q, stride, wo) for r, q in cols]
+        for i, (oy, _) in enumerate(ys):
+            buf[:, i, :, :, : oy.start] = buf[:, i, :, :, oy.stop :] = 0.0
+        for j, (ox, _) in enumerate(xs):
+            buf[:, :, j, ..., : ox.start] = buf[:, :, j, ..., ox.stop :] = 0.0
     for b in blocks:
-        blk = buf[:, : b.stop - b.start]
-        flat = blk[:ntaps].reshape(c, kh * kw, -1)
-        srcs = [] if phases else [x[:, b].reshape(c, -1)]
-        for p, (ri, rj) in enumerate(phases):  # each phase zero past its end
-            ph, v = blk[ntaps + p * c : ntaps + (p + 1) * c], x[:, b, ri::stride, rj::stride]
-            ph[:, :, : v.shape[2], : v.shape[3]] = v
-            ph[:, :, v.shape[2] :] = ph[..., v.shape[3] :] = 0.0
-            srcs.append(ph.reshape(c, -1))
-        for t, p, d in plan:
-            to, fr = _shift(d, flat.shape[2])
-            flat[:, t, to] = srcs[p][:, fr]
-        taps = blk[:ntaps].reshape((c, kh, kw) + blk.shape[1:])
-        for i, (_, q) in enumerate(rows):  # zero where a tap reads padding or its shift wrapped
-            if q:
-                taps[:, i, :, :, _edge(ho, q)] = 0.0
-        for j, (_, q) in enumerate(cols):
-            if q:
-                taps[:, :, j, ..., _edge(wo, q)] = 0.0
-        np.matmul(w2, flat.reshape(ntaps, -1), out=y[:, b].reshape(o, -1))
+        taps = buf[:, :, :, : b.stop - b.start]
+        if gathers:
+            for i, (oy, iy) in enumerate(ys):
+                for j, (ox, ix) in enumerate(xs):
+                    taps[:, i, j, :, oy, ox] = x[:, b, iy, ix]
+        else:
+            flat, src = taps.reshape(c, kh * kw, -1), x[:, b].reshape(c, -1)
+            for i, (_, qi) in enumerate(rows):
+                for j, (_, qj) in enumerate(cols):
+                    to, fr = _shift(qi * wo + qj, src.shape[1])
+                    flat[:, i * kw + j, to] = src[:, fr]
+            for i, (_, q) in enumerate(rows):  # zero where a tap reads padding or its shift wrapped
+                if q:
+                    taps[:, i, :, :, _edge(ho, q)] = 0.0
+            for j, (_, q) in enumerate(cols):
+                if q:
+                    taps[:, :, j, ..., _edge(wo, q)] = 0.0
+        np.matmul(w2, taps.reshape(c * kh * kw, -1), out=y[:, b].reshape(o, -1))
     return y
 
 

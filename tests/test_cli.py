@@ -212,6 +212,15 @@ def test_stats_ttest_and_tau(tmp_path, bench_file, capsys):
         code, stdout, _ = run_cli(capsys, "stats", "tau", str(path), "a", "b")
         assert code == 0 and strict(stdout) == {"n": 3, "tau": None}
 
+    # nor has a t-test over a run whose final val_acc is NaN
+    doc = json.loads((out_a / "summary.json").read_text("utf-8"))
+    doc["runs"] = doc["runs"][:2]
+    doc["runs"][1]["final_val_acc"] = float("nan")
+    path = tmp_path / "nan_summary.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, stdout, _ = run_cli(capsys, "stats", "ttest", str(path), str(path))
+    assert code == 0 and strict(stdout) == {"n_a": 2, "n_b": 2, "p": None, "t": None}
+
 
 def test_error_is_machine_readable(tmp_path, capsys):
     code, stdout, stderr = run_cli(

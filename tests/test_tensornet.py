@@ -1,6 +1,7 @@
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -479,8 +480,8 @@ UNEVEN_BLOCKS = {
     (1, 1, 40, 32): ([], []),
     (3, 1, 16, 16): ([5, 2], [5, 2]),
     (3, 1, 16, 20): ([3, 3, 1], [3, 3, 1]),
-    (1, 2, 40, 64): ([1] * 7, [1] * 7),
-    (3, 2, 16, 32): ([2, 2, 2, 1], [6, 1]),
+    (1, 2, 40, 64): ([3, 3, 1], [1] * 7),
+    (3, 2, 16, 32): ([3, 3, 1], [6, 1]),
 }
 
 
@@ -783,6 +784,37 @@ def test_returned_jacobian_outlives_later_scorings():
     for k in range(20):
         input_jacobian(other if k % 2 else net, batch, labels)
     assert np.array_equal(jac.J, first)
+
+
+def test_returned_jacobian_of_a_one_channel_input_outlives_later_scorings():
+    """With one input and one stem channel the returned Jacobian is a view of
+    the stem conv's input gradient, which a workspace could hand out again."""
+    cfg = replace(SMALL, input_channels=1, stem_channels=1)
+    nets = [build_network(arch, cfg, RngStream(59, ("init",))) for arch in (ALL_SKIP, random_arch(RngStream(60)))]
+    batch, labels = small_batch(61, n=4, cfg=cfg), [0, 1, 0, 1]
+    jac = input_jacobian(nets[0], batch, labels).J
+    first = jac.copy()
+    for net in nets * 3:
+        input_jacobian(net, batch, labels)
+    assert np.array_equal(jac, first)
+
+
+def test_a_skip_copy_is_not_written_over():
+    """Node 1 is a skip copy of node 0, whose last read is its conv edge's ReLU
+    (edge 0->3 is none): that ReLU must not write over node 0, which node 1
+    still reads.  The stem's output is a tape entry, so only a forward pass
+    without a tape could write over it; in a second cell per stage node 0 is
+    a node sum, which the scoring's forward pass could write over too."""
+    cfg = replace(SMALL, cells_per_stage=2)
+    arch = ArchEncoding((SK, C3, C1, N1, C3, SK))
+    net = build_network(arch, cfg, RngStream(60, ("init",)))
+    blocks = ref_build_network(arch, cfg, RngStream(60, ("init",)))
+    batch = small_batch(61, n=4, cfg=cfg)
+    logits = batch
+    for block in blocks:
+        logits, _ = block.forward(logits)
+    assert_same(forward(net, batch), logits)
+    assert_same(input_jacobian(net, batch, [0, 1, 0, 1]).J, ref_jacobian(blocks, batch))
 
 
 def test_workspace_keeps_one_skeletons_buffers():
