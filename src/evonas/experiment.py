@@ -150,12 +150,14 @@ def _resolve_benchmark(cfg: ExperimentConfig) -> Benchmark:
 def load_batch(source, count: int, skeleton: SkeletonConfig):
     """(batch, labels, skeleton) from a SyntheticBatchSpec or the first `count`
     records of a raw file (`count` >= 2 for either source); the skeleton
-    takes the batch's input shape."""
+    takes the batch's input shape, and must have a class for every label."""
     check_count(count)
     if isinstance(source, SyntheticBatchSpec):
         batch, labels = make_batch(source)
     else:
         batch, labels = load_raw_batch(source, count)
+    if labels.max() >= skeleton.num_classes:
+        raise ConfigError(f"batch label {labels.max()} needs more than the skeleton's {skeleton.num_classes} classes")
     _, channels, hw, _ = batch.shape
     return batch, labels, dataclasses.replace(skeleton, input_channels=channels, input_hw=hw)
 

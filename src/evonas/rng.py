@@ -9,8 +9,7 @@ numbers they produce never change: trajectories replay bit-exactly.
 
 A stream's first block of four raw words comes from one per-thread Philox,
 re-keyed through its `state` setter.  A fifth word or a float draw builds
-the stream's own Philox, keyed by `_KeySeed` (`Philox(key=...)` would first
-build an OS-entropy SeedSequence) and advanced past the words drawn.
+the stream's own Philox from the same key, advanced past the words drawn.
 
 Philox (4x64, 10 rounds) is used because it is a named, documented,
 counter-based algorithm whose output is identical across platforms for a
@@ -61,18 +60,6 @@ class _Scratch(threading.local):
 _SCRATCH = _Scratch()
 
 
-class _KeySeed(np.random.bit_generator.ISeedSequence):
-    """Seed sequence holding a 128-bit Philox key and nothing else."""
-
-    def __init__(self, key: int):
-        self._words = np.frombuffer(key.to_bytes(16, "little"), dtype="<u8")
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:  # all Philox asks for
-            raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} of {np.dtype(dtype)}")
-        return self._words
-
-
 def derive_seed(seed: int, *path) -> int:
     """Derive a 63-bit integer seed for (seed, path), e.g. per-run seeds."""
     return _key(seed, tuple(path)) & (2**63 - 1)
@@ -109,7 +96,7 @@ class RngStream:
 
     def _philox(self) -> np.random.Philox:
         if self._bits is None:
-            self._bits = np.random.Philox(_KeySeed(_key(self.seed, self.path)))
+            self._bits = np.random.Philox(key=_key(self.seed, self.path))
             if self._words is not None:
                 self._bits.random_raw(4 - len(self._words))  # past the words drawn
         return self._bits

@@ -14,12 +14,10 @@ hands ``(N, C)`` to the classifier.  The public functions speak NCHW.
 
 Kernels.  A convolution fills an im2col block ``(c, kh, kw, m, ho, wo)``
 of at most ``_BLOCK_BYTES`` (m >= 1 samples) and ``W @ cols`` writes those
-samples' output.  At stride 1 onto a same-size output each tap is one
-flat shifted copy of the input block over its ``m * ho * wo`` plane;
-otherwise each tap is one strided copy straight from the input.  Zero
-writes, one per row (column) of taps (for the copies once per call),
-cover the padding and where a shift wraps.  A 1x1 stride-1 conv is one
-GEMM over the input, no copy.  A 3x3 stride-1 pad-1 conv from c to
+samples' output.  Each tap is one strided copy straight from the input;
+zero writes, one per row (column) of taps once per call, cover the
+padding.  A 1x1 stride-1 conv not written over its input is one GEMM
+over the input, no copy.  A 3x3 stride-1 pad-1 conv from c to
 o < 2c channels takes row taps instead: its block holds the three
 column taps, ``(c, 3, m, h, w)`` (3c rows where im2col has 9c), and one
 GEMM's product with each kernel row (3o rows); the outer rows' products,
@@ -258,31 +256,16 @@ def _conv_forward(x, w, stride, pad, out=None):
         return y
     rows, cols = _phase_taps(h, kh, stride, pad, ho), _phase_taps(width, kw, stride, pad, wo)
     buf, blocks = _blocked((c, kh, kw), n, (ho, wo))
-    gathers = (stride, h, width) != (1, ho, wo)  # each tap a strided copy of the input, else a flat shift of it
-    if gathers:  # zero the padding no gather writes, once
-        ys, xs = [_span(h, r, q, stride, ho) for r, q in rows], [_span(width, r, q, stride, wo) for r, q in cols]
-        for i, (oy, _) in enumerate(ys):
-            buf[:, i, :, :, : oy.start] = buf[:, i, :, :, oy.stop :] = 0.0
-        for j, (ox, _) in enumerate(xs):
-            buf[:, :, j, ..., : ox.start] = buf[:, :, j, ..., ox.stop :] = 0.0
+    ys, xs = [_span(h, r, q, stride, ho) for r, q in rows], [_span(width, r, q, stride, wo) for r, q in cols]
+    for i, (oy, _) in enumerate(ys):  # zero the padding no tap copy writes, once
+        buf[:, i, :, :, : oy.start] = buf[:, i, :, :, oy.stop :] = 0.0
+    for j, (ox, _) in enumerate(xs):
+        buf[:, :, j, ..., : ox.start] = buf[:, :, j, ..., ox.stop :] = 0.0
     for b in blocks:
         taps = buf[:, :, :, : b.stop - b.start]
-        if gathers:
-            for i, (oy, iy) in enumerate(ys):
-                for j, (ox, ix) in enumerate(xs):
-                    taps[:, i, j, :, oy, ox] = x[:, b, iy, ix]
-        else:
-            flat, src = taps.reshape(c, kh * kw, -1), x[:, b].reshape(c, -1)
-            for i, (_, qi) in enumerate(rows):
-                for j, (_, qj) in enumerate(cols):
-                    to, fr = _shift(qi * wo + qj, src.shape[1])
-                    flat[:, i * kw + j, to] = src[:, fr]
-            for i, (_, q) in enumerate(rows):  # zero where a tap reads padding or its shift wrapped
-                if q:
-                    taps[:, i, :, :, _edge(ho, q)] = 0.0
-            for j, (_, q) in enumerate(cols):
-                if q:
-                    taps[:, :, j, ..., _edge(wo, q)] = 0.0
+        for i, (oy, iy) in enumerate(ys):  # each tap one strided copy straight from the input
+            for j, (ox, ix) in enumerate(xs):
+                taps[:, i, j, :, oy, ox] = x[:, b, iy, ix]
         np.matmul(w2, taps.reshape(c * kh * kw, -1), out=y[:, b].reshape(o, -1))
     return y
 

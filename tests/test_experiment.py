@@ -356,3 +356,13 @@ def test_bad_sweep_value_fails_before_any_search(monkeypatch):
     with pytest.raises(ConfigError):
         run_experiment(small_config(num_runs=2, sweep=(("pop_size", [3, 4, 0]),)))
     assert calls == []
+
+
+def test_batch_label_past_the_skeleton_classes_fails_before_any_search(monkeypatch):
+    import evonas.experiment as experiment
+
+    calls = []
+    monkeypatch.setattr(experiment, "run_search", lambda *a, **k: calls.append(a))
+    with pytest.raises(ConfigError, match=r"label 11 .* 10 classes"):
+        run_experiment(small_config(num_runs=1, batch=SyntheticBatchSpec(num_classes=12)))
+    assert calls == []

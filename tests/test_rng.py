@@ -2,9 +2,8 @@ import sys
 import threading
 
 import numpy as np
-import pytest
 
-from evonas.rng import RngStream, _key, _KeySeed, derive_seed
+from evonas.rng import RngStream, _key, derive_seed
 
 
 def test_same_seed_same_draws():
@@ -170,12 +169,3 @@ def test_key_seed_draws_equal_philox_key():
             assert np.array_equal(ours.uniform(5.0, 15.0, size=9), ref.uniform(5.0, 15.0, size=9))
             assert ours.normal() == ref.normal()
             assert np.array_equal(ours.normal(1.0, 2.0, size=(3, 4)), ref.normal(1.0, 2.0, size=(3, 4)))
-
-
-def test_key_seed_answers_only_the_philox_request():
-    seq = _KeySeed(_key(4, ("x",)))
-    words = seq.generate_state(2, np.uint64)
-    assert words.tolist() == [_key(4, ("x",)) & (2**64 - 1), _key(4, ("x",)) >> 64]
-    for n_words, dtype in [(4, np.uint32), (1, np.uint64), (4, np.uint64), (2, np.uint32)]:
-        with pytest.raises(ValueError):
-            seq.generate_state(n_words, dtype)

@@ -530,21 +530,38 @@ def test_phase_kernels_match_reference(k, stride, hw, block_bytes, monkeypatch):
     """Every input phase, flat shift and wrapped edge: odd and even sizes down
     to 1 (a 1x1 stride-2 conv leaves three phases no tap reads), over blocks
     of one sample, of a few (7 samples walk uneven blocks) and of all seven;
-    a 3x3 stride-1 conv through both of its kernels."""
+    a 3x3 stride-1 conv through both of its kernels.  At c == o every
+    same-shape forward, and every stride-1 gradient, runs again written over
+    its input (`out=x`, `out=gy`) and must give the same bits; but a 1x1
+    stride-1 forward is one GEMM over the whole input out of place and one
+    per block over its input, which BLAS may round differently, so there
+    the two agree to rounding."""
     monkeypatch.setattr(tensornet, "_BLOCK_BYTES", block_bytes)
     calls, row_taps = [], tensornet._row_taps
     monkeypatch.setattr(tensornet, "_row_taps", lambda x, w, y: calls.append(w.shape) or row_taps(x, w, y))
     n, pad = 7, (k - 1) // 2
     ho = (hw + 2 * pad - k) // stride + 1
-    for c, o in STRIDE1_CHANNELS:
+    for c, o in STRIDE1_CHANNELS + [(3, 3)]:
         stream = RngStream(50, ("phases", k, stride, hw, c, o))
         x = stream.normal(size=(n, c, hw, hw))
         w = stream.normal(size=(o, c, k, k))
         gy = stream.normal(size=(n, o, ho, ho))
-        assert_same(_conv_forward(cnhw(x), w, stride, pad), cnhw(ref_conv_forward(x, w, stride, pad)))
-        gx = _conv_backward_input(cnhw(gy), w, (c, n, hw, hw), stride, pad)
+        y = _conv_forward(cnhw(x), w, stride, pad).copy()
+        assert_same(y, cnhw(ref_conv_forward(x, w, stride, pad)))
+        gx = _conv_backward_input(cnhw(gy), w, (c, n, hw, hw), stride, pad).copy()
         assert_same(gx, cnhw(ref_conv_backward_input(gy, w, x.shape, stride, pad)))
-    assert calls == ([(4, 3, 3, 3), (3, 4, 3, 3), (2, 6, 3, 3)] if (k, stride) == (3, 1) else [])
+        if y.shape == (c, n, hw, hw):
+            xc = cnhw(x)
+            assert _conv_forward(xc, w, stride, pad, out=xc) is xc
+            if (k, stride) == (1, 1):
+                assert_same(xc, y)
+            else:
+                assert np.array_equal(xc, y)
+        if stride == 1 and gx.shape == (o, n, ho, ho):
+            gc = cnhw(gy)
+            assert _conv_backward_input(gc, w, (c, n, hw, hw), stride, pad, out=gc) is gc and np.array_equal(gc, gx)
+    same = [(3, 3, 3, 3)] * 4  # (3, 3): forward and gradient, each out of place and over its input
+    assert calls == ([(4, 3, 3, 3), (3, 4, 3, 3), (2, 6, 3, 3)] + same if (k, stride) == (3, 1) else [])
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
