@@ -7,10 +7,14 @@ gradient of the total logit sum with respect to the input batch, via
 hand-written reverse-mode rules for each layer (including the cross-sample
 coupling introduced by batch-statistics normalization).
 
+Layers: ``_ConvBN``, a conv and the batch norm that follows every conv
+(stem, conv edges, reductions); ``_ReLU``, ``_AvgPool3x3``, ``_Identity``;
+and ``_Head``, global average pooling and the dense classifier.
+
 Layout.  Activations are channel-major, ``(C, N, H, W)``, from stem to
 head: ``Network._run`` transposes the NCHW batch once on entry,
-``input_jacobian`` its gradient once on exit, and global average pooling
-hands ``(N, C)`` to the classifier.  The public functions speak NCHW.
+``input_jacobian`` its gradient once on exit, and the head's pooling
+hands ``(N, C)`` to its classifier.  The public functions speak NCHW.
 
 Kernels.  A convolution fills an im2col block ``(c, kh, kw, m, ho, wo)``
 of at most ``_BLOCK_BYTES`` (m >= 1 samples) and ``W @ cols`` writes those
@@ -30,12 +34,13 @@ flipped, transposed weights; a stride-2 one runs one GEMM per input
 phase ``(i - pad) mod stride``, over its taps' transposed
 weights and the output gradient shifted once per tap (the shifts stacked
 so each phase's are consecutive), and copies the phase into place.
-Batch norm normalizes its conv's output in place (its tape entry), takes
-the variance and ``mean(gy * xhat)`` as row dot products, and writes its
-gradient over that output.  ReLU caches a bool mask.  3x3 average
-pooling, its own backward pass, sums blocks of whole channels: each
-3-tap sum is two shifted adds over the flat block, the first and last
-row (column), where the shift wraps, rewritten.  Each thread's workspace
+Batch norm normalizes its conv's output in place (the ``_ConvBN`` tape
+entry), takes the variance and ``mean(gy * xhat)`` as row dot products,
+and writes its gradient over that entry, the conv's input gradient in
+turn over that.  ReLU caches a bool mask.  3x3 average pooling, its own
+backward pass, sums blocks of whole channels: each 3-tap sum is two
+shifted adds over the flat block, the first and last row (column), where
+the shift wraps, rewritten.  Each thread's workspace
 keeps its block buffer and, for the next scoring, its tape entries'
 buffers, until the skeleton or batch shape changes.  A result takes a
 kept buffer of its shape and dtype that ``sys.getrefcount`` shows
@@ -341,40 +346,39 @@ def _box3(x):
 # layers
 
 
-class _Conv:
-    def __init__(self, weight, stride, pad):
-        self.w = weight
-        self.stride = stride
-        self.pad = pad
+def _bn_forward(y, eps):
+    """Batch-statistics normalization of `y` in place, no affine or running
+    stats; returns the per-channel ``1 / std`` its backward needs."""
+    rows = y.reshape(y.shape[0], -1)
+    rows -= rows.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", rows, rows)[:, None] / rows.shape[1] + eps)
+    rows *= inv
+    return inv
+
+
+def _bn_backward(xhat, inv, gy):
+    """The normalization's input gradient, written over its output `xhat`; returns it."""
+    gx, rows = xhat.reshape(xhat.shape[0], -1), gy.reshape(xhat.shape[0], -1)
+    gx *= np.einsum("ij,ij->i", rows, gx)[:, None] / gx.shape[1]  # mean(gy * xhat) per channel
+    np.subtract(rows, gx, out=gx)
+    gx -= rows.mean(axis=1, keepdims=True)
+    gx *= inv
+    return xhat
+
+
+class _ConvBN:
+    """A convolution and the batch norm of its output, normalized in place (its tape entry)."""
+
+    def __init__(self, weight, stride, pad, eps):
+        self.w, self.stride, self.pad, self.eps = weight, stride, pad, eps
 
     def forward(self, x, owned):
-        return _conv_forward(x, self.w, self.stride, self.pad, x if owned else None), x.shape
+        y = _conv_forward(x, self.w, self.stride, self.pad, x if owned else None)
+        return _WS.keep(y), (x.shape, y, _bn_forward(y, self.eps))
 
     def backward(self, cache, gy, owned):
-        return _conv_backward_input(gy, self.w, cache, self.stride, self.pad, gy if owned else None)
-
-
-class _BatchNorm:
-    """Batch-statistics normalization, no affine or running stats, in place over its conv's output."""
-
-    def __init__(self, eps):
-        self.eps = eps
-
-    def forward(self, x, owned):
-        rows = x.reshape(x.shape[0], -1)
-        rows -= rows.mean(axis=1, keepdims=True)
-        inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", rows, rows)[:, None] / rows.shape[1] + self.eps)
-        rows *= inv
-        return _WS.keep(x), (x, inv)
-
-    def backward(self, cache, gy, owned):
-        x, inv = cache  # xhat, written over with the gradient
-        gx, rows = x.reshape(x.shape[0], -1), gy.reshape(x.shape[0], -1)
-        gx *= np.einsum("ij,ij->i", rows, gx)[:, None] / gx.shape[1]  # mean(gy * xhat) per channel
-        np.subtract(rows, gx, out=gx)
-        gx -= rows.mean(axis=1, keepdims=True)
-        gx *= inv
-        return x
+        shape, y, inv = cache
+        return _conv_backward_input(_bn_backward(y, inv, gy), self.w, shape, self.stride, self.pad, y)
 
 
 class _ReLU:
@@ -407,23 +411,18 @@ class _Identity:
         return gy
 
 
-class _GlobalAvgPool:
-    def forward(self, x, owned):
-        return x.mean(axis=(2, 3)).T, x.shape
+class _Head:
+    """Global average pooling, then the dense classifier."""
 
-    def backward(self, cache, gy, owned):
-        return np.divide(np.broadcast_to(gy.T[:, :, None, None], cache), cache[2] * cache[3], out=_WS.take(cache))
-
-
-class _Linear:
     def __init__(self, weight):
         self.w = weight  # (num_classes, channels)
 
     def forward(self, x, owned):
-        return x @ self.w.T, None
+        return x.mean(axis=(2, 3)).T @ self.w.T, x.shape
 
     def backward(self, cache, gy, owned):
-        return gy @ self.w
+        g = (gy @ self.w).T[:, :, None, None]
+        return np.divide(np.broadcast_to(g, cache), cache[2] * cache[3], out=_WS.take(cache))
 
 
 _OUT = 1  # slot of the logits; slot 0 holds the input batch
@@ -511,9 +510,10 @@ def build_network(arch: ArchEncoding, cfg: SkeletonConfig, rng: RngStream) -> Ne
 
     Layout: stem (3x3 conv + batch norm), `num_stages` stages of
     `cells_per_stage` cells, a reduction block (ReLU, stride-2 3x3 conv
-    doubling channels, batch norm) between stages, then ReLU, global average
-    pooling and a dense classifier.  A cell's conv edge is ReLU, conv,
-    batch norm; conv edges from one node share its ReLU.  Weights are
+    doubling channels, batch norm) between stages, then ReLU and the head:
+    global average pooling and a dense classifier.  A cell's conv edge is
+    ReLU, conv, batch norm; conv edges from one node share its ReLU.  Each
+    conv and its batch norm are one ``_ConvBN`` step.  Weights are
     zero-mean normal with std sqrt(2 / fan_in), no biases, drawn for every
     conv edge in layout order before dead steps are pruned.
     """
@@ -527,8 +527,7 @@ def build_network(arch: ArchEncoding, cfg: SkeletonConfig, rng: RngStream) -> Ne
         return dst
 
     channels = cfg.stem_channels
-    stem_conv = _Conv(_he_conv(rng, channels, cfg.input_channels, 3), stride=1, pad=1)
-    x = emit(_BatchNorm(eps), emit(stem_conv, 0))
+    x = emit(_ConvBN(_he_conv(rng, channels, cfg.input_channels, 3), 1, 1, eps), 0)
     for stage in range(cfg.num_stages):
         for _ in range(cfg.cells_per_stage):
             nodes = [x, next(fresh), next(fresh), next(fresh)]
@@ -540,18 +539,16 @@ def build_network(arch: ArchEncoding, cfg: SkeletonConfig, rng: RngStream) -> Ne
                     emit(_AvgPool3x3(), nodes[src], nodes[dst])
                 elif op != OpKind.ZEROIZE:
                     k = 1 if op == OpKind.CONV1X1 else 3
-                    conv = _Conv(_he_conv(rng, channels, channels, k), stride=1, pad=(k - 1) // 2)
+                    conv = _ConvBN(_he_conv(rng, channels, channels, k), 1, (k - 1) // 2, eps)
                     if src not in relu:
                         relu[src] = emit(_ReLU(), nodes[src])
-                    emit(_BatchNorm(eps), emit(conv, relu[src]), nodes[dst])
+                    emit(conv, relu[src], nodes[dst])
             x = nodes[3]
         if stage < cfg.num_stages - 1:
-            red_conv = _Conv(_he_conv(rng, 2 * channels, channels, 3), stride=2, pad=1)
-            x = emit(_BatchNorm(eps), emit(red_conv, emit(_ReLU(), x)))
+            x = emit(_ConvBN(_he_conv(rng, 2 * channels, channels, 3), 2, 1, eps), emit(_ReLU(), x))
             channels *= 2
     std = math.sqrt(2.0 / channels)
-    classifier = _Linear(rng.normal(0.0, std, size=(cfg.num_classes, channels)))
-    emit(classifier, emit(_GlobalAvgPool(), emit(_ReLU(), x)), _OUT)
+    emit(_Head(rng.normal(0.0, std, size=(cfg.num_classes, channels))), emit(_ReLU(), x), _OUT)
     return Network(arch=arch, cfg=cfg, steps=_prune(steps))
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from evonas.cellspace import ArchEncoding, OpKind
 from evonas.rng import RngStream
-from evonas.tensornet import SkeletonConfig, _Conv, build_network, forward
+from evonas.tensornet import SkeletonConfig, _ConvBN, build_network, forward
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 WORKLOADS_PATH = TRACER_PATH.parent / "workloads.py"
@@ -51,8 +51,8 @@ def test_harness_reads_a_network(cfg, monkeypatch):
     net = build_network(ArchEncoding((OpKind.CONV3X3,) * 6), cfg, RngStream(1, ("init",)))
     n, hw, macs = 4, {0: cfg.input_hw}, 0
     for layer, a, b in net.steps:
-        hw[b] = hw[a] // layer.stride if isinstance(layer, _Conv) else hw[a]
-        if isinstance(layer, _Conv):
+        hw[b] = hw[a] // layer.stride if isinstance(layer, _ConvBN) else hw[a]
+        if isinstance(layer, _ConvBN):
             o, c, k, _ = layer.w.shape
             macs += n * o * hw[b] ** 2 * c * k * k
     assert workloads.conv_flop(net, n) == 4.0 * macs

@@ -20,12 +20,14 @@ from evonas.tensornet import (
     Network,
     SkeletonConfig,
     _AvgPool3x3,
-    _BatchNorm,
+    _bn_backward,
+    _bn_forward,
     _box3,
     _conv_backward_input,
     _conv_forward,
-    _GlobalAvgPool,
+    _ConvBN,
     _he_conv,
+    _Head,
     _Identity,
     _ReLU,
     _shift,
@@ -75,7 +77,7 @@ def test_jacobian_batch_validation():
 def test_all_skip_cell_quadruples_input():
     # node1 = x, node2 = x + node1, node3 = x + node1 + node2 = 4x
     net = build_network(ALL_SKIP, SMALL, RngStream(0, ("init",)))
-    cell = net.steps[2:8]  # after the stem's conv and batch norm
+    cell = net.steps[1:7]  # after the stem's one step
     assert all(isinstance(layer, _Identity) for layer, _, _ in cell)
     # run the cell alone: its input slot becomes the input, node 3 the output;
     # _run takes NCHW and leaves the cell output channel-major
@@ -417,7 +419,6 @@ def assert_same(new, old):
 
 ELEMENTWISE = {
     "pool": (_AvgPool3x3, RefAvgPool3x3),
-    "bn": (lambda: _BatchNorm(1e-5), lambda: RefBatchNorm(1e-5)),
     "relu": (_ReLU, RefReLU),
 }
 
@@ -439,14 +440,26 @@ def test_kernels_match_reference(skeleton, kind, shape):
             assert_same(y, cnhw(reference_avgpool_forward(x)))
             assert_same(live.backward(cache, cnhw(gy), False), cnhw(reference_avgpool_backward(x.shape, gy)))
         return
-    if kind == "gap":
+    if kind == "bn":  # the functions `_ConvBN` calls, in place over its conv's output
         c, hw = shape
-        x = stream.normal(size=(n, c, hw, hw))
-        gy = stream.normal(size=(n, c))
-        y, cache = _GlobalAvgPool().forward(cnhw(x), False)
-        ref_y, ref_cache = RefGlobalAvgPool().forward(x)
+        x, gy = stream.normal(size=(n, c, hw, hw)), stream.normal(size=(n, c, hw, hw))
+        y = cnhw(x)
+        inv = _bn_forward(y, 1e-5)
+        ref_y, ref_cache = RefBatchNorm(1e-5).forward(x)
+        assert_same(y, cnhw(ref_y))
+        assert_same(_bn_backward(y, inv, cnhw(gy)), cnhw(RefBatchNorm(1e-5).backward(ref_cache, gy)))
+        return
+    if kind == "gap":  # the head: pooling, then the classifier
+        c, hw = shape
+        classes = SKELETONS[skeleton].num_classes
+        x, w = stream.normal(size=(n, c, hw, hw)), stream.normal(size=(classes, c))
+        gy = stream.normal(size=(n, classes))
+        head, pool, linear = _Head(w), RefGlobalAvgPool(), RefLinear(w)
+        y, cache = head.forward(cnhw(x), False)
+        pooled, pool_cache = pool.forward(x)
+        ref_y, _ = linear.forward(pooled)
         assert_same(y, ref_y)
-        assert_same(_GlobalAvgPool().backward(cache, gy, False), cnhw(RefGlobalAvgPool().backward(ref_cache, gy)))
+        assert_same(head.backward(cache, gy, False), cnhw(pool.backward(pool_cache, linear.backward(None, gy))))
         return
     c_in, c_out, hw, k, stride = shape
     pad = (k - 1) // 2
@@ -459,6 +472,14 @@ def test_kernels_match_reference(skeleton, kind, shape):
     assert gx.flags.c_contiguous
     assert_same(gx, cnhw(ref_conv_backward_input(gy, w, x.shape, stride, pad)))
     assert_same(gx, cnhw(reference_conv_backward_input(gy, w, x.shape, stride, pad)))
+    # and with its batch norm, as one `_ConvBN` step
+    conv, bn = RefConv(w, stride, pad), RefBatchNorm(1e-5)
+    z, conv_cache = conv.forward(x)
+    ref_y, bn_cache = bn.forward(z)
+    layer = _ConvBN(w, stride, pad, 1e-5)
+    y, cache = layer.forward(cnhw(x), False)
+    assert_same(y, cnhw(ref_y))
+    assert_same(layer.backward(cache, cnhw(gy), False), cnhw(conv.backward(conv_cache, bn.backward(bn_cache, gy))))
 
 
 @pytest.mark.parametrize("k,stride", [(1, 1), (3, 1), (3, 2)])
@@ -669,9 +690,8 @@ def test_batch_norm_allocates_nothing_activation_sized():
     x, gy = stream.normal(size=(16, 20, 32, 32)), stream.normal(size=(16, 20, 32, 32))
 
     def peaks():
-        bn = _BatchNorm(1e-5)
-        (_, cache), forward_peak = traced_peak(bn.forward, x, False)
-        _, backward_peak = traced_peak(bn.backward, cache, gy, False)
+        inv, forward_peak = traced_peak(_bn_forward, x, 1e-5)
+        _, backward_peak = traced_peak(_bn_backward, x, inv, gy)
         return forward_peak, backward_peak
 
     slack = 3 * 8 * np.getbufsize() + (64 << 10)  # ufunc buffers, and per-channel arrays
@@ -1085,6 +1105,33 @@ def test_zero_output_genotypes_are_empty_programs():
         assert np.array_equal(input_jacobian(net, batch, labels).J, np.zeros((4, SMALL.input_dim)))
         got = score_arch(arch, batch, labels, SMALL, ProxyParams(), RngStream(45, ("init",)))
         assert got.is_sentinel
+
+
+class ZeroDraws:
+    """Stands in for the init stream where only a program's structure matters."""
+
+    def normal(self, loc, scale, size):
+        return np.zeros(size)
+
+
+def test_every_program_is_conv_bn_relu_pool_identity_steps_and_one_head():
+    """Over all 15625 genotypes on the small skeleton: every conv is one
+    `_ConvBN` step reading the stem's input or a ReLU's output, and a
+    program's `_ConvBN` steps are the stem, the reductions and the live
+    conv edges, as in the nested network."""
+    empty = 0
+    for arch in enumerate_all():
+        steps = build_network(arch, SMALL, ZeroDraws()).steps
+        heads = [dst for layer, _, dst in steps if isinstance(layer, _Head)]
+        relus = {dst for layer, _, dst in steps if isinstance(layer, _ReLU)}
+        convs = [src for layer, src, _ in steps if isinstance(layer, _ConvBN)]
+        ref_weights = ref_live_weights(ref_build_network(arch, SMALL, ZeroDraws()), arch)
+        assert all(isinstance(layer, (_ReLU, _ConvBN, _AvgPool3x3, _Identity, _Head)) for layer, _, _ in steps)
+        assert heads == ([_OUT] if ref_weights else [])
+        assert all(src == 0 or src in relus for src in convs)
+        assert len(convs) == sum(w.ndim == 4 for w in ref_weights)  # conv weights, not the classifier's
+        empty += not steps
+    assert empty == 341
 
 
 def test_relu_kink_margin_is_min_over_run_relus():
