@@ -30,10 +30,10 @@ flat shifts of one image row, which is copied to the output.  From few
 channels to many (o >= 2c, as a stem's 3 to 16) the 3o rows and their
 adds cost more than the 6c saved, and im2col stays.  A stride-1 conv's
 input gradient is the forward kernel on the output gradient with
-flipped, transposed weights; a stride-2 one runs one GEMM per input
-phase ``(i - pad) mod stride``, over its taps' transposed
-weights and the output gradient shifted once per tap (the shifts stacked
-so each phase's are consecutive), and copies the phase into place.
+flipped, transposed weights; a stride-2 one is one GEMM per sample
+block, ``W^T gy``, giving every tap's product, whose flat shifts each
+input phase ``(i - pad) mod stride`` adds up (first zeroing the rows and
+columns it never reads, onto which they wrap) and copies into place.
 Batch norm normalizes its conv's output in place (the ``_ConvBN`` tape
 entry), takes the variance and ``mean(gy * xhat)`` as row dot products,
 and writes its gradient over that entry, the conv's input gradient in
@@ -200,9 +200,12 @@ def _phase_taps(size, k, stride, pad, out):
     return taps
 
 
-def _edge(n, e):
-    """The indices a of range(n) that ``a + e`` takes out of range(n)."""
-    return slice(max(n - e, 0), None) if e > 0 else slice(0, min(-e, n))
+def _clear(a, keep):
+    """Zero `a` along its last axis outside the slice `keep`."""
+    if keep.start:
+        a[..., : keep.start] = 0.0
+    if keep.stop < a.shape[-1]:
+        a[..., keep.stop :] = 0.0
 
 
 def _shift(d, n):
@@ -280,40 +283,36 @@ def _conv_backward_input(gy, w, x_shape, stride, pad, out=None):
     o, c, kh, kw = w.shape
     if stride == 1:  # the forward kernel on gy, with flipped, transposed weights
         return _conv_forward(gy, w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], 1, kh - 1 - pad, out)
-    # input phase (ri, rj) at (a, b) gathers W[:, :, i, j]^T gy[a - qi, b - qj] over the taps that read it:
-    # one GEMM per phase over gy shifted by e = -q, the shifts stacked so each phase's are consecutive
+    # input phase (ri, rj) at (a, b) sums W[:, :, i, j]^T gy[a - qi, b - qj] over the taps that read it:
+    # one GEMM gives every tap's product, and each phase sums its taps' by flat shifts of -(qi wo + qj)
     _, n, ho, wo = gy.shape
-    rows, cols = _phase_taps(x_shape[2], kh, stride, pad, ho), _phase_taps(x_shape[3], kw, stride, pad, wo)
-    ei, ej = sorted({-q for _, q in rows}), sorted({-q for _, q in cols})
-    order = [(a, b) for t, a in enumerate(ei) for b in (ej[::-1] if t % 2 == 0 else ej)]
+    h, width = x_shape[2:]
+    rows, cols = _phase_taps(h, kh, stride, pad, ho), _phase_taps(width, kw, stride, pad, wo)
+    ys, xs = [_span(h, r, q, stride, ho)[0] for r, q in rows], [_span(width, r, q, stride, wo)[0] for r, q in cols]
+    phases = [(ri, rj, [(i, j, -(qi * wo + qj)) for i, (r, qi) in enumerate(rows) if r == ri
+                        for j, (r2, qj) in enumerate(cols) if r2 == rj])
+              for ri, rj in itertools.product(range(stride), repeat=2)]
+    wt = w.transpose(2, 3, 1, 0).reshape(-1, o)  # rows (kh, kw, c): each tap's product is one flat run
     gx = _WS.take(x_shape)
-    phases = []
-    for ri, rj in itertools.product(range(stride), repeat=2):
-        taps = sorted((order.index((-qi, -qj)), i, j) for i, (r, qi) in enumerate(rows) if r == ri
-                      for j, (r2, qj) in enumerate(cols) if r2 == rj)
-        if not taps:  # no tap reads this phase
-            gx[:, :, ri::stride, rj::stride] = 0.0
-        elif [t for t, _, _ in taps] != list(range(taps[0][0], taps[0][0] + len(taps))):
-            raise ValueError(f"no phase GEMM for kernel {kh}x{kw}, stride {stride}, pad {pad}")
-        else:
-            t, i, j = (list(v) for v in zip(*taps))
-            phases.append((ri, rj, t[0], t[-1] + 1, w[:, :, i, j].transpose(1, 2, 0).reshape(c, -1)))
-    buf, blocks = _blocked((len(order) * o + c,), n, (ho, wo))
+    buf, blocks = _blocked((), n, ((kh * kw + 1) * c * ho * wo,))
     for b in blocks:
-        blk = buf[:, : b.stop - b.start]
-        stack, res = blk[: len(order) * o].reshape((len(order), o) + blk.shape[1:]), blk[len(order) * o :]
-        g = gy[:, b].reshape(o, -1)
-        for s, (a, e) in zip(stack, order):
-            to, fr = _shift(a * wo + e, g.shape[1])
-            s.reshape(o, -1)[:, to] = g[:, fr]
-            if a:
-                s[:, :, _edge(ho, a)] = 0.0
-            if e:
-                s[..., _edge(wo, e)] = 0.0
-        for ri, rj, lo, hi, wt in phases:
-            np.matmul(wt, stack[lo:hi].reshape(wt.shape[1], -1), out=res.reshape(c, -1))
+        blk = buf[: b.stop - b.start].reshape((kh * kw + 1) * c, -1)  # a leading slice: dense for a short block too
+        np.matmul(wt, gy[:, b].reshape(o, -1), out=blk[:-c])
+        z, acc = blk[:-c].reshape(kh, kw, -1, ho, wo), blk[-c:].reshape(-1)
+        for i, oy in enumerate(ys):  # zero the rows and columns no element of a tap's phase reads:
+            _clear(z[i].swapaxes(2, 3), oy)  # the flat shifts wrap onto exactly these
+        for j, ox in enumerate(xs):
+            _clear(z[:, j], ox)
+        for ri, rj, taps in phases:
+            for t, (i, j, d) in enumerate(taps):
+                to, fr = _shift(d, acc.size)
+                if t:
+                    acc[to] += z[i, j].reshape(-1)[fr]
+                else:  # assigned, and zero where the shift leaves the block
+                    acc[to] = z[i, j].reshape(-1)[fr]
+                    _clear(acc, to)
             ph = gx[:, b, ri::stride, rj::stride]
-            ph[...] = res[:, :, : ph.shape[2], : ph.shape[3]]
+            ph[...] = acc.reshape(c, -1, ho, wo)[:, :, : ph.shape[2], : ph.shape[3]] if taps else 0.0
     return gx
 
 

@@ -502,7 +502,7 @@ UNEVEN_BLOCKS = {
     (3, 1, 16, 16): ([5, 2], [5, 2]),
     (3, 1, 16, 20): ([3, 3, 1], [3, 3, 1]),
     (1, 2, 40, 64): ([3, 3, 1], [1] * 7),
-    (3, 2, 16, 32): ([3, 3, 1], [6, 1]),
+    (3, 2, 16, 32): ([3, 3, 1], [3, 3, 1]),
 }
 
 
@@ -596,11 +596,22 @@ def test_flat_shift_stays_inside_the_block(n):
 
 
 def test_unsupported_conv_geometry_raises():
-    x, gy = np.zeros((2, 2, 8, 8)), np.zeros((2, 2, 5, 5))
-    with pytest.raises(ValueError):
-        _conv_forward(x, np.zeros((2, 2, 3, 3)), 2, 0)  # the last phase row lies past every output
-    with pytest.raises(ValueError):
-        _conv_backward_input(gy, np.zeros((2, 2, 3, 3)), x.shape, 2, 2)
+    with pytest.raises(ValueError):  # the last phase row lies past every output
+        _conv_forward(np.zeros((2, 2, 8, 8)), np.zeros((2, 2, 3, 3)), 2, 0)
+
+
+def test_stride2_gradient_with_wide_padding():
+    """3x3, stride 2, pad 2, 8 to 5: input phase (0, 0) sums four taps, each
+    at its own shift, and phase (1, 1) takes one; every phase is shorter than the output."""
+    stream = RngStream(34, ("pad2",))
+    x, w = stream.normal(size=(3, 2, 8, 8)), stream.normal(size=(4, 2, 3, 3))
+    y = _conv_forward(cnhw(x), w, 2, 2)
+    gy = stream.normal(size=(3, 4, 5, 5))
+    gx = _conv_backward_input(cnhw(gy), w, (2, 3, 8, 8), 2, 2)
+    assert_same(y, cnhw(ref_conv_forward(x, w, 2, 2)))
+    assert_same(gx, cnhw(ref_conv_backward_input(gy, w, x.shape, 2, 2)))
+    lhs, rhs = np.vdot(y, cnhw(gy)), np.vdot(cnhw(x), gx)
+    assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(y), np.abs(cnhw(gy)))
 
 
 POISON_CASES = [(hw, k, stride) for hw in (1, 2, 5, 8) for k, stride in ((1, 1), (3, 1), (1, 2), (3, 2))]
