@@ -2,14 +2,14 @@
 
 A cell is a DAG over 4 nodes with one operation on each of the 6 edges
 (0->1), (0->2), (1->2), (0->3), (1->3), (2->3).  With 5 operation kinds the
-space holds 5**6 = 15625 genotypes, indexed (`ArchEncoding.__index__`) by
-their edge ops read as base-5 digits, edge 0 most significant.  An
-ArchEncoding holds only that index; sampling, mutation, enumeration and
-decoding return canonical instances from a table of all 15625 built on first
-use.  `mutate` puts the r-th other op in OpKind order, `new = r + (r >= op)`,
-on `edge`: the child is `k + (new - op) * 5**(5 - edge)`.  A directly built
-ArchEncoding equals and hashes like its table entry.  The canonical string
-encoding groups edges by destination node, e.g.
+space holds 5**6 = 15625 genotypes, indexed by their edge ops read as
+base-5 digits, edge 0 most significant.  An ArchEncoding is an `int` whose
+value is that index, so it equals, hashes and indexes arrays as the index
+does; only its repr and str name the edge ops.  Sampling, mutation,
+enumeration and decoding return canonical instances from a table of all
+15625 built on first use.  `mutate` puts the r-th other op in OpKind order,
+`new = r + (r >= op)`, on `edge`: the child is `k + (new - op) * 5**(5 - edge)`.
+The canonical string encoding groups edges by destination node, e.g.
 
     |nor_conv_3x3~0|+|skip_connect~0|none~1|+|skip_connect~0|nor_conv_1x1~1|avg_pool_3x3~2|
 
@@ -97,18 +97,18 @@ def _fold(digits) -> int:
     return k
 
 
-class ArchEncoding:
-    """Genotype: one OpKind per edge, in EDGES order, held as its index; immutable."""
+class ArchEncoding(int):
+    """Genotype: one OpKind per edge, in EDGES order; an int whose value is its index."""
 
-    __slots__ = ("_index",)
+    __slots__ = ()
 
-    def __init__(self, edge_ops):
+    def __new__(cls, edge_ops):
         if len(edge_ops) != NUM_EDGES:
             raise ValueError(f"expected {NUM_EDGES} edge operations, got {len(edge_ops)}")
-        self._index = _fold(OpKind(op) for op in edge_ops)
+        return super().__new__(cls, _fold(OpKind(op) for op in edge_ops))
 
-    def __eq__(self, other):
-        return self._index == other._index if isinstance(other, ArchEncoding) else NotImplemented
+    def __reduce__(self):
+        return ArchEncoding.from_index, (int(self),)
 
     def __repr__(self) -> str:
         return f"ArchEncoding(edge_ops={self.edge_ops!r})"
@@ -119,20 +119,14 @@ class ArchEncoding:
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return tuple([self._index // p % len(OP_NAMES) for p in _PLACES])
+        return tuple([self // p % len(OP_NAMES) for p in _PLACES])
 
     def hamming(self, other: "ArchEncoding") -> int:
         return sum(a != b for a, b in zip(self.edge_ops, other.edge_ops))
 
-    def __index__(self) -> int:
-        """Position in enumerate_all order: base 5 over EDGES, edge 0 most significant."""
-        return self._index
-
-    __hash__ = __index__
-
     @classmethod
     def from_index(cls, k) -> "ArchEncoding":
-        """Inverse of __index__: the canonical instance."""
+        """The canonical instance of index `k`, its position in enumerate_all order."""
         k = operator.index(k)
         if not 0 <= k < SPACE_SIZE:
             raise ValueError(f"genotype index must lie in [0, {SPACE_SIZE}), got {k}")
@@ -145,10 +139,7 @@ class ArchEncoding:
 @functools.cache
 def _table() -> tuple[ArchEncoding, ...]:
     """The canonical instance of every genotype, in index order."""
-    table = tuple(object.__new__(ArchEncoding) for _ in range(SPACE_SIZE))
-    for k, arch in enumerate(table):
-        arch._index = k
-    return table
+    return tuple(int.__new__(ArchEncoding, k) for k in range(SPACE_SIZE))
 
 
 def random_arch(rng: RngStream) -> ArchEncoding:
@@ -164,10 +155,10 @@ def mutate(parent: ArchEncoding, rng: RngStream) -> ArchEncoding:
     (parent, child) pair at Hamming distance 1 has probability 1/24.
     """
     edge = int(rng.integers(NUM_EDGES))
-    op = parent._index // _PLACES[edge] % len(OP_NAMES)
+    op = parent // _PLACES[edge] % len(OP_NAMES)
     r = int(rng.integers(len(OP_NAMES) - 1))
     new_op = r + (r >= op)
-    return _table()[parent._index + (new_op - op) * _PLACES[edge]]
+    return _table()[parent + (new_op - op) * _PLACES[edge]]
 
 
 def enumerate_all() -> Iterator[ArchEncoding]:
@@ -193,7 +184,7 @@ def _by_string() -> dict[str, ArchEncoding]:
 
 def encode_str(arch: ArchEncoding) -> str:
     """Canonical string: edges grouped by destination node, '~<source>' suffix."""
-    return _strings()[arch._index]
+    return _strings()[arch]
 
 
 def decode_str(text: str) -> ArchEncoding:

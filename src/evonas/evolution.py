@@ -191,7 +191,7 @@ class Trajectory:
 
 def score_stream(rng: RngStream, arch: ArchEncoding) -> RngStream:
     """The stream that seeds the scoring of `arch` in the run of stream `rng`."""
-    return rng.child("score", int(arch))
+    return rng.child("score", int(arch))  # RngStream hashes repr(path): the index, not the genotype
 
 
 def _scoring(cfg: SearchConfig, scorer: Optional[Scorer], traj: Trajectory, rng: RngStream) -> Callable[[list], list]:

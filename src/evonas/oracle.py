@@ -13,7 +13,6 @@ fitness, which stands in for real benchmark data in experiments and tests.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,7 +132,7 @@ def _record(bench: Benchmark, k: int) -> FitnessRecord:
 
 def query(bench: Benchmark, arch: ArchEncoding) -> FitnessRecord:
     """Pure lookup of one genotype's row, as Python floats."""
-    return _record(bench, operator.index(arch))
+    return _record(bench, arch)
 
 
 def best_of(bench: Benchmark) -> tuple[ArchEncoding, FitnessRecord]:
@@ -221,7 +220,7 @@ def load_tabular(path) -> Benchmark:
     slots, vals, tests, times, proxies = [], [], [], [], []  # per record; proxies where present
     for idx, row in enumerate(doc["records"]):
         try:
-            k = operator.index(decode_str(row["arch"]))
+            k = decode_str(row["arch"])
             val, test, time = _number(row, "val_acc"), _number(row, "test_acc"), _number(row, "train_time_s")
             if "proxy" in row:
                 proxies.append(_number(row, "proxy"))

@@ -1,5 +1,8 @@
+import copy
 import itertools
+import json
 import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -285,3 +288,32 @@ def test_spawn_generation_skips_directly_constructed_trained():
     arch, proxy = spawn_generation(parent, cfg, score, stream, trained=trained)
     assert arch == target and arch not in trained
     assert proxy.value == float(operator.index(target))
+
+
+def test_genotype_is_its_index():
+    arch = ArchEncoding.from_index(1234)
+    assert isinstance(arch, int) and arch == 1234 and hash(arch) == hash(1234)
+    assert 1234 in {arch} and arch in {1234}
+    assert json.dumps(arch) == "1234"
+    assert type(arch + 0) is int and type(int(arch)) is int
+    assert not ALL_ZERO and ALL_SKIP
+
+
+def test_repr_and_str_name_the_edge_ops_not_the_index():
+    arch = ArchEncoding((OpKind.CONV3X3, OpKind.SKIP_CONNECT, OpKind.ZEROIZE,
+                         OpKind.SKIP_CONNECT, OpKind.CONV1X1, OpKind.AVGPOOL3X3))
+    assert repr(arch) == f"ArchEncoding(edge_ops={arch.edge_ops!r})"
+    assert repr(arch).startswith("ArchEncoding(edge_ops=(<OpKind.CONV3X3: 3>, <OpKind.SKIP_CONNECT: 1>, ")
+    text = "|nor_conv_3x3~0|+|skip_connect~0|none~1|+|skip_connect~0|nor_conv_1x1~1|avg_pool_3x3~2|"
+    assert str(arch) == f"{arch}" == "%s" % arch == text
+
+
+@pytest.mark.parametrize("roundtrip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy],
+                         ids=["pickle", "deepcopy", "copy"])
+def test_genotypes_survive_pickle_and_copy(roundtrip):
+    for arch in (ALL_ZERO, ALL_SKIP, ArchEncoding.from_index(SPACE_SIZE - 1)):
+        back = roundtrip(arch)
+        assert type(back) is ArchEncoding and back == arch and back.edge_ops == arch.edge_ops
+    ind = Individual(ALL_SKIP, ProxyScore(0.5, (0.5,)), 50.0, birth_index=3, origin="init")
+    back = roundtrip(ind)
+    assert back == ind and type(back.arch) is ArchEncoding and back.arch.edge_ops == ALL_SKIP.edge_ops

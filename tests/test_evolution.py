@@ -461,7 +461,8 @@ def test_score_depends_only_on_run_seed_and_genotype():
                        parent_mode="highest", removal_mode="lowest")
     traj = run_search(cfg, BENCH, scorer)
     assert len(calls) == traj.n_proxy_evals
-    assert all(path == ("score", int(arch)) for arch, path, _ in calls)
+    # a genotype equals its index but its repr, which RngStream hashes, is not the index's
+    assert all(path == ("score", int(arch)) and type(path[1]) is int for arch, path, _ in calls)
     values = {}
     for arch, _, value in calls:
         values.setdefault(arch, set()).add(value)

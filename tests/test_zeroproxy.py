@@ -222,3 +222,20 @@ def test_score_arch_sentinel_when_no_class_qualifies():
         arch, batch[:5], np.arange(5), SMALL, PARAMS, RngStream(14, ("net",))
     )
     assert result.is_sentinel
+
+
+def test_score_arch_non_finite_jacobian_is_sentinel(monkeypatch):
+    # one NaN pixel reaches every Jacobian row through batch norm; the score
+    # must stop at the Jacobian check, before any correlation is formed
+    import evonas.zeroproxy as zeroproxy
+
+    batch, labels = batch_and_labels(15)
+    batch[0, 0, 3, 4] = np.nan
+    arch = ArchEncoding((OpKind.CONV3X3,) * 6)
+
+    def unreachable(jac):
+        raise AssertionError("a non-finite Jacobian reached per_class_correlation")
+
+    monkeypatch.setattr(zeroproxy, "per_class_correlation", unreachable)
+    result = score_arch(arch, batch, labels, SMALL, PARAMS, RngStream(16, ("net",)))
+    assert result.is_sentinel and result.per_class == ()
