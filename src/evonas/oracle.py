@@ -132,6 +132,8 @@ def _record(bench: Benchmark, k: int) -> FitnessRecord:
 
 def query(bench: Benchmark, arch: ArchEncoding) -> FitnessRecord:
     """Pure lookup of one genotype's row, as Python floats."""
+    if not 0 <= arch < SPACE_SIZE:  # a negative index would read from the end
+        raise IndexError(f"no genotype {arch!r}: indices lie in [0, {SPACE_SIZE})")
     return _record(bench, arch)
 
 

@@ -16,6 +16,23 @@ head: ``Network._run`` transposes the NCHW batch once on entry,
 ``input_jacobian`` its gradient once on exit, and the head's pooling
 hands ``(N, C)`` to its classifier.  The public functions speak NCHW.
 
+Halves.  A batch whose stem activation (``stem_channels * N * H * W``
+float64s) exceeds ``_BLOCK_BYTES`` runs as two halves, the first n // 2
+samples and the rest (``_split``): this thread runs the first, one
+persistent helper thread the second, and their rows (logits, Jacobian
+rows) are stacked.  Samples meet only in batch norm, whose per-channel
+sums (the mean, the variance's sum of squares, and backward's sums of
+``gy * xhat`` and ``gy``) are the first half's sum plus the second's,
+over the whole batch's count: the two threads swap their halves' sums at
+a two-party barrier (``_Pair.swap``).  While the halves run, OpenBLAS is
+held at one thread through its ``openblas_set_num_threads`` (found by
+ctypes in the library numpy links) and restored after.  With one usable
+CPU, no such function, or another split running, this thread runs both
+halves in turn (``_HALF.halved``): every kernel runs each half's samples
+apart, so each GEMM (whose bits OpenBLAS's kernel choice ties to its
+shape) and each sum has the operands it has on two threads, and a score
+never depends on whether its batch was split.  Smaller batches run whole.
+
 Kernels.  A convolution fills an im2col block ``(c, kh, kw, m, ho, wo)``
 of at most ``_BLOCK_BYTES`` (m >= 1 samples) and ``W @ cols`` writes those
 samples' output.  Each tap is one strided copy straight from the input;
@@ -66,8 +83,11 @@ step's slots swapped, popping the tape.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import math
+import os
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -180,14 +200,23 @@ _ALONE = _alone()  # measured: what a call argument adds to the count differs be
 _WS = _Workspace()
 
 
-def _blocked(lead, n, tail):
+def _halves(n):
+    """The sample spans a kernel runs apart: a halved batch's two halves,
+    split at n // 2, else all n.  Each GEMM of a halved batch on one thread
+    then has the operands it has when the halves run on two threads, so
+    gives the same bits (OpenBLAS picks its kernel by shape)."""
+    return [slice(0, n // 2), slice(n // 2, n)] if _HALF.halved else [slice(0, n)]
+
+
+def _blocked(lead, spans, tail):
     """The thread's block buffer as ``lead + (m,) + tail``, at most
-    _BLOCK_BYTES (but m >= 1), and the slices of range(n) it serves in turn."""
+    _BLOCK_BYTES (but m >= 1), and the slices of each of `spans` it serves in turn."""
     size = math.prod(lead) * math.prod(tail)
-    m = min(n, max(1, _BLOCK_BYTES // (8 * size)))
+    m = min(max(s.stop - s.start for s in spans), max(1, _BLOCK_BYTES // (8 * size)))
     if _WS.block.size < m * size:
         _WS.block = np.empty(max(m * size, _BLOCK_BYTES // 8))
-    return _WS.block[: m * size].reshape(lead + (m,) + tail), [slice(s, min(s + m, n)) for s in range(0, n, m)]
+    blocks = [slice(i, min(i + m, s.stop)) for s in spans for i in range(s.start, s.stop, m)]
+    return _WS.block[: m * size].reshape(lead + (m,) + tail), blocks
 
 
 def _phase_taps(size, k, stride, pad, out):
@@ -198,6 +227,10 @@ def _phase_taps(size, k, stride, pad, out):
     if any(len(range(r, size, stride)) > out for r, _ in taps):
         raise ValueError(f"no phase im2col for kernel {k}, stride {stride}, pad {pad} over {size} to {out}")
     return taps
+
+
+def _rows(a):
+    return a.reshape(a.shape[0], -1)
 
 
 def _clear(a, keep):
@@ -230,7 +263,7 @@ def _row_taps(x, w, y):
     c, n, h, width = x.shape
     o = w.shape[0]
     wr = w.transpose(2, 0, 1, 3).reshape(3 * o, 3 * c)  # per kernel row, (o, (c, kw))
-    buf, blocks = _blocked((), n, (3 * (c + o) * h * width,))
+    buf, blocks = _blocked((), _halves(n), (3 * (c + o) * h * width,))
     for b in blocks:
         blk = buf[: b.stop - b.start].reshape(3 * (c + o), -1)  # a leading slice: dense for a short block too
         cols, rows, src = blk[: 3 * c], blk[3 * c :], x[:, b].reshape(c, -1)
@@ -260,10 +293,11 @@ def _conv_forward(x, w, stride, pad, out=None):
         return _row_taps(x, w, y)
     w2 = w.reshape(o, -1)
     if kh == kw == 1 and stride == 1 and pad == 0 and y is not x:  # one tap, the input itself
-        np.matmul(w2, x.reshape(c, -1), out=y.reshape(o, -1))
+        for b in _halves(n):
+            np.matmul(w2, _rows(x[:, b]), out=_rows(y[:, b]))
         return y
     rows, cols = _phase_taps(h, kh, stride, pad, ho), _phase_taps(width, kw, stride, pad, wo)
-    buf, blocks = _blocked((c, kh, kw), n, (ho, wo))
+    buf, blocks = _blocked((c, kh, kw), _halves(n), (ho, wo))
     ys, xs = [_span(h, r, q, stride, ho) for r, q in rows], [_span(width, r, q, stride, wo) for r, q in cols]
     for i, (oy, _) in enumerate(ys):  # zero the padding no tap copy writes, once
         buf[:, i, :, :, : oy.start] = buf[:, i, :, :, oy.stop :] = 0.0
@@ -294,7 +328,7 @@ def _conv_backward_input(gy, w, x_shape, stride, pad, out=None):
               for ri, rj in itertools.product(range(stride), repeat=2)]
     wt = w.transpose(2, 3, 1, 0).reshape(-1, o)  # rows (kh, kw, c): each tap's product is one flat run
     gx = _WS.take(x_shape)
-    buf, blocks = _blocked((), n, ((kh * kw + 1) * c * ho * wo,))
+    buf, blocks = _blocked((), _halves(n), ((kh * kw + 1) * c * ho * wo,))
     for b in blocks:
         blk = buf[: b.stop - b.start].reshape((kh * kw + 1) * c, -1)  # a leading slice: dense for a short block too
         np.matmul(wt, gy[:, b].reshape(o, -1), out=blk[:-c])
@@ -332,7 +366,7 @@ def _box3(x):
     """Zero-padded 3x3 box mean per block of whole channels: rows, then columns, then / 9."""
     c, n, h, w = x.shape
     out = _WS.take(x.shape)
-    buf, blocks = _blocked((), c, (n, h, w))
+    buf, blocks = _blocked((), [slice(0, c)], (n, h, w))
     for b in blocks:
         rows, ob = buf[: b.stop - b.start], out[b]
         _sum3(x[b], rows, h, w)
@@ -345,22 +379,40 @@ def _box3(x):
 # layers
 
 
+def _batch_means(f, *arrays):
+    """Per-channel means over the whole batch of channel-major `arrays`, from
+    the list of sums `f` gives over rows: of the whole batch, or of a halved
+    batch's first half plus its second half's, in that order.  A thread
+    holding the batch reduces each half in turn; each of a split's two
+    threads swaps its half's sums for its partner's."""
+    c, n, h, w = arrays[0].shape
+    pair = _HALF.pair
+    if pair is None:
+        parts = [f(*[_rows(a[:, b]) for a in arrays]) for b in _halves(n)]
+    else:
+        parts, n = pair.swap(f(*[_rows(a) for a in arrays])), pair.n
+    return [functools.reduce(np.add, sums) / (n * h * w) for sums in zip(*parts)]
+
+
 def _bn_forward(y, eps):
     """Batch-statistics normalization of `y` in place, no affine or running
     stats; returns the per-channel ``1 / std`` its backward needs."""
-    rows = y.reshape(y.shape[0], -1)
-    rows -= rows.mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", rows, rows)[:, None] / rows.shape[1] + eps)
+    rows = _rows(y)
+    mean, = _batch_means(lambda r: [r.sum(axis=1)], y)
+    rows -= mean[:, None]
+    var, = _batch_means(lambda r: [np.einsum("ij,ij->i", r, r)], y)
+    inv = 1.0 / np.sqrt(var[:, None] + eps)
     rows *= inv
     return inv
 
 
 def _bn_backward(xhat, inv, gy):
     """The normalization's input gradient, written over its output `xhat`; returns it."""
-    gx, rows = xhat.reshape(xhat.shape[0], -1), gy.reshape(xhat.shape[0], -1)
-    gx *= np.einsum("ij,ij->i", rows, gx)[:, None] / gx.shape[1]  # mean(gy * xhat) per channel
+    dot, mean = _batch_means(lambda g, x: [np.einsum("ij,ij->i", g, x), g.sum(axis=1)], gy, xhat)
+    gx, rows = _rows(xhat), _rows(gy)
+    gx *= dot[:, None]
     np.subtract(rows, gx, out=gx)
-    gx -= rows.mean(axis=1, keepdims=True)
+    gx -= mean[:, None]
     gx *= inv
     return xhat
 
@@ -417,10 +469,16 @@ class _Head:
         self.w = weight  # (num_classes, channels)
 
     def forward(self, x, owned):
-        return x.mean(axis=(2, 3)).T @ self.w.T, x.shape
+        pooled, logits = x.mean(axis=(2, 3)).T, np.empty((x.shape[1], len(self.w)))
+        for b in _halves(len(pooled)):
+            np.matmul(pooled[b], self.w.T, out=logits[b])
+        return logits, x.shape
 
     def backward(self, cache, gy, owned):
-        g = (gy @ self.w).T[:, :, None, None]
+        g = np.empty((cache[1], cache[0]))  # (N, C)
+        for b in _halves(len(gy)):
+            np.matmul(gy[b], self.w, out=g[b])
+        g = g.T[:, :, None, None]
         return np.divide(np.broadcast_to(g, cache), cache[2] * cache[3], out=_WS.take(cache))
 
 
@@ -551,9 +609,147 @@ def build_network(arch: ArchEncoding, cfg: SkeletonConfig, rng: RngStream) -> Ne
     return Network(arch=arch, cfg=cfg, steps=_prune(steps))
 
 
+# ---------------------------------------------------------------------------
+# one batch on two threads
+
+
+class _Half(threading.local):
+    """How this thread runs its batch: as two halves in turn (`halved`), or
+    as one half (`index`) of a split with `pair`, having made `turn` swaps."""
+
+    halved, pair, index, turn = False, None, 0, 0
+
+
+_HALF = _Half()
+
+
+class _Pair:
+    """Two threads, each running the step program on one half of a batch of n."""
+
+    def __init__(self, n):
+        self.n, self.barrier, self.parts = n, threading.Barrier(2), ([None, None], [None, None])
+
+    def run(self, index, fn, *args):
+        _HALF.pair, _HALF.index, _HALF.turn = self, index, 0
+        try:
+            return fn(*args)
+        except BaseException:
+            self.barrier.abort()  # the partner's next swap raises instead of waiting forever
+            raise
+        finally:
+            _HALF.pair = None
+
+    def swap(self, part):
+        """Both halves' `part`, in batch order.  Swaps alternate between two
+        lists: neither thread can be two swaps ahead of the other."""
+        parts = self.parts[_HALF.turn % 2]
+        _HALF.turn += 1
+        parts[_HALF.index] = part
+        self.barrier.wait()
+        return parts
+
+
+@functools.cache
+def _blas():
+    """The loaded OpenBLAS's (get, set) thread-count functions, or None."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)  # a symbol lookup also searches the libraries it links
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
+        try:
+            get, set_ = (getattr(lib, f"{prefix}openblas_{verb}_num_threads{suffix}") for verb in ("get", "set"))
+        except AttributeError:
+            continue
+        get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _no_helper():
+    """No helper yet, and the lock that lets one split at a time use it.  A
+    forked child starts so too: the parent's helper thread does not run there."""
+    global _HELPER, _SPLITTING
+    _HELPER, _SPLITTING = None, threading.Lock()
+
+
+def _helper():
+    """The executor of the helper thread, made at the first split."""
+    global _HELPER
+    if _HELPER is None:
+        from concurrent.futures import ThreadPoolExecutor  # not imported with the package: only a split needs it
+
+        _HELPER = ThreadPoolExecutor(1, thread_name_prefix="evonas-half")
+    return _HELPER
+
+
+_no_helper()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_no_helper)
+
+
+def _in_halves(net, x):
+    """Whether NCHW batch `x` runs as two halves: its stem activation exceeds a block."""
+    return 8 * net.cfg.stem_channels * x[0, 0].size * len(x) > _BLOCK_BYTES
+
+
+def _on_this_thread(fn, net, x):
+    """``fn(net, x)`` on this thread, a batch in halves one half after the
+    other, with the bits of a split."""
+    _HALF.halved = _in_halves(net, x)
+    try:
+        return fn(net, x)
+    finally:
+        _HALF.halved = False
+
+
+def _split(fn, net, x):
+    """``fn(net, x)``, rows per sample of NCHW batch `x`: a batch in halves
+    runs the first n // 2 samples on this thread and the rest on the helper
+    thread, at one BLAS thread each, and stacks their rows.  With one CPU,
+    no OpenBLAS thread control or another split running, this thread runs
+    both halves."""
+    if not _in_halves(net, x) or _CPUS < 2 or _blas() is None or not _SPLITTING.acquire(blocking=False):
+        return _on_this_thread(fn, net, x)
+    get, set_ = _blas()
+    threads = get()
+    set_(1)  # two threads at two BLAS threads each run slower on two CPUs than at one
+    try:
+        pair, h = _Pair(len(x)), len(x) // 2
+        second = _helper().submit(pair.run, 1, fn, net, x[h:])
+        try:
+            first = pair.run(0, fn, net, x[:h])
+        except threading.BrokenBarrierError:
+            second.result()  # the helper's error broke the barrier: raise it
+            raise
+        finally:
+            second.exception()  # wait for the helper either way
+        return np.concatenate((first, second.result()))
+    finally:
+        set_(threads)
+        _SPLITTING.release()
+
+
+def _jacobian(net, x):
+    """The input-gradient rows of NCHW `x`, on this thread."""
+    tape: list = []
+    logits = net._run(x, tape=tape)
+    back = [(layer, b, a) for layer, a, b in reversed(net.steps)]  # each step's gradient flows from b to a
+    grads = _walk(back, {_OUT: np.ones_like(logits)}, lambda layer, g, owned: layer.backward(tape.pop(), g, owned))
+    gx = grads[0].transpose(1, 0, 2, 3) if 0 in grads else np.zeros(x.shape)
+    return gx.reshape(len(x), -1)
+
+
 def forward(net: Network, batch: np.ndarray) -> np.ndarray:
     """Logits (N, num_classes); batch statistics come from `batch` itself."""
-    return net._run(net._check_batch(batch))
+    return _split(Network._run, net, net._check_batch(batch))
 
 
 def input_jacobian(net: Network, batch: np.ndarray, labels) -> JacobianBatch:
@@ -561,7 +757,9 @@ def input_jacobian(net: Network, batch: np.ndarray, labels) -> JacobianBatch:
 
     The total sum runs over all samples and classes, so each row includes
     the coupling through batch statistics.  Non-finite values are passed
-    through for the consumer to detect.
+    through for the consumer to detect.  A batch whose stem activation
+    exceeds ``_BLOCK_BYTES`` runs as two halves, on two threads when it can
+    (`_split`), and gives the same bits either way.
     """
     batch = net._check_batch(batch)
     labels = np.asarray(labels, dtype=np.int64)
@@ -569,12 +767,7 @@ def input_jacobian(net: Network, batch: np.ndarray, labels) -> JacobianBatch:
         raise ValueError(f"labels shape {labels.shape} does not match batch of {batch.shape[0]}")
     if labels.size and (labels.min() < 0 or labels.max() >= net.cfg.num_classes):
         raise ValueError("labels must lie in [0, num_classes)")
-    tape: list = []
-    logits = net._run(batch, tape=tape)
-    back = [(layer, b, a) for layer, a, b in reversed(net.steps)]  # each step's gradient flows from b to a
-    grads = _walk(back, {_OUT: np.ones_like(logits)}, lambda layer, g, owned: layer.backward(tape.pop(), g, owned))
-    gx = grads[0].transpose(1, 0, 2, 3) if 0 in grads else np.zeros(batch.shape)
-    return JacobianBatch(J=gx.reshape(batch.shape[0], -1), labels=labels)
+    return JacobianBatch(J=_split(_jacobian, net, batch), labels=labels)
 
 
 def finite_diff_jacobian(net: Network, batch: np.ndarray, step: float) -> np.ndarray:
@@ -590,9 +783,9 @@ def finite_diff_jacobian(net: Network, batch: np.ndarray, step: float) -> np.nda
         for d in range(flat.shape[1]):
             orig = work[i, d]
             work[i, d] = orig + step
-            s_plus = net._run(work.reshape(batch.shape)).sum()
+            s_plus = _on_this_thread(Network._run, net, work.reshape(batch.shape)).sum()
             work[i, d] = orig - step
-            s_minus = net._run(work.reshape(batch.shape)).sum()
+            s_minus = _on_this_thread(Network._run, net, work.reshape(batch.shape)).sum()
             work[i, d] = orig
             out[i, d] = (s_plus - s_minus) / (2.0 * step)
     return out
@@ -608,7 +801,7 @@ def relu_kink_margin(net: Network, batch: np.ndarray, positive_only: bool = Fals
     a ReLU the network runs meets only by accident, so both settings agree.
     """
     margins: list = []
-    net._run(net._check_batch(batch), margins=margins)
+    _on_this_thread(lambda net, x: net._run(x, margins=margins), net, net._check_batch(batch))
     if positive_only:
         margins = [m for m in margins if m > 0.0]
     return min(margins) if margins else math.inf

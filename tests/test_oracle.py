@@ -221,6 +221,13 @@ def test_query_is_pure_lookup():
     assert all(type(x) is float for x in (record.val_acc, record.test_acc, record.train_time_s))
 
 
+@pytest.mark.parametrize("k", [-1, SPACE_SIZE])
+def test_query_rejects_an_index_outside_the_space(k):
+    bench = gen_synthetic(SyntheticSpec(seed=8))
+    with pytest.raises(IndexError, match=f"no genotype {k}:"):
+        query(bench, k)
+
+
 def test_best_of_beats_random_sample():
     bench = gen_synthetic(SyntheticSpec(seed=10, noise_std=1.0))
     _, record = best_of(bench)

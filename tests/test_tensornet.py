@@ -1,6 +1,9 @@
+import os
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -738,6 +741,21 @@ def in_fresh_thread(fn, *args):
         return pool.submit(fn, *args).result()
 
 
+def on_helper(fn, *args):
+    """fn(*args) on the thread that runs a split batch's second half."""
+    return tensornet._helper().submit(fn, *args).result()
+
+
+def empty_helper_workspace():
+    """Drop the helper thread's kept buffers: its next half-batch scoring is cold too."""
+    on_helper(_WS.__init__)
+
+
+def held_bytes():
+    """Bytes the calling thread's workspace holds: its kept buffers and its block."""
+    return sum(buf.nbytes for kept in _WS.kept.values() for buf in kept.values()) + _WS.block.nbytes
+
+
 def test_jacobian_peak_is_the_tape_plus_two_activations():
     """Traced peak of one cold wide scoring of the all-3x3 cell (a fresh
     thread: an empty workspace), from its shapes.
@@ -746,11 +764,14 @@ def test_jacobian_peak_is_the_tape_plus_two_activations():
     and every ReLU's bool mask; as backprop pops them their buffers serve
     the gradients that follow (batch norm and conv gradients are written
     over them).  On top of the full tape the peak holds at most two stage-0
-    activations (a kernel's input and result) and one conv block.
+    activations (a kernel's input and result) and one conv block.  The
+    batch splits: each half's thread, both with empty workspaces, holds its
+    half of the tape and of those activations, and its own block.
     """
     n = 20
     net, batch, labels = wide_all_3x3(n)
     tape, sizes = wide_all_3x3_tape(n)
+    empty_helper_workspace()
     _, peak = in_fresh_thread(traced_peak, input_jacobian, net, batch, labels)
     assert peak <= tape + 2 * 8 * sizes[0] + _BLOCK_BYTES
 
@@ -769,7 +790,8 @@ def test_workspace_holds_one_tape_after_many_genotypes():
     skeleton, the workspace holds no more than that cell's tape and one
     block: ReLU outputs, node sums and same-shape conv outputs are written
     over inputs nothing else holds, so the forward pass needs no buffer
-    beyond those it keeps for the tape, besides transient ones."""
+    beyond those it keeps for the tape, besides transient ones.  The batch
+    splits, so each of the two threads holds its half's tape and a block."""
     cfg = SKELETONS["wide"]
     net, batch, labels = wide_all_3x3()
     archs = [random_arch(RngStream(57, ("tape", k))) for k in range(60)]
@@ -778,10 +800,12 @@ def test_workspace_holds_one_tape_after_many_genotypes():
         for arch in archs:
             input_jacobian(build_network(arch, cfg, RngStream(58, ("init",))), batch, labels)
         input_jacobian(net, batch, labels)
-        return sum(buf.nbytes for kept in _WS.kept.values() for buf in kept.values()) + _WS.block.nbytes
+        return held_bytes()
 
     block = max(_BLOCK_BYTES, 8 * cfg.stem_channels * 9 * cfg.input_hw ** 2)  # one stage-0 im2col sample
-    assert in_fresh_thread(held) <= wide_all_3x3_tape(20)[0] + block
+    first = in_fresh_thread(held)
+    assert first <= wide_all_3x3_tape(20)[0] + block
+    assert max(first, on_helper(held_bytes)) <= wide_all_3x3_tape(10)[0] + block
 
 
 def test_take_skips_a_kept_buffer_something_still_holds():
@@ -811,8 +835,10 @@ def wide_all_3x3(n=20):
 
 def test_warm_scoring_allocates_a_tenth_of_a_cold_one():
     """The workspace keeps one scoring's tape buffers for the next: scoring
-    the same skeleton again takes nearly every buffer from it."""
+    the same skeleton again takes nearly every buffer from it.  The batch
+    splits, so the cold scoring starts with both halves' threads empty."""
     net, batch, labels = wide_all_3x3()
+    empty_helper_workspace()
 
     def cold_then_warm():
         _, cold = traced_peak(input_jacobian, net, batch, labels)
@@ -892,6 +918,175 @@ def test_threads_score_with_their_own_workspaces():
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(j, w) for j, w in zip(got, want * 6))
+
+
+# ---------------------------------------------------------------------------
+# one batch on two threads
+
+
+def one_thread(net, batch):
+    """Jacobian rows and logits of `batch` on the calling thread alone: a
+    batch over the split threshold runs its two halves in turn."""
+    return tensornet._on_this_thread(tensornet._jacobian, net, batch), tensornet._on_this_thread(Network._run, net, batch)
+
+
+def counted_halves(monkeypatch):
+    """Record (half, thread) of every half a split runs."""
+    halves = []
+    run = tensornet._Pair.run
+
+    def counted(pair, index, *args):
+        halves.append((index, threading.current_thread().name))
+        return run(pair, index, *args)
+
+    monkeypatch.setattr(tensornet._Pair, "run", counted)
+    return halves
+
+
+def wide_batch(n, seed=62):
+    cfg = SKELETONS["wide"]
+    return RngStream(seed, ("split", n)).normal(size=(n, cfg.input_channels, cfg.input_hw, cfg.input_hw))
+
+
+needs_split = pytest.mark.skipif(tensornet._CPUS < 2 or tensornet._blas() is None,
+                                 reason="a split needs two CPUs and OpenBLAS's thread control")
+
+
+@needs_split
+@pytest.mark.parametrize("n", [20, 19])
+def test_split_gives_the_bits_of_one_thread(n, monkeypatch):
+    """A wide batch runs as two halves on two threads, and its Jacobian and
+    logits are those one thread gives for the whole batch."""
+    cfg = SKELETONS["wide"]
+    batch, labels = wide_batch(n), np.arange(n) % cfg.num_classes
+    halves = counted_halves(monkeypatch)
+    for k in range(6):
+        net = build_network(random_arch(RngStream(63, ("split", k))), cfg, RngStream(64, ("init",)))
+        halves.clear()
+        got = input_jacobian(net, batch, labels).J, forward(net, batch)
+        assert sorted(i for i, _ in halves) == [0, 0, 1, 1]
+        assert {name for i, name in halves if i == 1} == {name for name in {t.name for t in threading.enumerate()}
+                                                          if name.startswith("evonas-half")}
+        want = one_thread(net, batch)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@needs_split
+@pytest.mark.parametrize("skeleton,n", [("desk", 7), ("small", 5), ("small", 6)])
+def test_split_of_small_shapes_gives_the_bits_of_one_thread(skeleton, n, monkeypatch):
+    """With the block bound lowered to force a split, halves whose columns
+    start anywhere in a row (and one-sample conv blocks) still add up to
+    one thread's bits."""
+    monkeypatch.setattr(tensornet, "_BLOCK_BYTES", 64)
+    cfg = SKELETONS[skeleton]
+    batch = RngStream(65, ("split", skeleton)).normal(size=(n, cfg.input_channels, cfg.input_hw, cfg.input_hw))
+    halves = counted_halves(monkeypatch)
+    for k in range(4):
+        net = build_network(random_arch(RngStream(66, ("split", k))), cfg, RngStream(67, ("init",)))
+        got = input_jacobian(net, batch, np.arange(n) % cfg.num_classes).J, forward(net, batch)
+        want = one_thread(net, batch)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert len(halves) == 16
+
+
+def test_a_desk_batch_runs_on_one_thread(monkeypatch):
+    cfg = SKELETONS["desk"]
+    assert 8 * cfg.stem_channels * 30 * cfg.input_hw ** 2 <= _BLOCK_BYTES
+    halves = counted_halves(monkeypatch)
+    net = build_network(random_arch(RngStream(68)), cfg, RngStream(69, ("init",)))
+    input_jacobian(net, RngStream(70).normal(size=(30, 3, 16, 16)), np.arange(30) % 10)
+    assert halves == []
+
+
+@needs_split
+@pytest.mark.parametrize("failing", [0, 1])
+def test_an_error_in_either_half_reaches_the_caller(failing, monkeypatch):
+    """The failing half breaks the barrier, so its partner stops at its next
+    swap instead of waiting; the caller gets the failing half's error, and
+    the BLAS thread count (1 during the split) reads its old value after."""
+    get, _ = tensornet._blas()
+    before = get()
+    net = build_network(ArchEncoding((OpKind.CONV3X3,) * 6), SKELETONS["wide"], RngStream(71, ("init",)))
+    batch, labels = wide_batch(20), np.arange(20) % 10
+    want = input_jacobian(net, batch, labels).J
+    assert get() == before
+    bn_backward, during = tensornet._bn_backward, []
+
+    def failing_bn_backward(*args):
+        during.append(get())
+        if tensornet._HALF.index == failing:
+            raise ArithmeticError(f"half {failing}")
+        return bn_backward(*args)
+
+    monkeypatch.setattr(tensornet, "_bn_backward", failing_bn_backward)
+    with pytest.raises(ArithmeticError, match=f"half {failing}"):
+        input_jacobian(net, batch, labels)
+    assert set(during) == {1} and get() == before
+    monkeypatch.undo()
+    assert np.array_equal(input_jacobian(net, batch, labels).J, want)  # the helper is free again
+
+
+@pytest.mark.parametrize("fallback", ["one CPU", "no BLAS thread control", "another split running"])
+def test_a_batch_that_cannot_split_runs_its_halves_on_one_thread(fallback, monkeypatch):
+    cfg = SKELETONS["wide"]
+    net = build_network(random_arch(RngStream(72)), cfg, RngStream(73, ("init",)))
+    batch, labels = wide_batch(20), np.arange(20) % 10
+    want = one_thread(net, batch)
+    if fallback == "one CPU":
+        monkeypatch.setattr(tensornet, "_CPUS", 1)
+    elif fallback == "no BLAS thread control":
+        monkeypatch.setattr(tensornet, "_blas", lambda: None)
+    halves = counted_halves(monkeypatch)
+    with tensornet._SPLITTING if fallback == "another split running" else nullcontext():
+        got = input_jacobian(net, batch, labels).J, forward(net, batch)
+    assert halves == []
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_callers_scoring_at_once_get_the_sequential_bits():
+    """One split runs at a time; a caller arriving during it runs its batch's
+    halves on its own thread, with the same bits.  More callers than CPUs,
+    switching often."""
+    cfg = SKELETONS["wide"]
+    nets = [build_network(random_arch(RngStream(74, ("callers", k))), cfg, RngStream(75, ("init",))) for k in range(4)]
+    batch, labels = wide_batch(20), np.arange(20) % 10
+    want = [input_jacobian(net, batch, labels).J for net in nets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            futures = [pool.submit(lambda net: input_jacobian(net, batch, labels).J, net) for net in nets * 3]
+            got = [future.result(timeout=300) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want * 3))
+
+
+@needs_split
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_splits_with_its_own_helper():
+    """The parent's helper thread does not run in a forked child; the
+    child's first split starts a helper of its own instead of waiting."""
+    cfg = SKELETONS["wide"]
+    net = build_network(random_arch(RngStream(76)), cfg, RngStream(77, ("init",)))
+    batch, labels = wide_batch(20), np.arange(20) % 10
+    want = input_jacobian(net, batch, labels).J  # the parent's helper runs
+    pid = os.fork()
+    if pid == 0:
+        try:
+            ok = np.array_equal(input_jacobian(net, batch, labels).J, want)
+        finally:
+            os._exit(0 if ok else 1)
+    for _ in range(1200):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        threading.Event().wait(0.05)
+    else:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's scoring did not finish")
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def workspace_cases():
