@@ -17,21 +17,18 @@ head: ``Network._run`` transposes the NCHW batch once on entry,
 hands ``(N, C)`` to its classifier.  The public functions speak NCHW.
 
 Halves.  A batch whose stem activation (``stem_channels * N * H * W``
-float64s) exceeds ``_BLOCK_BYTES`` runs as two halves, the first n // 2
+float64s) exceeds ``_SPLIT_BYTES`` runs as two halves, the first n // 2
 samples and the rest (``_split``): this thread runs the first, one
 persistent helper thread the second, and their rows (logits, Jacobian
 rows) are stacked.  Samples meet only in batch norm, whose per-channel
 sums (the mean, the variance's sum of squares, and backward's sums of
 ``gy * xhat`` and ``gy``) are the first half's sum plus the second's,
 over the whole batch's count: the two threads swap their halves' sums at
-a two-party barrier (``_Pair.swap``).  While the halves run, OpenBLAS is
-held at one thread through its ``openblas_set_num_threads`` (found by
-ctypes in the library numpy links) and restored after.  With one usable
-CPU, no such function, or another split running, this thread runs both
-halves in turn (``_HALF.halved``): every kernel runs each half's samples
-apart, so each GEMM (whose bits OpenBLAS's kernel choice ties to its
-shape) and each sum has the operands it has on two threads, and a score
-never depends on whether its batch was split.  Smaller batches run whole.
+a two-party barrier (``_Pair.swap``).  One split runs at a time.  While
+it runs, OpenBLAS is held at one thread through its
+``openblas_set_num_threads`` (found by ctypes in the library numpy
+links), for the whole process, and restored after; without that function
+the halves run at OpenBLAS's own thread count.  Smaller batches run whole.
 
 Kernels.  A convolution fills an im2col block ``(c, kh, kw, m, ho, wo)``
 of at most ``_BLOCK_BYTES`` (m >= 1 samples) and ``W @ cols`` writes those
@@ -200,23 +197,14 @@ _ALONE = _alone()  # measured: what a call argument adds to the count differs be
 _WS = _Workspace()
 
 
-def _halves(n):
-    """The sample spans a kernel runs apart: a halved batch's two halves,
-    split at n // 2, else all n.  Each GEMM of a halved batch on one thread
-    then has the operands it has when the halves run on two threads, so
-    gives the same bits (OpenBLAS picks its kernel by shape)."""
-    return [slice(0, n // 2), slice(n // 2, n)] if _HALF.halved else [slice(0, n)]
-
-
-def _blocked(lead, spans, tail):
+def _blocked(lead, n, tail):
     """The thread's block buffer as ``lead + (m,) + tail``, at most
-    _BLOCK_BYTES (but m >= 1), and the slices of each of `spans` it serves in turn."""
+    _BLOCK_BYTES (but m >= 1), and the slices of range(n) it serves in turn."""
     size = math.prod(lead) * math.prod(tail)
-    m = min(max(s.stop - s.start for s in spans), max(1, _BLOCK_BYTES // (8 * size)))
+    m = min(n, max(1, _BLOCK_BYTES // (8 * size)))
     if _WS.block.size < m * size:
         _WS.block = np.empty(max(m * size, _BLOCK_BYTES // 8))
-    blocks = [slice(i, min(i + m, s.stop)) for s in spans for i in range(s.start, s.stop, m)]
-    return _WS.block[: m * size].reshape(lead + (m,) + tail), blocks
+    return _WS.block[: m * size].reshape(lead + (m,) + tail), [slice(s, min(s + m, n)) for s in range(0, n, m)]
 
 
 def _phase_taps(size, k, stride, pad, out):
@@ -263,7 +251,7 @@ def _row_taps(x, w, y):
     c, n, h, width = x.shape
     o = w.shape[0]
     wr = w.transpose(2, 0, 1, 3).reshape(3 * o, 3 * c)  # per kernel row, (o, (c, kw))
-    buf, blocks = _blocked((), _halves(n), (3 * (c + o) * h * width,))
+    buf, blocks = _blocked((), n, (3 * (c + o) * h * width,))
     for b in blocks:
         blk = buf[: b.stop - b.start].reshape(3 * (c + o), -1)  # a leading slice: dense for a short block too
         cols, rows, src = blk[: 3 * c], blk[3 * c :], x[:, b].reshape(c, -1)
@@ -293,11 +281,10 @@ def _conv_forward(x, w, stride, pad, out=None):
         return _row_taps(x, w, y)
     w2 = w.reshape(o, -1)
     if kh == kw == 1 and stride == 1 and pad == 0 and y is not x:  # one tap, the input itself
-        for b in _halves(n):
-            np.matmul(w2, _rows(x[:, b]), out=_rows(y[:, b]))
+        np.matmul(w2, x.reshape(c, -1), out=y.reshape(o, -1))
         return y
     rows, cols = _phase_taps(h, kh, stride, pad, ho), _phase_taps(width, kw, stride, pad, wo)
-    buf, blocks = _blocked((c, kh, kw), _halves(n), (ho, wo))
+    buf, blocks = _blocked((c, kh, kw), n, (ho, wo))
     ys, xs = [_span(h, r, q, stride, ho) for r, q in rows], [_span(width, r, q, stride, wo) for r, q in cols]
     for i, (oy, _) in enumerate(ys):  # zero the padding no tap copy writes, once
         buf[:, i, :, :, : oy.start] = buf[:, i, :, :, oy.stop :] = 0.0
@@ -328,7 +315,7 @@ def _conv_backward_input(gy, w, x_shape, stride, pad, out=None):
               for ri, rj in itertools.product(range(stride), repeat=2)]
     wt = w.transpose(2, 3, 1, 0).reshape(-1, o)  # rows (kh, kw, c): each tap's product is one flat run
     gx = _WS.take(x_shape)
-    buf, blocks = _blocked((), _halves(n), ((kh * kw + 1) * c * ho * wo,))
+    buf, blocks = _blocked((), n, ((kh * kw + 1) * c * ho * wo,))
     for b in blocks:
         blk = buf[: b.stop - b.start].reshape((kh * kw + 1) * c, -1)  # a leading slice: dense for a short block too
         np.matmul(wt, gy[:, b].reshape(o, -1), out=blk[:-c])
@@ -366,7 +353,7 @@ def _box3(x):
     """Zero-padded 3x3 box mean per block of whole channels: rows, then columns, then / 9."""
     c, n, h, w = x.shape
     out = _WS.take(x.shape)
-    buf, blocks = _blocked((), [slice(0, c)], (n, h, w))
+    buf, blocks = _blocked((), c, (n, h, w))
     for b in blocks:
         rows, ob = buf[: b.stop - b.start], out[b]
         _sum3(x[b], rows, h, w)
@@ -381,17 +368,15 @@ def _box3(x):
 
 def _batch_means(f, *arrays):
     """Per-channel means over the whole batch of channel-major `arrays`, from
-    the list of sums `f` gives over rows: of the whole batch, or of a halved
-    batch's first half plus its second half's, in that order.  A thread
-    holding the batch reduces each half in turn; each of a split's two
-    threads swaps its half's sums for its partner's."""
+    the list of sums `f` gives over their rows.  The two threads of a split
+    swap their halves' sums, and each takes the first half's plus the
+    second's, over the whole batch's count."""
     c, n, h, w = arrays[0].shape
-    pair = _HALF.pair
-    if pair is None:
-        parts = [f(*[_rows(a[:, b]) for a in arrays]) for b in _halves(n)]
-    else:
-        parts, n = pair.swap(f(*[_rows(a) for a in arrays])), pair.n
-    return [functools.reduce(np.add, sums) / (n * h * w) for sums in zip(*parts)]
+    sums, pair = f(*[_rows(a) for a in arrays]), _HALF.pair
+    if pair is not None:
+        first, second = pair.swap(sums)
+        sums, n = [s1 + s2 for s1, s2 in zip(first, second)], pair.n
+    return [s / (n * h * w) for s in sums]
 
 
 def _bn_forward(y, eps):
@@ -469,16 +454,10 @@ class _Head:
         self.w = weight  # (num_classes, channels)
 
     def forward(self, x, owned):
-        pooled, logits = x.mean(axis=(2, 3)).T, np.empty((x.shape[1], len(self.w)))
-        for b in _halves(len(pooled)):
-            np.matmul(pooled[b], self.w.T, out=logits[b])
-        return logits, x.shape
+        return x.mean(axis=(2, 3)).T @ self.w.T, x.shape
 
     def backward(self, cache, gy, owned):
-        g = np.empty((cache[1], cache[0]))  # (N, C)
-        for b in _halves(len(gy)):
-            np.matmul(gy[b], self.w, out=g[b])
-        g = g.T[:, :, None, None]
+        g = (gy @ self.w).T[:, :, None, None]
         return np.divide(np.broadcast_to(g, cache), cache[2] * cache[3], out=_WS.take(cache))
 
 
@@ -614,10 +593,9 @@ def build_network(arch: ArchEncoding, cfg: SkeletonConfig, rng: RngStream) -> Ne
 
 
 class _Half(threading.local):
-    """How this thread runs its batch: as two halves in turn (`halved`), or
-    as one half (`index`) of a split with `pair`, having made `turn` swaps."""
+    """This thread's place in a split: its half (`index`) of `pair`, having made `turn` swaps."""
 
-    halved, pair, index, turn = False, None, 0, 0
+    pair, index, turn = None, 0, 0
 
 
 _HALF = _Half()
@@ -670,9 +648,6 @@ def _blas():
     return None
 
 
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def _no_helper():
     """No helper yet, and the lock that lets one split at a time use it.  A
     forked child starts so too: the parent's helper thread does not run there."""
@@ -694,47 +669,40 @@ _no_helper()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_no_helper)
 
-
-def _in_halves(net, x):
-    """Whether NCHW batch `x` runs as two halves: its stem activation exceeds a block."""
-    return 8 * net.cfg.stem_channels * x[0, 0].size * len(x) > _BLOCK_BYTES
-
-
-def _on_this_thread(fn, net, x):
-    """``fn(net, x)`` on this thread, a batch in halves one half after the
-    other, with the bits of a split."""
-    _HALF.halved = _in_halves(net, x)
-    try:
-        return fn(net, x)
-    finally:
-        _HALF.halved = False
+# Stem activation above which a batch splits, apart from _BLOCK_BYTES.
+# One score_arch on two CPUs (median over random genotypes, three
+# processes): the desk batch (0.49 MB) took 13.7-15.5 ms in halves against
+# 10.9-11.7 ms whole, the wide one (2.6 MB) 37-47 ms against 51-54 ms.
+# Moving it changes which batches split, and with that their scores' bits.
+_SPLIT_BYTES = 1 << 20
 
 
 def _split(fn, net, x):
-    """``fn(net, x)``, rows per sample of NCHW batch `x`: a batch in halves
-    runs the first n // 2 samples on this thread and the rest on the helper
-    thread, at one BLAS thread each, and stacks their rows.  With one CPU,
-    no OpenBLAS thread control or another split running, this thread runs
-    both halves."""
-    if not _in_halves(net, x) or _CPUS < 2 or _blas() is None or not _SPLITTING.acquire(blocking=False):
-        return _on_this_thread(fn, net, x)
-    get, set_ = _blas()
-    threads = get()
-    set_(1)  # two threads at two BLAS threads each run slower on two CPUs than at one
-    try:
-        pair, h = _Pair(len(x)), len(x) // 2
-        second = _helper().submit(pair.run, 1, fn, net, x[h:])
+    """``fn(net, x)``, rows per sample of NCHW batch `x`.  A batch whose
+    stem activation exceeds ``_SPLIT_BYTES`` runs its first n // 2 samples
+    on this thread and the rest on the helper thread, and their rows are
+    stacked; a split waits for one already running.  While the halves run,
+    OpenBLAS is held at one thread for the whole process (every thread's
+    GEMMs), when its thread control is found, and restored after."""
+    if len(x) < 2 or 8 * net.cfg.stem_channels * x[0, 0].size * len(x) <= _SPLIT_BYTES:
+        return fn(net, x)
+    with _SPLITTING:
+        get, set_ = _blas() or (lambda: 0, lambda threads: None)
+        threads = get()
+        set_(1)  # two threads at two BLAS threads each run slower on two CPUs than at one
         try:
-            first = pair.run(0, fn, net, x[:h])
-        except threading.BrokenBarrierError:
-            second.result()  # the helper's error broke the barrier: raise it
-            raise
+            pair, h = _Pair(len(x)), len(x) // 2
+            second = _helper().submit(pair.run, 1, fn, net, x[h:])
+            try:
+                first = pair.run(0, fn, net, x[:h])
+            except threading.BrokenBarrierError:
+                second.result()  # the helper's error broke the barrier: raise it
+                raise
+            finally:
+                second.exception()  # wait for the helper either way
+            return np.concatenate((first, second.result()))
         finally:
-            second.exception()  # wait for the helper either way
-        return np.concatenate((first, second.result()))
-    finally:
-        set_(threads)
-        _SPLITTING.release()
+            set_(threads)
 
 
 def _jacobian(net, x):
@@ -758,8 +726,7 @@ def input_jacobian(net: Network, batch: np.ndarray, labels) -> JacobianBatch:
     The total sum runs over all samples and classes, so each row includes
     the coupling through batch statistics.  Non-finite values are passed
     through for the consumer to detect.  A batch whose stem activation
-    exceeds ``_BLOCK_BYTES`` runs as two halves, on two threads when it can
-    (`_split`), and gives the same bits either way.
+    exceeds ``_SPLIT_BYTES`` runs as two halves on two threads (`_split`).
     """
     batch = net._check_batch(batch)
     labels = np.asarray(labels, dtype=np.int64)
@@ -783,9 +750,9 @@ def finite_diff_jacobian(net: Network, batch: np.ndarray, step: float) -> np.nda
         for d in range(flat.shape[1]):
             orig = work[i, d]
             work[i, d] = orig + step
-            s_plus = _on_this_thread(Network._run, net, work.reshape(batch.shape)).sum()
+            s_plus = _split(Network._run, net, work.reshape(batch.shape)).sum()
             work[i, d] = orig - step
-            s_minus = _on_this_thread(Network._run, net, work.reshape(batch.shape)).sum()
+            s_minus = _split(Network._run, net, work.reshape(batch.shape)).sum()
             work[i, d] = orig
             out[i, d] = (s_plus - s_minus) / (2.0 * step)
     return out
@@ -801,7 +768,7 @@ def relu_kink_margin(net: Network, batch: np.ndarray, positive_only: bool = Fals
     a ReLU the network runs meets only by accident, so both settings agree.
     """
     margins: list = []
-    _on_this_thread(lambda net, x: net._run(x, margins=margins), net, net._check_batch(batch))
+    _split(lambda net, x: net._run(x, margins=margins), net, net._check_batch(batch))
     if positive_only:
         margins = [m for m in margins if m > 0.0]
     return min(margins) if margins else math.inf

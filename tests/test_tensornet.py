@@ -3,7 +3,6 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -924,12 +923,6 @@ def test_threads_score_with_their_own_workspaces():
 # one batch on two threads
 
 
-def one_thread(net, batch):
-    """Jacobian rows and logits of `batch` on the calling thread alone: a
-    batch over the split threshold runs its two halves in turn."""
-    return tensornet._on_this_thread(tensornet._jacobian, net, batch), tensornet._on_this_thread(Network._run, net, batch)
-
-
 def counted_halves(monkeypatch):
     """Record (half, thread) of every half a split runs."""
     halves = []
@@ -948,57 +941,49 @@ def wide_batch(n, seed=62):
     return RngStream(seed, ("split", n)).normal(size=(n, cfg.input_channels, cfg.input_hw, cfg.input_hw))
 
 
-needs_split = pytest.mark.skipif(tensornet._CPUS < 2 or tensornet._blas() is None,
-                                 reason="a split needs two CPUs and OpenBLAS's thread control")
+def whole(fn, *args):
+    """fn(*args) with no batch split."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensornet, "_SPLIT_BYTES", float("inf"))
+        return fn(*args)
 
 
-@needs_split
+def close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+needs_blas = pytest.mark.skipif(tensornet._blas() is None, reason="needs OpenBLAS's thread control")
+
+
 @pytest.mark.parametrize("n", [20, 19])
-def test_split_gives_the_bits_of_one_thread(n, monkeypatch):
-    """A wide batch runs as two halves on two threads, and its Jacobian and
-    logits are those one thread gives for the whole batch."""
+def test_a_wide_batch_runs_in_halves_on_two_threads(n, monkeypatch):
+    """A wide batch runs its first n // 2 samples on the calling thread and
+    the rest on the helper; its Jacobian and logits repeat bit for bit and
+    agree with the whole batch's run to rounding (the batch-norm sums are
+    added per half)."""
     cfg = SKELETONS["wide"]
     batch, labels = wide_batch(n), np.arange(n) % cfg.num_classes
     halves = counted_halves(monkeypatch)
-    for k in range(6):
+    for k in range(4):
         net = build_network(random_arch(RngStream(63, ("split", k))), cfg, RngStream(64, ("init",)))
         halves.clear()
         got = input_jacobian(net, batch, labels).J, forward(net, batch)
-        assert sorted(i for i, _ in halves) == [0, 0, 1, 1]
-        assert {name for i, name in halves if i == 1} == {name for name in {t.name for t in threading.enumerate()}
-                                                          if name.startswith("evonas-half")}
-        want = one_thread(net, batch)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
-@needs_split
-@pytest.mark.parametrize("skeleton,n", [("desk", 7), ("small", 5), ("small", 6)])
-def test_split_of_small_shapes_gives_the_bits_of_one_thread(skeleton, n, monkeypatch):
-    """With the block bound lowered to force a split, halves whose columns
-    start anywhere in a row (and one-sample conv blocks) still add up to
-    one thread's bits."""
-    monkeypatch.setattr(tensornet, "_BLOCK_BYTES", 64)
-    cfg = SKELETONS[skeleton]
-    batch = RngStream(65, ("split", skeleton)).normal(size=(n, cfg.input_channels, cfg.input_hw, cfg.input_hw))
-    halves = counted_halves(monkeypatch)
-    for k in range(4):
-        net = build_network(random_arch(RngStream(66, ("split", k))), cfg, RngStream(67, ("init",)))
-        got = input_jacobian(net, batch, np.arange(n) % cfg.num_classes).J, forward(net, batch)
-        want = one_thread(net, batch)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    assert len(halves) == 16
+        assert sorted(halves) == sorted([(0, "MainThread"), (1, on_helper(lambda: threading.current_thread().name))] * 2)
+        assert all(np.array_equal(a, b) for a, b in zip(got, (input_jacobian(net, batch, labels).J, forward(net, batch))))
+        want = whole(input_jacobian, net, batch, labels).J, whole(forward, net, batch)
+        assert all(close(a, b) for a, b in zip(got, want))
 
 
 def test_a_desk_batch_runs_on_one_thread(monkeypatch):
     cfg = SKELETONS["desk"]
-    assert 8 * cfg.stem_channels * 30 * cfg.input_hw ** 2 <= _BLOCK_BYTES
+    assert 8 * cfg.stem_channels * 30 * cfg.input_hw ** 2 <= tensornet._SPLIT_BYTES
     halves = counted_halves(monkeypatch)
     net = build_network(random_arch(RngStream(68)), cfg, RngStream(69, ("init",)))
     input_jacobian(net, RngStream(70).normal(size=(30, 3, 16, 16)), np.arange(30) % 10)
     assert halves == []
 
 
-@needs_split
+@needs_blas
 @pytest.mark.parametrize("failing", [0, 1])
 def test_an_error_in_either_half_reaches_the_caller(failing, monkeypatch):
     """The failing half breaks the barrier, so its partner stops at its next
@@ -1026,27 +1011,48 @@ def test_an_error_in_either_half_reaches_the_caller(failing, monkeypatch):
     assert np.array_equal(input_jacobian(net, batch, labels).J, want)  # the helper is free again
 
 
-@pytest.mark.parametrize("fallback", ["one CPU", "no BLAS thread control", "another split running"])
-def test_a_batch_that_cannot_split_runs_its_halves_on_one_thread(fallback, monkeypatch):
+def test_a_split_without_blas_thread_control_runs_at_blas_own_count(monkeypatch):
+    """Without OpenBLAS's thread control a wide batch still runs in halves,
+    each at OpenBLAS's own thread count."""
     cfg = SKELETONS["wide"]
     net = build_network(random_arch(RngStream(72)), cfg, RngStream(73, ("init",)))
     batch, labels = wide_batch(20), np.arange(20) % 10
-    want = one_thread(net, batch)
-    if fallback == "one CPU":
-        monkeypatch.setattr(tensornet, "_CPUS", 1)
-    elif fallback == "no BLAS thread control":
-        monkeypatch.setattr(tensornet, "_blas", lambda: None)
+    want = input_jacobian(net, batch, labels).J
+    monkeypatch.setattr(tensornet, "_blas", lambda: None)
     halves = counted_halves(monkeypatch)
-    with tensornet._SPLITTING if fallback == "another split running" else nullcontext():
-        got = input_jacobian(net, batch, labels).J, forward(net, batch)
-    assert halves == []
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert close(input_jacobian(net, batch, labels).J, want)
+    assert sorted(i for i, _ in halves) == [0, 1]
+
+
+def test_a_gemm_on_another_thread_during_splits_keeps_its_bits():
+    """The BLAS pin holds for the whole process while a split runs: a GEMM
+    another thread runs meanwhile is computed at one BLAS thread, gives the
+    bits it gives alone, and finishes."""
+    a, b = RngStream(78).normal(size=(2, 256, 256))
+    want, stop, got = a @ b, threading.Event(), []
+
+    def products():
+        while not stop.is_set():
+            got.append(a @ b)
+
+    cfg = SKELETONS["wide"]
+    net = build_network(random_arch(RngStream(79)), cfg, RngStream(80, ("init",)))
+    batch, labels = wide_batch(20), np.arange(20) % 10
+    other = threading.Thread(target=products)
+    other.start()
+    try:
+        for _ in range(3):
+            input_jacobian(net, batch, labels)
+    finally:
+        stop.set()
+        other.join(timeout=60)
+    assert not other.is_alive() and got
+    assert all(np.array_equal(g, want) for g in got)
 
 
 def test_callers_scoring_at_once_get_the_sequential_bits():
-    """One split runs at a time; a caller arriving during it runs its batch's
-    halves on its own thread, with the same bits.  More callers than CPUs,
-    switching often."""
+    """One split runs at a time: a caller arriving during it waits, then
+    splits its own batch.  More callers than CPUs, switching often."""
     cfg = SKELETONS["wide"]
     nets = [build_network(random_arch(RngStream(74, ("callers", k))), cfg, RngStream(75, ("init",))) for k in range(4)]
     batch, labels = wide_batch(20), np.arange(20) % 10
@@ -1062,7 +1068,6 @@ def test_callers_scoring_at_once_get_the_sequential_bits():
     assert all(np.array_equal(g, w) for g, w in zip(got, want * 3))
 
 
-@needs_split
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_a_forked_child_splits_with_its_own_helper():
     """The parent's helper thread does not run in a forked child; the
@@ -1073,6 +1078,7 @@ def test_a_forked_child_splits_with_its_own_helper():
     want = input_jacobian(net, batch, labels).J  # the parent's helper runs
     pid = os.fork()
     if pid == 0:
+        ok = False
         try:
             ok = np.array_equal(input_jacobian(net, batch, labels).J, want)
         finally:
@@ -1284,20 +1290,36 @@ def equivalence_cases():
     return out
 
 
-@pytest.mark.parametrize("skeleton,arch", equivalence_cases())
-def test_step_program_matches_nested_network(skeleton, arch):
+def assert_matches_nested(skeleton, arch, n):
+    """Check the step program's Jacobian of a batch of n against the nested network's; returns both networks."""
     cfg = SKELETONS[skeleton]
     net = build_network(arch, cfg, RngStream(42, ("init", skeleton)))
     blocks = ref_build_network(arch, cfg, RngStream(42, ("init", skeleton)))
-    batch = small_batch(43, n=4, cfg=cfg)
-    got = input_jacobian(net, batch, [0, 1, 0, 1]).J
+    batch = small_batch(43, n=n, cfg=cfg)
+    got = input_jacobian(net, batch, np.arange(n) % 2).J
     want = ref_jacobian(blocks, batch)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    return net, blocks
+
+
+@pytest.mark.parametrize("skeleton,arch", equivalence_cases())
+def test_step_program_matches_nested_network(skeleton, arch):
+    net, blocks = assert_matches_nested(skeleton, arch, 4)
     weights = _collect_weights(net)
     expected = ref_live_weights(blocks, arch)
     assert len(weights) == len(expected)
     for w, ref in zip(weights, expected):
         assert np.array_equal(w, ref)
+
+
+@pytest.mark.parametrize("skeleton,arch", equivalence_cases())
+def test_split_program_matches_nested_network(skeleton, arch, monkeypatch):
+    """With every batch split, an odd batch's two halves (2 and 3 samples)
+    on two threads give the nested network's Jacobian."""
+    monkeypatch.setattr(tensornet, "_SPLIT_BYTES", 0)
+    halves = counted_halves(monkeypatch)
+    assert_matches_nested(skeleton, arch, 5)
+    assert sorted(i for i, _ in halves) == [0, 1]
 
 
 def test_zero_output_genotypes_are_empty_programs():
