@@ -23,12 +23,13 @@ persistent helper thread the second, and their rows (logits, Jacobian
 rows) are stacked.  Samples meet only in batch norm, whose per-channel
 sums (the mean, the variance's sum of squares, and backward's sums of
 ``gy * xhat`` and ``gy``) are the first half's sum plus the second's,
-over the whole batch's count: the two threads swap their halves' sums at
-a two-party barrier (``_Pair.swap``).  One split runs at a time.  While
-it runs, OpenBLAS is held at one thread through its
-``openblas_set_num_threads`` (found by ctypes in the library numpy
-links), for the whole process, and restored after; without that function
-the halves run at OpenBLAS's own thread count.  Smaller batches run whole.
+over the whole batch's count: each half hands its sums to a two-party
+barrier (``_Pair``), whose action adds them once both halves wait.  One
+split runs at a time.  While it runs, OpenBLAS is held at one thread
+through its ``openblas_set_num_threads`` (found by ctypes in the library
+numpy links), for the whole process, and restored after (a fork waits
+for that, or its child would keep the hold); without that function the
+halves run at OpenBLAS's own thread count.  Smaller batches run whole.
 
 Kernels.  A convolution fills an im2col block ``(c, kh, kw, m, ho, wo)``
 of at most ``_BLOCK_BYTES`` (m >= 1 samples) and ``W @ cols`` writes those
@@ -165,7 +166,10 @@ _BLOCK_BYTES = 1 << 20  # bound on a kernel's block: a conv's im2col or taps, or
 
 
 class _Workspace(threading.local):
-    """One thread's buffers kept for the next scoring: tape entries' by (shape, dtype) and id, and a block."""
+    """One thread's buffers kept for the next scoring: tape entries' by (shape, dtype) and id, and a block;
+    and, while it runs half of a split batch, that half's `index` (0 or 1) and its `pair`."""
+
+    pair, index = None, 0  # no split: class defaults, which resetting the buffers leaves alone
 
     def __init__(self, key=None):
         self.key, self.kept, self.block = key, {}, np.empty(0)
@@ -366,16 +370,13 @@ def _box3(x):
 # layers
 
 
-def _batch_means(f, *arrays):
-    """Per-channel means over the whole batch of channel-major `arrays`, from
-    the list of sums `f` gives over their rows.  The two threads of a split
-    swap their halves' sums, and each takes the first half's plus the
-    second's, over the whole batch's count."""
-    c, n, h, w = arrays[0].shape
-    sums, pair = f(*[_rows(a) for a in arrays]), _HALF.pair
-    if pair is not None:
-        first, second = pair.swap(sums)
-        sums, n = [s1 + s2 for s1, s2 in zip(first, second)], pair.n
+def _batch_means(shape, *sums):
+    """Per-channel means over the whole batch of a channel-major `shape` from
+    this thread's per-channel `sums`.  In a split, the pair's barrier adds
+    the first half's sums and the second's, over the whole batch's count."""
+    c, n, h, w = shape
+    if _WS.pair is not None:
+        sums, n = _WS.pair.add(sums), _WS.pair.n
     return [s / (n * h * w) for s in sums]
 
 
@@ -383,9 +384,9 @@ def _bn_forward(y, eps):
     """Batch-statistics normalization of `y` in place, no affine or running
     stats; returns the per-channel ``1 / std`` its backward needs."""
     rows = _rows(y)
-    mean, = _batch_means(lambda r: [r.sum(axis=1)], y)
+    mean, = _batch_means(y.shape, rows.sum(axis=1))
     rows -= mean[:, None]
-    var, = _batch_means(lambda r: [np.einsum("ij,ij->i", r, r)], y)
+    var, = _batch_means(y.shape, np.einsum("ij,ij->i", rows, rows))
     inv = 1.0 / np.sqrt(var[:, None] + eps)
     rows *= inv
     return inv
@@ -393,8 +394,8 @@ def _bn_forward(y, eps):
 
 def _bn_backward(xhat, inv, gy):
     """The normalization's input gradient, written over its output `xhat`; returns it."""
-    dot, mean = _batch_means(lambda g, x: [np.einsum("ij,ij->i", g, x), g.sum(axis=1)], gy, xhat)
     gx, rows = _rows(xhat), _rows(gy)
+    dot, mean = _batch_means(xhat.shape, np.einsum("ij,ij->i", rows, gx), rows.sum(axis=1))
     gx *= dot[:, None]
     np.subtract(rows, gx, out=gx)
     gx -= mean[:, None]
@@ -592,39 +593,34 @@ def build_network(arch: ArchEncoding, cfg: SkeletonConfig, rng: RngStream) -> Ne
 # one batch on two threads
 
 
-class _Half(threading.local):
-    """This thread's place in a split: its half (`index`) of `pair`, having made `turn` swaps."""
-
-    pair, index, turn = None, 0, 0
-
-
-_HALF = _Half()
-
-
-class _Pair:
-    """Two threads, each running the step program on one half of a batch of n."""
+class _Pair(threading.Barrier):
+    """Two threads, each running the step program on one half of a batch of n.
+    Each half's batch norm hands its sums to `add` and waits; the barrier's
+    action, run once both wait, adds the first half's and the second's."""
 
     def __init__(self, n):
-        self.n, self.barrier, self.parts = n, threading.Barrier(2), ([None, None], [None, None])
+        super().__init__(2, action=self._add)
+        self.n, self.parts = n, [None, None]
+
+    def _add(self):
+        self.sums = [s1 + s2 for s1, s2 in zip(*self.parts)]
 
     def run(self, index, fn, *args):
-        _HALF.pair, _HALF.index, _HALF.turn = self, index, 0
+        _WS.pair, _WS.index = self, index
         try:
             return fn(*args)
         except BaseException:
-            self.barrier.abort()  # the partner's next swap raises instead of waiting forever
+            self.abort()  # the partner's next `add` raises instead of waiting forever
             raise
         finally:
-            _HALF.pair = None
+            _WS.pair = None
 
-    def swap(self, part):
-        """Both halves' `part`, in batch order.  Swaps alternate between two
-        lists: neither thread can be two swaps ahead of the other."""
-        parts = self.parts[_HALF.turn % 2]
-        _HALF.turn += 1
-        parts[_HALF.index] = part
-        self.barrier.wait()
-        return parts
+    def add(self, sums):
+        """Both halves' `sums` added, in batch order.  The next action, which
+        replaces them, waits until both halves have read these."""
+        self.parts[_WS.index] = sums
+        self.wait()
+        return self.sums
 
 
 @functools.cache
@@ -639,35 +635,25 @@ def _blas():
     except OSError:
         return None
     for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
-        try:
-            get, set_ = (getattr(lib, f"{prefix}openblas_{verb}_num_threads{suffix}") for verb in ("get", "set"))
-        except AttributeError:
-            continue
-        get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
-        return get, set_
+        get, set_ = (getattr(lib, f"{prefix}openblas_{verb}_num_threads{suffix}", None) for verb in ("get", "set"))
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
+            return get, set_
     return None
 
 
-def _no_helper():
-    """No helper yet, and the lock that lets one split at a time use it.  A
-    forked child starts so too: the parent's helper thread does not run there."""
-    global _HELPER, _SPLITTING
-    _HELPER, _SPLITTING = None, threading.Lock()
-
-
+@functools.cache
 def _helper():
     """The executor of the helper thread, made at the first split."""
-    global _HELPER
-    if _HELPER is None:
-        from concurrent.futures import ThreadPoolExecutor  # not imported with the package: only a split needs it
+    from concurrent.futures import ThreadPoolExecutor  # not imported with the package: only a split needs it
 
-        _HELPER = ThreadPoolExecutor(1, thread_name_prefix="evonas-half")
-    return _HELPER
+    return ThreadPoolExecutor(1, thread_name_prefix="evonas-half")
 
 
-_no_helper()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_no_helper)
+_SPLITTING = threading.Lock()  # one split at a time uses the helper
+if hasattr(os, "register_at_fork"):  # a child keeps no split's BLAS hold and makes its own helper
+    os.register_at_fork(before=_SPLITTING.acquire, after_in_parent=_SPLITTING.release,
+                        after_in_child=lambda: (_SPLITTING.release(), _helper.cache_clear()))
 
 # Stem activation above which a batch splits, apart from _BLOCK_BYTES.
 # One score_arch on two CPUs (median over random genotypes, three
@@ -678,13 +664,14 @@ _SPLIT_BYTES = 1 << 20
 
 
 def _split(fn, net, x):
-    """``fn(net, x)``, rows per sample of NCHW batch `x`.  A batch whose
+    """``fn(net, x)``, rows per sample of NCHW batch `x` (n >= 2).  A batch whose
     stem activation exceeds ``_SPLIT_BYTES`` runs its first n // 2 samples
     on this thread and the rest on the helper thread, and their rows are
-    stacked; a split waits for one already running.  While the halves run,
+    stacked.  A split waits for one already running, and a fork for a running
+    split (so a fork from inside a half deadlocks).  While the halves run,
     OpenBLAS is held at one thread for the whole process (every thread's
     GEMMs), when its thread control is found, and restored after."""
-    if len(x) < 2 or 8 * net.cfg.stem_channels * x[0, 0].size * len(x) <= _SPLIT_BYTES:
+    if 8 * net.cfg.stem_channels * x[0, 0].size * len(x) <= _SPLIT_BYTES:
         return fn(net, x)
     with _SPLITTING:
         get, set_ = _blas() or (lambda: 0, lambda threads: None)
@@ -732,15 +719,15 @@ def input_jacobian(net: Network, batch: np.ndarray, labels) -> JacobianBatch:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (batch.shape[0],):
         raise ValueError(f"labels shape {labels.shape} does not match batch of {batch.shape[0]}")
-    if labels.size and (labels.min() < 0 or labels.max() >= net.cfg.num_classes):
+    if labels.min() < 0 or labels.max() >= net.cfg.num_classes:
         raise ValueError("labels must lie in [0, num_classes)")
     return JacobianBatch(J=_split(_jacobian, net, batch), labels=labels)
 
 
 def finite_diff_jacobian(net: Network, batch: np.ndarray, step: float) -> np.ndarray:
     """Central-difference estimate of the same N x D matrix, entry by entry."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
     batch = net._check_batch(batch)
     n = batch.shape[0]
     flat = batch.reshape(n, -1)

@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 import threading
@@ -193,8 +194,9 @@ def test_finite_diff_zero_network():
     net = build_network(ALL_ZERO, SMALL, RngStream(20, ("init",)))
     fd = finite_diff_jacobian(net, small_batch(9, n=2), 1e-4)
     assert np.array_equal(fd, np.zeros_like(fd))
-    with pytest.raises(ValueError):
-        finite_diff_jacobian(net, small_batch(9, n=2), 0.0)
+    for step in (0.0, -1e-4, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            finite_diff_jacobian(net, small_batch(9, n=2), step)
 
 
 def test_finite_diff_quadratic_convergence_on_smooth_net():
@@ -955,6 +957,18 @@ def close(got, want):
 needs_blas = pytest.mark.skipif(tensornet._blas() is None, reason="needs OpenBLAS's thread control")
 
 
+def test_blas_thread_control_is_found_where_numpy_links_openblas():
+    """Without it the halves run at OpenBLAS's own thread count each, slower
+    on two CPUs, and the `needs_blas` tests only skip."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:
+        pytest.skip("np.show_config has no mode= before numpy 1.26")
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy links {blas}")
+    assert tensornet._blas() is not None
+
+
 @pytest.mark.parametrize("n", [20, 19])
 def test_a_wide_batch_runs_in_halves_on_two_threads(n, monkeypatch):
     """A wide batch runs its first n // 2 samples on the calling thread and
@@ -999,7 +1013,7 @@ def test_an_error_in_either_half_reaches_the_caller(failing, monkeypatch):
 
     def failing_bn_backward(*args):
         during.append(get())
-        if tensornet._HALF.index == failing:
+        if tensornet._WS.index == failing:
             raise ArithmeticError(f"half {failing}")
         return bn_backward(*args)
 
@@ -1066,6 +1080,40 @@ def test_callers_scoring_at_once_get_the_sequential_bits():
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(g, w) for g, w in zip(got, want * 3))
+
+
+@needs_blas
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_fork_waits_for_a_running_split(monkeypatch):
+    """A fork while another thread's split holds OpenBLAS at one thread
+    waits for the split to end, so the child keeps the count from before."""
+    get, _ = tensornet._blas()
+    want, entered, release = get(), threading.Event(), threading.Event()
+    if want < 2:
+        pytest.skip("OpenBLAS runs at one thread: the hold does not show")
+    bn_forward = tensornet._bn_forward
+
+    def held_bn_forward(*args):
+        if tensornet._WS.index == 1:
+            entered.set()
+            release.wait(timeout=60)
+        return bn_forward(*args)
+
+    net = build_network(random_arch(RngStream(81)), SKELETONS["wide"], RngStream(82, ("init",)))
+    monkeypatch.setattr(tensornet, "_bn_forward", held_bn_forward)
+    scoring = threading.Thread(target=input_jacobian, args=(net, wide_batch(20), np.arange(20) % 10))
+    scoring.start()
+    try:
+        assert entered.wait(timeout=60) and get() == 1  # the helper's half waits; the hold is on
+        threading.Timer(0.2, release.set).start()  # ends the split while this thread forks
+        pid = os.fork()
+        if pid == 0:
+            os._exit(min(get(), 100))
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == want
+    finally:
+        release.set()
+        scoring.join(timeout=60)
+    assert not scoring.is_alive() and get() == want
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
