@@ -16,6 +16,8 @@ The canonical string encoding groups edges by destination node, e.g.
 which is the interchange format used by tabular benchmark files and the CLI.
 The 15625 canonical strings are also a table built on first use, so
 encoding is an index and decoding a canonical string one dict lookup.
+`canonical(arch)` sets each edge on no node-0-to-node-3 path of non-`none`
+edges to `none`: 9445 classes, the 341 zero-output genotypes mapped to 0.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "random_arch",
     "mutate",
     "enumerate_all",
+    "canonical",
     "encode_str",
     "decode_str",
     "space_doc",
@@ -164,6 +167,18 @@ def mutate(parent: ArchEncoding, rng: RngStream) -> ArchEncoding:
 def enumerate_all() -> Iterator[ArchEncoding]:
     """All 15625 genotypes, in index order (lexicographic in edge op indices)."""
     return iter(_table())
+
+
+def canonical(arch: ArchEncoding) -> ArchEncoding:
+    """`arch` with each dead edge set to `none`: EDGES order lets one sweep each way find them."""
+    ops, fed, needed = arch.indices, {0}, {NUM_NODES - 1}
+    for (src, dst), op in zip(EDGES, ops):
+        if op and src in fed:
+            fed.add(dst)
+    for (src, dst), op in zip(EDGES[::-1], ops[::-1]):
+        if op and dst in needed:
+            needed.add(src)
+    return _table()[_fold(op * (src in fed and dst in needed) for (src, dst), op in zip(EDGES, ops))]
 
 
 @functools.cache

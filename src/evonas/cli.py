@@ -36,7 +36,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_run_flags(p):
-        p.add_argument("--config", help="experiment JSON file: the config block of a summary.json")
+        p.add_argument("--config", help="experiment JSON file, or a run's summary.json")
         p.add_argument("--method", choices=METHODS)
         p.add_argument("--pop-size", type=int, dest="pop_size")
         p.add_argument("--tournament", type=int, dest="tournament_size")
@@ -113,17 +113,15 @@ _EXPERIMENT_FLAGS = ("method", "num_runs", "benchmark", "batch", "batch_count", 
 
 
 def _experiment_from_args(args) -> ExperimentConfig:
-    """The --config document with the given flags laid over it."""
+    """The --config document (an experiment or a summary.json) with the given flags laid over it."""
     doc = json.loads(Path(args.config).read_text("utf-8")) if args.config else {}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{args.config}: an experiment document is a JSON object")
+    flags = {name: getattr(args, name) for name in _EXPERIMENT_FLAGS if getattr(args, name) is not None}
     search = {name: getattr(args, name) for name in _SEARCH_FLAGS if getattr(args, name) is not None}
-    if search and isinstance(doc.get("search", {}), dict):  # any other block fails in config_from_doc
-        doc["search"] = {**doc.get("search", {}), **search}
-    doc.update({name: getattr(args, name) for name in _EXPERIMENT_FLAGS if getattr(args, name) is not None})
+    if search:
+        flags["search"] = search
     if getattr(args, "sweep", None):
-        doc["sweep"] = _parse_sweep(args.sweep)
-    return config_from_doc(doc)
+        flags["sweep"] = _parse_sweep(args.sweep)
+    return config_from_doc(doc, flags)
 
 
 def _cmd_run(args) -> int:
@@ -156,16 +154,14 @@ def _cmd_bench_gen(args) -> int:
 
 
 def _score_setup(args) -> tuple:
-    """(batch source, batch count, skeleton): the --config document's, read
-    as `config_from_doc` reads it (a summary.json through its config block),
-    else the flags' at the default skeleton."""
+    """(batch source, batch count, skeleton): the --config document's (an
+    experiment or a summary.json), else the flags' at the default skeleton."""
     if not args.config:
         count = 32 if args.batch_count is None else args.batch_count
         return args.batch or SyntheticBatchSpec(), count, SkeletonConfig()
     if args.batch is not None or args.batch_count is not None:
         raise ConfigError("--config gives the batch: drop --batch and --batch-count")
-    doc = json.loads(Path(args.config).read_text("utf-8"))
-    cfg = config_from_doc(doc["config"] if isinstance(doc, dict) and "config" in doc else doc)
+    cfg = config_from_doc(json.loads(Path(args.config).read_text("utf-8")))
     if cfg.batch is None:
         raise ConfigError(f"{args.config} has no batch: its runs scored with the benchmark's proxy map")
     return cfg.batch, cfg.batch_count, cfg.skeleton
@@ -196,9 +192,12 @@ def _cmd_stats(args) -> int:
         print(json.dumps({"t": t, "p": p, "n_a": len(a), "n_b": len(b)}, sort_keys=True))
     else:
         with open(args.csv_file, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-        if not rows or args.col_x not in rows[0] or args.col_y not in rows[0]:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        if not {args.col_x, args.col_y} <= set(reader.fieldnames or ()):
             raise ConfigError(f"columns {args.col_x!r}/{args.col_y!r} not found in {args.csv_file}")
+        if not rows:
+            raise ConfigError(f"{args.csv_file} has no rows")
         x = [float(r[args.col_x]) for r in rows]
         y = [float(r[args.col_y]) for r in rows]
         tau = kendall_tau(x, y)  # NaN for a constant column or a NaN entry: JSON null

@@ -9,10 +9,11 @@ byte-identical across reruns of the same configuration.
 
 This module owns the experiment's JSON document: `_config_echo` writes it
 as the `config` block of `summary.json` and `config_from_doc` reads it
-back, so a run's own echo reruns it.  `search` and `skeleton` are objects
-of their dataclass fields; `benchmark` and `batch` are a path or
-`{"synthetic": {...}}`, and a raw batch reads its first `batch_count`
-records.  Absent keys take the dataclass defaults; unknown keys fail.
+back, from that block or the whole summary, so a run's own summary
+reruns it.  `search` and `skeleton` are objects of their dataclass
+fields; `benchmark` and `batch` are a path or `{"synthetic": {...}}`, and
+a raw batch reads its first `batch_count` records.  Absent keys take the
+dataclass defaults; unknown keys fail.
 """
 
 from __future__ import annotations
@@ -270,10 +271,17 @@ def _source(doc, spec_cls, where: str):
     raise ConfigError(f'{where} must be a path or {{"synthetic": {{...}}}}, got {doc!r}')
 
 
-def config_from_doc(doc) -> ExperimentConfig:
-    """The ExperimentConfig of an experiment document: the inverse of the
-    `config` block that `summary.json` echoes."""
+def config_from_doc(doc, flags=None) -> ExperimentConfig:
+    """The ExperimentConfig of an experiment document, or of a summary.json
+    through its `config` block: the inverse of that block.  `flags`, an
+    experiment document too, is laid over it, a `search` object key by key."""
+    if isinstance(doc, dict) and "config" in doc:
+        doc = doc["config"]
     fields = _fields(ExperimentConfig, doc, "experiment")
+    flags = _fields(ExperimentConfig, flags or {}, "flags")
+    if "search" in flags:
+        flags["search"] = {**_fields(SearchConfig, fields.get("search", {}), "search"), **flags["search"]}
+    fields.update(flags)
     for name, cls in _OBJECTS:
         fields[name] = cls(**_fields(cls, fields.get(name, {}), name))
     for name, spec_cls in _SOURCES:

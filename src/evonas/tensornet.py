@@ -68,15 +68,12 @@ summand so held, so the workspace keeps no buffer beyond the tape's.
 Layer protocol: ``forward(x, owned) -> (y, cache)``, ``backward(cache, gy, owned) -> gx``.
 
 A Network is one straight-line program of steps ``(layer, src, dst)``,
-each adding ``layer(slot[src])`` into slot ``dst``.  ``build_network``
-emits one ReLU step per cell node with conv out-edges, then keeps only the
-steps on an input-to-logits path: the others add exact zeros or reach no
-logit.  A genotype whose cell output is identically zero leaves an empty
-program, with zero logits and Jacobian.  ``_walk`` is the one loop over a
-program: ``_run`` walks its steps (on request recording each ReLU step's
-smallest |input|, to detect near-kink inputs before comparing against
-finite differences) and ``input_jacobian`` walks them reversed, each
-step's slots swapped, popping the tape.
+each adding ``layer(slot[src])`` into slot ``dst``; ``build_network``
+emits them for the live edges of ``canonical(arch)`` only.  ``_walk`` is
+the one loop over a program: ``_run`` walks its steps (on request
+recording each ReLU step's smallest |input|, to detect near-kink inputs
+before comparing with finite differences) and ``input_jacobian`` walks
+them reversed, each step's slots swapped, popping the tape.
 """
 
 from __future__ import annotations
@@ -92,7 +89,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cellspace import EDGES, ArchEncoding, OpKind
+from .cellspace import EDGES, ArchEncoding, OpKind, canonical
 from .config import ConfigError, check_fields
 from .rng import RngStream
 
@@ -147,15 +144,19 @@ class JacobianBatch:
 
     def __post_init__(self):
         self.J = np.asarray(self.J, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.J.ndim != 2:
             raise ValueError(f"J must be 2-D, got shape {self.J.shape}")
         if self.J.shape[0] < 2:
             raise ValueError("Jacobian batch needs at least 2 samples")
-        if self.labels.shape != (self.J.shape[0],):
-            raise ValueError(
-                f"labels shape {self.labels.shape} does not match {self.J.shape[0]} rows"
-            )
+        self.labels = _int_labels(self.labels, self.J.shape[0])
+
+
+def _int_labels(labels, n):
+    """`labels` as n int64s; a label the cast would change, such as 1.7, fails."""
+    cast = np.asarray(labels).astype(np.int64)
+    if cast.shape != (n,) or not np.array_equal(cast, labels):
+        raise ValueError(f"labels must be {n} integers, got {np.asarray(labels)!r}")
+    return cast
 
 
 # ---------------------------------------------------------------------------
@@ -465,23 +466,6 @@ class _Head:
 _OUT = 1  # slot of the logits; slot 0 holds the input batch
 
 
-def _prune(steps):
-    """The steps on an input-to-logits path.  Every write to a slot
-    precedes every read of it, so one sweep each way suffices."""
-    fed = {0}
-    for _, src, dst in steps:
-        if src in fed:
-            fed.add(dst)
-    needed = {_OUT}
-    kept = []
-    for step in reversed(steps):
-        _, src, dst = step
-        if src in fed and dst in needed:
-            kept.append(step)
-            needed.add(src)
-    return kept[::-1]
-
-
 def _walk(steps, slots, apply):
     """Run `steps` over `slots`: step ``(layer, a, b)`` adds ``apply(layer, slots[a], owned)``
     into slot b.  A slot is dropped after its last read.  `owned`, and where a sum goes,
@@ -552,8 +536,11 @@ def build_network(arch: ArchEncoding, cfg: SkeletonConfig, rng: RngStream) -> Ne
     ReLU, conv, batch norm; conv edges from one node share its ReLU.  Each
     conv and its batch norm are one ``_ConvBN`` step.  Weights are
     zero-mean normal with std sqrt(2 / fan_in), no biases, drawn for every
-    conv edge in layout order before dead steps are pruned.
+    conv edge of `arch` in layout order; only ``canonical(arch)``'s get steps.
     """
+    live = canonical(arch)
+    if not live:  # genotype 0: the cell output is identically zero
+        return Network(arch=arch, cfg=cfg, steps=[])
     eps = cfg.bn_eps
     steps: list = []
     fresh = itertools.count(2)
@@ -569,14 +556,15 @@ def build_network(arch: ArchEncoding, cfg: SkeletonConfig, rng: RngStream) -> Ne
         for _ in range(cfg.cells_per_stage):
             nodes = [x, next(fresh), next(fresh), next(fresh)]
             relu = {}
-            for (src, dst), op in zip(EDGES, arch.edge_ops):
-                if op == OpKind.SKIP_CONNECT:
-                    emit(_Identity(), nodes[src], nodes[dst])
-                elif op == OpKind.AVGPOOL3X3:
-                    emit(_AvgPool3x3(), nodes[src], nodes[dst])
-                elif op != OpKind.ZEROIZE:
+            for (src, dst), op, run in zip(EDGES, arch.edge_ops, live.edge_ops):  # run: op, or none if dead
+                if op in (OpKind.CONV1X1, OpKind.CONV3X3):
                     k = 1 if op == OpKind.CONV1X1 else 3
                     conv = _ConvBN(_he_conv(rng, channels, channels, k), 1, (k - 1) // 2, eps)
+                if run == OpKind.SKIP_CONNECT:
+                    emit(_Identity(), nodes[src], nodes[dst])
+                elif run == OpKind.AVGPOOL3X3:
+                    emit(_AvgPool3x3(), nodes[src], nodes[dst])
+                elif run != OpKind.ZEROIZE:
                     if src not in relu:
                         relu[src] = emit(_ReLU(), nodes[src])
                     emit(conv, relu[src], nodes[dst])
@@ -586,7 +574,7 @@ def build_network(arch: ArchEncoding, cfg: SkeletonConfig, rng: RngStream) -> Ne
             channels *= 2
     std = math.sqrt(2.0 / channels)
     emit(_Head(rng.normal(0.0, std, size=(cfg.num_classes, channels))), emit(_ReLU(), x), _OUT)
-    return Network(arch=arch, cfg=cfg, steps=_prune(steps))
+    return Network(arch=arch, cfg=cfg, steps=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -716,9 +704,7 @@ def input_jacobian(net: Network, batch: np.ndarray, labels) -> JacobianBatch:
     exceeds ``_SPLIT_BYTES`` runs as two halves on two threads (`_split`).
     """
     batch = net._check_batch(batch)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (batch.shape[0],):
-        raise ValueError(f"labels shape {labels.shape} does not match batch of {batch.shape[0]}")
+    labels = _int_labels(labels, len(batch))
     if labels.min() < 0 or labels.max() >= net.cfg.num_classes:
         raise ValueError("labels must lie in [0, num_classes)")
     return JacobianBatch(J=_split(_jacobian, net, batch), labels=labels)
@@ -749,10 +735,9 @@ def relu_kink_margin(net: Network, batch: np.ndarray, positive_only: bool = Fals
     """Smallest |preactivation| reaching any ReLU step the network runs;
     guards finite-difference checks.
 
-    Pruning drops every ReLU that would see a structural zero or feed no
-    path to the logits; neither kind of kink can disturb a
-    finite-difference comparison.  `positive_only` skips exact zeros, which
-    a ReLU the network runs meets only by accident, so both settings agree.
+    No ReLU is built that would see a structural zero or feed no logit
+    (``canonical``).  `positive_only` skips exact zeros, which a ReLU the
+    network runs meets only by accident, so both settings agree.
     """
     margins: list = []
     _split(lambda net, x: net._run(x, margins=margins), net, net._check_batch(batch))

@@ -41,7 +41,7 @@ def test_traced_name_resolves(layer, name):
 @pytest.mark.parametrize("cfg", [SkeletonConfig(), SkeletonConfig(input_hw=32, stem_channels=16)], ids=["desk", "wide"])
 def test_harness_reads_a_network(cfg, monkeypatch):
     """`conv_flop` reads `net.cfg` and `net.arch.edge_ops` and the traced pass
-    runs `tensornet.forward`: for the all-3x3 cell, which prunes no conv,
+    runs `tensornet.forward`: for the all-3x3 cell, which has no dead conv,
     `conv_flop` counts each conv step's multiply-adds twice (forward and
     input gradient) at 2 FLOPs each."""
     monkeypatch.syspath_prepend(str(WORKLOADS_PATH.parent))  # workloads imports its sibling inputs.py

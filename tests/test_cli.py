@@ -212,6 +212,11 @@ def test_stats_ttest_and_tau(tmp_path, bench_file, capsys):
         code, stdout, _ = run_cli(capsys, "stats", "tau", str(path), "a", "b")
         assert code == 0 and strict(stdout) == {"n": 3, "tau": None}
 
+    # a header-only file has both columns but no rows
+    path.write_text("a,b\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "stats", "tau", str(path), "a", "b")
+    assert code == 1 and json.loads(err)["message"] == f"{path} has no rows"
+
     # nor has a t-test over a run whose final val_acc is NaN
     doc = json.loads((out_a / "summary.json").read_text("utf-8"))
     doc["runs"] = doc["runs"][:2]
@@ -252,7 +257,7 @@ def small_config_doc(out):
 
 @pytest.mark.parametrize("method", ["gea", "rea", "rs"])
 def test_summary_config_reruns_identically(tmp_path, capsys, method):
-    first, second = tmp_path / "first", tmp_path / "second"
+    first, second, third = tmp_path / "first", tmp_path / "second", tmp_path / "third"
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**small_config_doc(first), "method": method}))
     code, _, err = run_cli(capsys, "search", "--config", str(cfg_path))
@@ -268,6 +273,10 @@ def test_summary_config_reruns_identically(tmp_path, capsys, method):
     assert rerun["config"].pop("out") == str(second)
     summary["config"].pop("out")
     assert rerun == summary
+    # the summary.json itself reads as its config block
+    code, _, err = run_cli(capsys, "search", "--config", str(first / "summary.json"), "--out", str(third))
+    assert code == 0, err
+    assert (first / "curves.csv").read_bytes() == (third / "curves.csv").read_bytes()
 
 
 def config_error(capsys, *argv):

@@ -234,6 +234,10 @@ def test_config_doc_round_trips_through_json():
     doc = json.loads(json.dumps(_config_echo(cfg)))
     assert doc["benchmark"] == {"synthetic": dataclasses.asdict(BENCH_SPEC)}
     assert config_from_doc(doc) == cfg
+    assert config_from_doc({"config": doc, "rows": [], "runs": [], "tool_version": "x"}) == cfg  # a summary.json
+    # a later document's keys win, a search object's key by key
+    assert config_from_doc(doc, {"num_runs": 3, "search": {"seed": 9}}) == dataclasses.replace(
+        cfg, num_runs=3, search=dataclasses.replace(cfg.search, seed=9))
 
 
 def test_config_doc_defaults_and_unknown_keys():

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from evonas.cellspace import EDGES, ArchEncoding, OpKind, enumerate_all, random_arch
+from evonas.cellspace import EDGES, ArchEncoding, OpKind, canonical, enumerate_all, random_arch
 from evonas.rng import RngStream
 from evonas.zeroproxy import ProxyParams, score_arch
 from numpy.lib.stride_tricks import sliding_window_view
@@ -164,6 +164,11 @@ def test_jacobian_labels_validated():
         input_jacobian(net, small_batch(6), [0, 1])
     with pytest.raises(ValueError):
         input_jacobian(net, small_batch(6), [0, 1, SMALL.num_classes])
+    for labels in ([0, 1.7, 2], np.array([0, 1, 2]) + 0.7):  # read as [0, 1, 2] and [0, 1, 2] by a truncating cast
+        with pytest.raises(ValueError):
+            input_jacobian(net, small_batch(6), labels)
+        with pytest.raises(ValueError):
+            JacobianBatch(J=np.zeros((3, 4)), labels=labels)
 
 
 def test_jacobian_matches_finite_differences():
@@ -1408,6 +1413,29 @@ def test_every_program_is_conv_bn_relu_pool_identity_steps_and_one_head():
         assert len(convs) == sum(w.ndim == 4 for w in ref_weights)  # conv weights, not the classifier's
         empty += not steps
     assert empty == 341
+
+
+def program_structure(arch):
+    """Each step's layer kind, weight shape, stride, padding and slots, on the small skeleton."""
+    return [(type(layer).__name__, getattr(getattr(layer, "w", None), "shape", None), getattr(layer, "stride", None),
+             getattr(layer, "pad", None), src, dst) for layer, src, dst in build_network(arch, SMALL, ZeroDraws()).steps]
+
+
+def test_canonical_over_the_whole_space():
+    """Over all 15625 genotypes: `canonical` is idempotent, with 9445 classes;
+    its live edges are the reference's; exactly the 341 genotypes it maps to
+    0 build empty programs; and a genotype builds its class's step program."""
+    classes, zero = set(), 0
+    for arch in enumerate_all():
+        live = canonical(arch)
+        assert canonical(live) == live
+        assert {k for k, op in enumerate(live.edge_ops) if op != OpKind.ZEROIZE} == live_edges(arch)
+        structure = program_structure(arch)
+        assert structure == program_structure(live)
+        assert (structure == []) == (live == 0)
+        classes.add(live)
+        zero += live == 0
+    assert (len(classes), zero) == (9445, 341)
 
 
 def test_relu_kink_margin_is_min_over_run_relus():
