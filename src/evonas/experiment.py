@@ -151,7 +151,8 @@ def _resolve_benchmark(cfg: ExperimentConfig) -> Benchmark:
 def load_batch(source, count: int, skeleton: SkeletonConfig):
     """(batch, labels, skeleton) from a SyntheticBatchSpec or the first `count`
     records of a raw file (`count` >= 2 for either source); the skeleton
-    takes the batch's input shape, and must have a class for every label."""
+    takes the batch's input shape, whose images must be square, and must
+    have a class for every label."""
     check_count(count)
     if isinstance(source, SyntheticBatchSpec):
         batch, labels = make_batch(source)
@@ -159,7 +160,9 @@ def load_batch(source, count: int, skeleton: SkeletonConfig):
         batch, labels = load_raw_batch(source, count)
     if labels.max() >= skeleton.num_classes:
         raise ConfigError(f"batch label {labels.max()} needs more than the skeleton's {skeleton.num_classes} classes")
-    _, channels, hw, _ = batch.shape
+    _, channels, hw, width = batch.shape
+    if hw != width:
+        raise ConfigError(f"batch images must be square for the skeleton, got shape {batch.shape[1:]}")
     return batch, labels, dataclasses.replace(skeleton, input_channels=channels, input_hw=hw)
 
 

@@ -36,19 +36,18 @@ of at most ``_BLOCK_BYTES`` (m >= 1 samples) and ``W @ cols`` writes those
 samples' output.  Each tap is one strided copy straight from the input;
 zero writes, one per row (column) of taps once per call, cover the
 padding.  A 1x1 stride-1 conv not written over its input is one GEMM
-over the input, no copy.  A 3x3 stride-1 pad-1 conv from c to
-o < 2c channels takes row taps instead: its block holds the three
-column taps, ``(c, 3, m, h, w)`` (3c rows where im2col has 9c), and one
-GEMM's product with each kernel row (3o rows); the outer rows' products,
-their last (first) image row zeroed, are added into the middle row's by
-flat shifts of one image row, which is copied to the output.  From few
-channels to many (o >= 2c, as a stem's 3 to 16) the 3o rows and their
-adds cost more than the 6c saved, and im2col stays.  A stride-1 conv's
-input gradient is the forward kernel on the output gradient with
-flipped, transposed weights; a stride-2 one is one GEMM per sample
-block, ``W^T gy``, giving every tap's product, whose flat shifts each
-input phase ``(i - pad) mod stride`` adds up (first zeroing the rows and
-columns it never reads, onto which they wrap) and copies into place.
+over the input, no copy.  Every 3x3 stride-1 pad-1 conv, c to o
+channels, takes row taps instead: its block holds the three column taps,
+``(c, 3, m, h, w)`` (3c rows where im2col has 9c), and one GEMM's
+product with each kernel row (3o rows); the outer rows' products, their
+last (first) image row zeroed, are added into the middle row's by flat
+shifts of one image row, which is copied to the output.  That leaves
+im2col to stride-2 forwards and a 1x1 conv written over its input.  A
+stride-1 conv's input gradient is the forward kernel on the output
+gradient with flipped, transposed weights; a stride-2 one is one GEMM per
+sample block, ``W^T gy``, giving every tap's product, whose flat shifts
+each input phase ``(i - pad) mod stride`` adds up (first zeroing the rows
+and columns it never reads, onto which they wrap) and copies into place.
 Batch norm normalizes its conv's output in place (the ``_ConvBN`` tape
 entry), takes the variance and ``mean(gy * xhat)`` as row dot products,
 and writes its gradient over that entry, the conv's input gradient in
@@ -68,8 +67,9 @@ summand so held, so the workspace keeps no buffer beyond the tape's.
 Layer protocol: ``forward(x, owned) -> (y, cache)``, ``backward(cache, gy, owned) -> gx``.
 
 A Network is one straight-line program of steps ``(layer, src, dst)``,
-each adding ``layer(slot[src])`` into slot ``dst``; ``build_network``
-emits them for the live edges of ``canonical(arch)`` only.  ``_walk`` is
+each adding ``layer(slot[src])`` into slot ``dst``.  ``build_network``
+builds it from ``canonical(arch)`` alone, kept as the network's `arch`:
+a dead edge gets neither a step nor weights.  ``_walk`` is
 the one loop over a program: ``_run`` walks its steps (on request
 recording each ReLU step's smallest |input|, to detect near-kink inputs
 before comparing with finite differences) and ``input_jacobian`` walks
@@ -282,7 +282,7 @@ def _conv_forward(x, w, stride, pad, out=None):
     ho, wo = (h + 2 * pad - kh) // stride + 1, (width + 2 * pad - kw) // stride + 1
     # `out`, if of the result's shape, takes the result; it may be x: blocks are read before written
     y = out if out is not None and out.shape == (o, n, ho, wo) else _WS.take((o, n, ho, wo))
-    if (kh, kw, stride, pad) == (3, 3, 1, 1) and o < 2 * c:  # 3c + 3o rows per position, not 9c
+    if (kh, kw, stride, pad) == (3, 3, 1, 1):  # 3c + 3o rows per position, not 9c
         return _row_taps(x, w, y)
     w2 = w.reshape(o, -1)
     if kh == kw == 1 and stride == 1 and pad == 0 and y is not x:  # one tap, the input itself
@@ -489,7 +489,7 @@ def _walk(steps, slots, apply):
 
 @dataclass
 class Network:
-    """Immutable step program built from (arch, cfg, init stream)."""
+    """Immutable step program built from (canonical arch, cfg, init stream)."""
 
     arch: ArchEncoding
     cfg: SkeletonConfig
@@ -535,11 +535,12 @@ def build_network(arch: ArchEncoding, cfg: SkeletonConfig, rng: RngStream) -> Ne
     global average pooling and a dense classifier.  A cell's conv edge is
     ReLU, conv, batch norm; conv edges from one node share its ReLU.  Each
     conv and its batch norm are one ``_ConvBN`` step.  Weights are
-    zero-mean normal with std sqrt(2 / fan_in), no biases, drawn for every
-    conv edge of `arch` in layout order; only ``canonical(arch)``'s get steps.
+    zero-mean normal with std sqrt(2 / fan_in), no biases, drawn in layout
+    order.  All is built from ``canonical(arch)``, kept as the network's
+    `arch`: a dead edge gets no step and no weights.
     """
-    live = canonical(arch)
-    if not live:  # genotype 0: the cell output is identically zero
+    arch = canonical(arch)
+    if not arch:  # genotype 0: the cell output is identically zero
         return Network(arch=arch, cfg=cfg, steps=[])
     eps = cfg.bn_eps
     steps: list = []
@@ -556,18 +557,16 @@ def build_network(arch: ArchEncoding, cfg: SkeletonConfig, rng: RngStream) -> Ne
         for _ in range(cfg.cells_per_stage):
             nodes = [x, next(fresh), next(fresh), next(fresh)]
             relu = {}
-            for (src, dst), op, run in zip(EDGES, arch.edge_ops, live.edge_ops):  # run: op, or none if dead
-                if op in (OpKind.CONV1X1, OpKind.CONV3X3):
-                    k = 1 if op == OpKind.CONV1X1 else 3
-                    conv = _ConvBN(_he_conv(rng, channels, channels, k), 1, (k - 1) // 2, eps)
-                if run == OpKind.SKIP_CONNECT:
+            for (src, dst), op in zip(EDGES, arch.edge_ops):
+                if op == OpKind.SKIP_CONNECT:
                     emit(_Identity(), nodes[src], nodes[dst])
-                elif run == OpKind.AVGPOOL3X3:
+                elif op == OpKind.AVGPOOL3X3:
                     emit(_AvgPool3x3(), nodes[src], nodes[dst])
-                elif run != OpKind.ZEROIZE:
+                elif op != OpKind.ZEROIZE:
+                    k = 1 if op == OpKind.CONV1X1 else 3
                     if src not in relu:
                         relu[src] = emit(_ReLU(), nodes[src])
-                    emit(conv, relu[src], nodes[dst])
+                    emit(_ConvBN(_he_conv(rng, channels, channels, k), 1, (k - 1) // 2, eps), relu[src], nodes[dst])
             x = nodes[3]
         if stage < cfg.num_stages - 1:
             x = emit(_ConvBN(_he_conv(rng, 2 * channels, channels, 3), 2, 1, eps), emit(_ReLU(), x))
@@ -736,8 +735,8 @@ def relu_kink_margin(net: Network, batch: np.ndarray, positive_only: bool = Fals
     guards finite-difference checks.
 
     No ReLU is built that would see a structural zero or feed no logit
-    (``canonical``).  `positive_only` skips exact zeros, which a ReLU the
-    network runs meets only by accident, so both settings agree.
+    (``net.arch`` is canonical).  `positive_only` skips exact zeros, which
+    a ReLU the network runs meets only by accident, so both settings agree.
     """
     margins: list = []
     _split(lambda net, x: net._run(x, margins=margins), net, net._check_batch(batch))

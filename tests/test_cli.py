@@ -404,6 +404,17 @@ def test_score_config_excludes_batch_flags(tmp_path, capsys, flag):
     assert "--config" in err["message"]
 
 
+def test_score_config_with_a_non_square_batch_fails(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    doc = small_config_doc(tmp_path / "run")
+    doc["batch"]["synthetic"]["image_shape"] = [2, 8, 4]
+    cfg_path.write_text(json.dumps(doc))
+    arch = "|nor_conv_3x3~0|+|skip_connect~0|none~1|+|skip_connect~0|nor_conv_1x1~1|avg_pool_3x3~2|"
+    err = config_error(capsys, "score", arch, "--config", str(cfg_path))
+    assert err["error"] == "ConfigError"
+    assert "(2, 8, 4)" in err["message"]
+
+
 def test_score_config_without_a_batch_fails(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     doc = small_config_doc(tmp_path / "run")

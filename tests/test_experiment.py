@@ -370,3 +370,13 @@ def test_batch_label_past_the_skeleton_classes_fails_before_any_search(monkeypat
     with pytest.raises(ConfigError, match=r"label 11 .* 10 classes"):
         run_experiment(small_config(num_runs=1, batch=SyntheticBatchSpec(num_classes=12)))
     assert calls == []
+
+
+def test_non_square_batch_fails_before_any_search(monkeypatch):
+    import evonas.experiment as experiment
+
+    calls = []
+    monkeypatch.setattr(experiment, "run_search", lambda *a, **k: calls.append(a))
+    with pytest.raises(ConfigError, match=r"square.*\(3, 8, 4\)"):
+        run_experiment(small_config(num_runs=1, batch=SyntheticBatchSpec(image_shape=(3, 8, 4))))
+    assert calls == []

@@ -548,8 +548,8 @@ def test_conv_kernels_over_uneven_sample_blocks(k, stride, c, hw, monkeypatch):
     assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(y), np.abs(cnhw(gy)))
 
 
-# (c, o) on each side of the row-tap rule o < 2c: (3, 4) takes row taps forward and in the input
-# gradient (4 -> 3); (2, 6) takes the nine-tap im2col forward and row taps in the gradient (6 -> 2)
+# (c, o) on each side of o = 2c, few channels to many (as a stem's 3 to 16) and back: every 3x3
+# stride-1 conv, forward (3 -> 4, 2 -> 6) and input gradient (4 -> 3, 6 -> 2), takes row taps
 STRIDE1_CHANNELS = [(3, 4), (2, 6)]
 
 
@@ -560,7 +560,7 @@ def test_phase_kernels_match_reference(k, stride, hw, block_bytes, monkeypatch):
     """Every input phase, flat shift and wrapped edge: odd and even sizes down
     to 1 (a 1x1 stride-2 conv leaves three phases no tap reads), over blocks
     of one sample, of a few (7 samples walk uneven blocks) and of all seven;
-    a 3x3 stride-1 conv through both of its kernels.  At c == o every
+    a 3x3 stride-1 conv through row taps, never im2col.  At c == o every
     same-shape forward, and every stride-1 gradient, runs again written over
     its input (`out=x`, `out=gy`) and must give the same bits; but a 1x1
     stride-1 forward is one GEMM over the whole input out of place and one
@@ -591,7 +591,7 @@ def test_phase_kernels_match_reference(k, stride, hw, block_bytes, monkeypatch):
             gc = cnhw(gy)
             assert _conv_backward_input(gc, w, (c, n, hw, hw), stride, pad, out=gc) is gc and np.array_equal(gc, gx)
     same = [(3, 3, 3, 3)] * 4  # (3, 3): forward and gradient, each out of place and over its input
-    assert calls == ([(4, 3, 3, 3), (3, 4, 3, 3), (2, 6, 3, 3)] + same if (k, stride) == (3, 1) else [])
+    assert calls == ([(4, 3, 3, 3), (3, 4, 3, 3), (6, 2, 3, 3), (2, 6, 3, 3)] + same if (k, stride) == (3, 1) else [])
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
@@ -1252,15 +1252,19 @@ def ref_edge_module(op, channels, eps, rng):
 
 
 def ref_build_network(arch, cfg, rng):
-    """Blocks of the nested NCHW network: stem, cells, reductions, head."""
-    eps = cfg.bn_eps
+    """Blocks of the nested NCHW network: stem, cells, reductions, head.  It
+    runs dead edges too, but a dead conv edge draws its weights from a
+    stream of its own, so that `rng` serves live edges only, as in the
+    network."""
+    eps, live, dead = cfg.bn_eps, live_edges(arch), RngStream(0, ("dead edges",))
     blocks = []
     channels = cfg.stem_channels
     stem_conv = RefConv(_he_conv(rng, channels, cfg.input_channels, 3), stride=1, pad=1)
     blocks.append(RefChain([stem_conv, RefBatchNorm(eps)]))
     for stage in range(cfg.num_stages):
         for _ in range(cfg.cells_per_stage):
-            blocks.append(RefCell([ref_edge_module(op, channels, eps, rng) for op in arch.edge_ops]))
+            blocks.append(RefCell([ref_edge_module(op, channels, eps, rng if k in live else dead)
+                                   for k, op in enumerate(arch.edge_ops)]))
         if stage < cfg.num_stages - 1:
             red_conv = RefConv(_he_conv(rng, 2 * channels, channels, 3), stride=2, pad=1)
             blocks.append(RefChain([RefReLU(), red_conv, RefBatchNorm(eps)]))
@@ -1436,6 +1440,31 @@ def test_canonical_over_the_whole_space():
         classes.add(live)
         zero += live == 0
     assert (len(classes), zero) == (9445, 341)
+
+
+@pytest.mark.parametrize("skeleton", ["desk", "wide"])
+def test_a_genotype_scores_as_its_computation(skeleton, monkeypatch):
+    """A genotype and its canonical form, each on one stream, build the same
+    network, weights included, whose `arch` is the canonical form, and score
+    bit for bit the same: the dead-edge genotypes and random ones with a dead
+    edge, on a desk batch and on a wide one that splits."""
+    cfg, n = SKELETONS[skeleton], {"desk": 30, "wide": 20}[skeleton]
+    batch, labels = small_batch(51, n=n, cfg=cfg), np.arange(n) % cfg.num_classes
+    stream = RngStream(52, ("computation", skeleton))
+    dead = (arch for arch in iter(lambda: random_arch(stream), None) if canonical(arch) != arch)
+    archs = [STRATIFIED[k] for k in ("dead-source", "dead-destination", "zero-output-dead-convs")]
+    halves = counted_halves(monkeypatch)
+    for arch in archs + [next(dead) for _ in range(3)]:
+        live = canonical(arch)
+        a, b = (build_network(g, cfg, RngStream(53, ("init", skeleton))) for g in (arch, live))
+        assert a.arch == b.arch == live
+        assert [(type(layer), src, dst) for layer, src, dst in a.steps] == \
+            [(type(layer), src, dst) for layer, src, dst in b.steps]
+        assert len(_collect_weights(a)) == len(_collect_weights(b))
+        assert all(np.array_equal(wa, wb) for wa, wb in zip(_collect_weights(a), _collect_weights(b)))
+        scores = [score_arch(g, batch, labels, cfg, ProxyParams(), RngStream(53, ("init", skeleton))) for g in (arch, live)]
+        assert scores[0] == scores[1]
+    assert bool(halves) == (skeleton == "wide")
 
 
 def test_relu_kink_margin_is_min_over_run_relus():
