@@ -12,8 +12,9 @@ as the `config` block of `summary.json` and `config_from_doc` reads it
 back, from that block or the whole summary, so a run's own summary
 reruns it.  `search` and `skeleton` are objects of their dataclass
 fields; `benchmark` and `batch` are a path or `{"synthetic": {...}}`, and
-a raw batch reads its first `batch_count` records.  Absent keys take the
-dataclass defaults; unknown keys fail.
+a raw batch reads its first `batch_count` records.  A Benchmark object
+echoes as `"<in-memory>"`, which names no file: its rerun needs one.
+Absent keys take the dataclass defaults; unknown keys fail.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ _SWEEPABLE = {f.name for f in dataclasses.fields(SearchConfig)} - {"seed", "guid
 # the experiment document's dataclass objects and benchmark/batch sources
 _OBJECTS = (("search", SearchConfig), ("skeleton", SkeletonConfig))
 _SOURCES = (("benchmark", SyntheticSpec), ("batch", SyntheticBatchSpec))
+_IN_MEMORY = "<in-memory>"  # the echo of a Benchmark object, which names no file
 
 
 @dataclass
@@ -145,6 +147,8 @@ def _resolve_benchmark(cfg: ExperimentConfig) -> Benchmark:
         return cfg.benchmark
     if isinstance(cfg.benchmark, SyntheticSpec):
         return gen_synthetic(cfg.benchmark)
+    if cfg.benchmark == _IN_MEMORY:
+        raise ConfigError(f"benchmark {_IN_MEMORY} was never saved: give its file with --benchmark")
     return load_tabular(cfg.benchmark)
 
 
@@ -305,7 +309,7 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
         value = doc[name]
         doc[name] = ({"synthetic": dataclasses.asdict(value)} if isinstance(value, spec_cls)
                      else os.fspath(value) if isinstance(value, (str, os.PathLike))
-                     else value if value is None else "<in-memory>")
+                     else value if value is None else _IN_MEMORY)
     doc["sweep"] = [[p, list(v)] for p, v in cfg.sweep]
     return doc
 

@@ -31,23 +31,25 @@ numpy links), for the whole process, and restored after (a fork waits
 for that, or its child would keep the hold); without that function the
 halves run at OpenBLAS's own thread count.  Smaller batches run whole.
 
-Kernels.  A convolution fills an im2col block ``(c, kh, kw, m, ho, wo)``
-of at most ``_BLOCK_BYTES`` (m >= 1 samples) and ``W @ cols`` writes those
-samples' output.  Each tap is one strided copy straight from the input;
-zero writes, one per row (column) of taps once per call, cover the
-padding.  A 1x1 stride-1 conv not written over its input is one GEMM
-over the input, no copy.  Every 3x3 stride-1 pad-1 conv, c to o
-channels, takes row taps instead: its block holds the three column taps,
-``(c, 3, m, h, w)`` (3c rows where im2col has 9c), and one GEMM's
-product with each kernel row (3o rows); the outer rows' products, their
-last (first) image row zeroed, are added into the middle row's by flat
-shifts of one image row, which is copied to the output.  That leaves
-im2col to stride-2 forwards and a 1x1 conv written over its input.  A
-stride-1 conv's input gradient is the forward kernel on the output
-gradient with flipped, transposed weights; a stride-2 one is one GEMM per
-sample block, ``W^T gy``, giving every tap's product, whose flat shifts
-each input phase ``(i - pad) mod stride`` adds up (first zeroing the rows
-and columns it never reads, onto which they wrap) and copies into place.
+Kernels.  A convolution's kernel follows from its geometry alone, so its
+bits are the same whether or not it writes over its input.  A 3x3
+stride-1 pad-1 conv, c to o channels, takes row taps: its block holds the
+three column taps, ``(c, 3, m, h, w)`` (3c rows where im2col has 9c), and
+one GEMM's product with each kernel row (3o rows); the outer rows'
+products, their last (first) image row zeroed, are added into the middle
+row's by flat shifts of one image row, which is copied to the output.
+Every other conv (1x1 stride 1, the stride-2 reductions) fills an im2col
+block ``(c, kh, kw, m, ho, wo)`` of at most ``_BLOCK_BYTES`` (m >= 1
+samples) and ``W @ cols`` writes those samples' output.  One tap table
+per axis (``_axis_taps``) gives each kernel offset's input phase, offset,
+output slice and input slice: each tap is one strided copy straight from
+the input, and ``_clear`` zeroes the padding no copy writes, once per
+call.  A stride-1 conv's input gradient is the forward kernel on the
+output gradient with flipped, transposed weights; a stride-2 one is one
+GEMM per sample block, ``W^T gy``, giving every tap's product, whose flat
+shifts each input phase ``(i - pad) mod stride`` adds up (first zeroing,
+from the same tap tables, the rows and columns it never reads, onto
+which they wrap) and copies into place.
 Batch norm normalizes its conv's output in place (the ``_ConvBN`` tape
 entry), takes the variance and ``mean(gy * xhat)`` as row dot products,
 and writes its gradient over that entry, the conv's input gradient in
@@ -212,13 +214,19 @@ def _blocked(lead, n, tail):
     return _WS.block[: m * size].reshape(lead + (m,) + tail), [slice(s, min(s + m, n)) for s in range(0, n, m)]
 
 
-def _phase_taps(size, k, stride, pad, out):
-    """Per kernel offset i along one axis, (r, q) with ``i - pad == stride * q + r``:
-    its output o reads element o + q of input phase r (``x[r::stride]``).
-    Each phase read fits in `out`."""
-    taps = [divmod(i - pad, stride)[::-1] for i in range(k)]
-    if any(len(range(r, size, stride)) > out for r, _ in taps):
-        raise ValueError(f"no phase im2col for kernel {k}, stride {stride}, pad {pad} over {size} to {out}")
+def _axis_taps(size, k, stride, pad, out):
+    """Along one axis, per kernel offset i, ``(r, q, outs, ins)`` with ``i - pad == stride * q + r``:
+    output o reads element o + q of input phase r (``x[r::stride]``); `outs` slices the outputs
+    of range(out) whose read lies in range(size), `ins` the inputs they read.  Each phase fits in `out`."""
+    taps = []
+    for i in range(k):
+        q, r = divmod(i - pad, stride)
+        phase = len(range(r, size, stride))
+        if phase > out:
+            raise ValueError(f"no phase im2col for kernel {k}, stride {stride}, pad {pad} over {size} to {out}")
+        lo = max(0, -q)
+        hi = max(lo, min(out, phase - q))
+        taps.append((r, q, slice(lo, hi), slice(r + stride * (lo + q), r + stride * (hi + q), stride)))
     return taps
 
 
@@ -239,14 +247,6 @@ def _shift(d, n):
     by d that stays inside the block; one longer than the block copies nothing."""
     k = max(0, n - abs(d))
     return slice(max(0, -d), max(0, -d) + k), slice(max(0, d), max(0, d) + k)
-
-
-def _span(size, r, q, stride, out):
-    """The outputs o of range(out) whose element o + q of input phase r
-    (``x[r::stride]``) lies in range(size), and the input indices they read."""
-    lo = max(0, -q)
-    hi = max(lo, min(out, len(range(r, size, stride)) - q))
-    return slice(lo, hi), slice(r + stride * (lo + q), r + stride * (hi + q), stride)
 
 
 def _row_taps(x, w, y):
@@ -280,27 +280,22 @@ def _conv_forward(x, w, stride, pad, out=None):
     c, n, h, width = x.shape
     o, _, kh, kw = w.shape
     ho, wo = (h + 2 * pad - kh) // stride + 1, (width + 2 * pad - kw) // stride + 1
-    # `out`, if of the result's shape, takes the result; it may be x: blocks are read before written
+    # `out`, if of the result's shape, takes the result; it may be x: each block is copied before written
     y = out if out is not None and out.shape == (o, n, ho, wo) else _WS.take((o, n, ho, wo))
     if (kh, kw, stride, pad) == (3, 3, 1, 1):  # 3c + 3o rows per position, not 9c
         return _row_taps(x, w, y)
-    w2 = w.reshape(o, -1)
-    if kh == kw == 1 and stride == 1 and pad == 0 and y is not x:  # one tap, the input itself
-        np.matmul(w2, x.reshape(c, -1), out=y.reshape(o, -1))
-        return y
-    rows, cols = _phase_taps(h, kh, stride, pad, ho), _phase_taps(width, kw, stride, pad, wo)
+    rows, cols = _axis_taps(h, kh, stride, pad, ho), _axis_taps(width, kw, stride, pad, wo)
     buf, blocks = _blocked((c, kh, kw), n, (ho, wo))
-    ys, xs = [_span(h, r, q, stride, ho) for r, q in rows], [_span(width, r, q, stride, wo) for r, q in cols]
-    for i, (oy, _) in enumerate(ys):  # zero the padding no tap copy writes, once
-        buf[:, i, :, :, : oy.start] = buf[:, i, :, :, oy.stop :] = 0.0
-    for j, (ox, _) in enumerate(xs):
-        buf[:, :, j, ..., : ox.start] = buf[:, :, j, ..., ox.stop :] = 0.0
+    for i, (_, _, oy, _) in enumerate(rows):  # zero the padding no tap copy writes, once
+        _clear(buf[:, i].swapaxes(-1, -2), oy)
+    for j, (_, _, ox, _) in enumerate(cols):
+        _clear(buf[:, :, j], ox)
     for b in blocks:
         taps = buf[:, :, :, : b.stop - b.start]
-        for i, (oy, iy) in enumerate(ys):  # each tap one strided copy straight from the input
-            for j, (ox, ix) in enumerate(xs):
+        for i, (_, _, oy, iy) in enumerate(rows):  # each tap one strided copy straight from the input
+            for j, (_, _, ox, ix) in enumerate(cols):
                 taps[:, i, j, :, oy, ox] = x[:, b, iy, ix]
-        np.matmul(w2, taps.reshape(c * kh * kw, -1), out=y[:, b].reshape(o, -1))
+        np.matmul(w.reshape(o, -1), taps.reshape(c * kh * kw, -1), out=y[:, b].reshape(o, -1))
     return y
 
 
@@ -313,10 +308,9 @@ def _conv_backward_input(gy, w, x_shape, stride, pad, out=None):
     # one GEMM gives every tap's product, and each phase sums its taps' by flat shifts of -(qi wo + qj)
     _, n, ho, wo = gy.shape
     h, width = x_shape[2:]
-    rows, cols = _phase_taps(h, kh, stride, pad, ho), _phase_taps(width, kw, stride, pad, wo)
-    ys, xs = [_span(h, r, q, stride, ho)[0] for r, q in rows], [_span(width, r, q, stride, wo)[0] for r, q in cols]
-    phases = [(ri, rj, [(i, j, -(qi * wo + qj)) for i, (r, qi) in enumerate(rows) if r == ri
-                        for j, (r2, qj) in enumerate(cols) if r2 == rj])
+    rows, cols = _axis_taps(h, kh, stride, pad, ho), _axis_taps(width, kw, stride, pad, wo)
+    phases = [(ri, rj, [(i, j, -(qi * wo + qj)) for i, (r, qi, _, _) in enumerate(rows) if r == ri
+                        for j, (r2, qj, _, _) in enumerate(cols) if r2 == rj])
               for ri, rj in itertools.product(range(stride), repeat=2)]
     wt = w.transpose(2, 3, 1, 0).reshape(-1, o)  # rows (kh, kw, c): each tap's product is one flat run
     gx = _WS.take(x_shape)
@@ -325,9 +319,9 @@ def _conv_backward_input(gy, w, x_shape, stride, pad, out=None):
         blk = buf[: b.stop - b.start].reshape((kh * kw + 1) * c, -1)  # a leading slice: dense for a short block too
         np.matmul(wt, gy[:, b].reshape(o, -1), out=blk[:-c])
         z, acc = blk[:-c].reshape(kh, kw, -1, ho, wo), blk[-c:].reshape(-1)
-        for i, oy in enumerate(ys):  # zero the rows and columns no element of a tap's phase reads:
+        for i, (_, _, oy, _) in enumerate(rows):  # zero the rows and columns no element of a tap's phase reads:
             _clear(z[i].swapaxes(2, 3), oy)  # the flat shifts wrap onto exactly these
-        for j, ox in enumerate(xs):
+        for j, (_, _, ox, _) in enumerate(cols):
             _clear(z[:, j], ox)
         for ri, rj, taps in phases:
             for t, (i, j, d) in enumerate(taps):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from evonas.batches import SyntheticBatchSpec, load_raw_batch, make_batch
 from evonas.cellspace import decode_str, encode_str
 from evonas.cli import main
 from evonas.evolution import SearchConfig, method_config, run_search, score_stream
-from evonas.experiment import config_from_doc, load_batch
+from evonas.experiment import config_from_doc, emit_results, load_batch, run_experiment
 from evonas.oracle import SyntheticSpec, gen_synthetic, load_tabular, save_tabular
 from evonas.rng import RngStream
 from evonas.tensornet import SkeletonConfig
@@ -277,6 +278,25 @@ def test_summary_config_reruns_identically(tmp_path, capsys, method):
     code, _, err = run_cli(capsys, "search", "--config", str(first / "summary.json"), "--out", str(third))
     assert code == 0, err
     assert (first / "curves.csv").read_bytes() == (third / "curves.csv").read_bytes()
+
+
+def test_in_memory_benchmark_summary_reruns_with_its_file(tmp_path, capsys):
+    """A summary echoes a Benchmark object as "<in-memory>", which names no file:
+    its rerun fails as a ConfigError naming --benchmark, and with the saved benchmark
+    given there it writes the same curves."""
+    cfg = config_from_doc(small_config_doc(tmp_path / "first"))
+    bench = gen_synthetic(cfg.benchmark)
+    emit_results(run_experiment(replace(cfg, benchmark=bench)))
+    summary = tmp_path / "first" / "summary.json"
+    assert json.loads(summary.read_text("utf-8"))["config"]["benchmark"] == "<in-memory>"
+    err = config_error(capsys, "search", "--config", str(summary), "--out", str(tmp_path / "again"))
+    assert err["error"] == "ConfigError" and "--benchmark" in err["message"]
+    bench_path = tmp_path / "bench.json"
+    save_tabular(bench, bench_path)
+    code, _, err = run_cli(capsys, "search", "--config", str(summary), "--benchmark", str(bench_path),
+                           "--out", str(tmp_path / "again"))
+    assert code == 0, err
+    assert (tmp_path / "first" / "curves.csv").read_bytes() == (tmp_path / "again" / "curves.csv").read_bytes()
 
 
 def config_error(capsys, *argv):

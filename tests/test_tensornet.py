@@ -23,6 +23,7 @@ from evonas.tensornet import (
     Network,
     SkeletonConfig,
     _AvgPool3x3,
+    _axis_taps,
     _bn_backward,
     _bn_forward,
     _box3,
@@ -504,10 +505,10 @@ def test_conv_backward_is_adjoint_of_forward(k, stride):
     assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(y), np.abs(gy))
 
 
-# (k, stride, channels, hw) -> the sample blocks a batch of 7 walks, forward and input gradient: a 1x1
-# stride-1 conv is one GEMM, no block; a 3x3 stride-1 one (c -> c channels) takes row taps
+# (k, stride, channels, hw) -> the sample blocks a batch of 7 walks, forward and input gradient: a 3x3
+# stride-1 conv (c -> c channels) takes row taps, every other conv im2col
 UNEVEN_BLOCKS = {
-    (1, 1, 40, 32): ([], []),
+    (1, 1, 40, 32): ([3, 3, 1], [3, 3, 1]),
     (3, 1, 16, 16): ([5, 2], [5, 2]),
     (3, 1, 16, 20): ([3, 3, 1], [3, 3, 1]),
     (1, 2, 40, 64): ([3, 3, 1], [1] * 7),
@@ -561,11 +562,9 @@ def test_phase_kernels_match_reference(k, stride, hw, block_bytes, monkeypatch):
     to 1 (a 1x1 stride-2 conv leaves three phases no tap reads), over blocks
     of one sample, of a few (7 samples walk uneven blocks) and of all seven;
     a 3x3 stride-1 conv through row taps, never im2col.  At c == o every
-    same-shape forward, and every stride-1 gradient, runs again written over
-    its input (`out=x`, `out=gy`) and must give the same bits; but a 1x1
-    stride-1 forward is one GEMM over the whole input out of place and one
-    per block over its input, which BLAS may round differently, so there
-    the two agree to rounding."""
+    same-shape forward, 1x1 included, and every stride-1 gradient, runs
+    again written over its input (`out=x`, `out=gy`) and must give the same
+    bits: the kernel follows from the geometry alone."""
     monkeypatch.setattr(tensornet, "_BLOCK_BYTES", block_bytes)
     calls, row_taps = [], tensornet._row_taps
     monkeypatch.setattr(tensornet, "_row_taps", lambda x, w, y: calls.append(w.shape) or row_taps(x, w, y))
@@ -582,16 +581,34 @@ def test_phase_kernels_match_reference(k, stride, hw, block_bytes, monkeypatch):
         assert_same(gx, cnhw(ref_conv_backward_input(gy, w, x.shape, stride, pad)))
         if y.shape == (c, n, hw, hw):
             xc = cnhw(x)
-            assert _conv_forward(xc, w, stride, pad, out=xc) is xc
-            if (k, stride) == (1, 1):
-                assert_same(xc, y)
-            else:
-                assert np.array_equal(xc, y)
+            assert _conv_forward(xc, w, stride, pad, out=xc) is xc and np.array_equal(xc, y)
         if stride == 1 and gx.shape == (o, n, ho, ho):
             gc = cnhw(gy)
             assert _conv_backward_input(gc, w, (c, n, hw, hw), stride, pad, out=gc) is gc and np.array_equal(gc, gx)
     same = [(3, 3, 3, 3)] * 4  # (3, 3): forward and gradient, each out of place and over its input
     assert calls == ([(4, 3, 3, 3), (3, 4, 3, 3), (6, 2, 3, 3), (2, 6, 3, 3)] + same if (k, stride) == (3, 1) else [])
+
+
+@pytest.mark.parametrize("pad", [0, 1, 2])
+@pytest.mark.parametrize("k,stride", [(1, 1), (3, 1), (1, 2), (3, 2)])
+def test_axis_taps_match_brute_force(k, stride, pad):
+    """Each tap's outputs are exactly those whose input ``stride * o + i - pad``
+    lies inside the axis, its input slice lists those inputs, and its phase
+    and offset split ``i - pad``; wherever the table does not raise."""
+    for size in range(1, 10):
+        out = (size + 2 * pad - k) // stride + 1
+        if out < 1:
+            continue
+        try:
+            taps = _axis_taps(size, k, stride, pad, out)
+        except ValueError:
+            continue
+        assert len(taps) == k
+        for i, (r, q, outs, ins) in enumerate(taps):
+            inside = [o for o in range(out) if 0 <= stride * o + i - pad < size]
+            assert list(range(out))[outs] == inside
+            assert list(range(size))[ins] == [stride * o + i - pad for o in inside]
+            assert i - pad == stride * q + r and 0 <= r < stride
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
