@@ -15,7 +15,7 @@ The canonical string encoding groups edges by destination node, e.g.
 
 which is the interchange format used by tabular benchmark files and the CLI.
 The 15625 canonical strings are also a table built on first use, so
-encoding is an index and decoding a canonical string one dict lookup.
+encoding is an index and decoding one dict lookup: no other string decodes.
 `canonical(arch)` sets each edge on no node-0-to-node-3 path of non-`none`
 edges to `none`: 9445 classes, the 341 zero-output genotypes mapped to 0.
 """
@@ -72,7 +72,6 @@ OP_NAMES: tuple[str, ...] = (
     "nor_conv_3x3",
     "avg_pool_3x3",
 )
-_NAME_TO_OP = {name: OpKind(i) for i, name in enumerate(OP_NAMES)}
 SPACE_SIZE = len(OP_NAMES) ** NUM_EDGES
 _OPS = tuple(OpKind)
 _PLACES = tuple(len(OP_NAMES) ** (NUM_EDGES - 1 - e) for e in range(NUM_EDGES))  # digit place values
@@ -89,7 +88,7 @@ def matches_space(doc) -> bool:
 
 
 class ArchParseError(ValueError):
-    """Raised when an architecture string does not match the codec grammar."""
+    """Raised when an architecture string is not one of the canonical strings."""
 
 
 def _fold(digits) -> int:
@@ -197,48 +196,31 @@ def _by_string() -> dict[str, ArchEncoding]:
     return dict(zip(_strings(), _table()))
 
 
+@functools.cache
+def _fields() -> tuple[frozenset[str], ...]:
+    """The values each '|'-separated field of the canonical strings takes."""
+    return tuple(map(frozenset, zip(*(text.split("|") for text in _strings()))))
+
+
 def encode_str(arch: ArchEncoding) -> str:
     """Canonical string: edges grouped by destination node, '~<source>' suffix."""
+    if not 0 <= arch < SPACE_SIZE:  # a negative index would read from the end
+        raise IndexError(f"no genotype {arch!r}: indices lie in [0, {SPACE_SIZE})")
     return _strings()[arch]
 
 
 def decode_str(text: str) -> ArchEncoding:
-    """Inverse of encode_str; raises ArchParseError naming the bad token.
+    """Inverse of encode_str: each canonical string decodes to its table instance.
 
-    Non-canonical spellings the grammar allows (e.g. `none~00`) decode too."""
+    Any other string raises ArchParseError naming the first field that no
+    canonical string has at its position, or else the field count."""
     if not isinstance(text, str):
         raise ArchParseError(f"an architecture string must be a str, got {type(text).__name__}: {text!r}")
     arch = _by_string().get(text)
-    return arch if arch is not None else _parse_str(text)
-
-
-def _parse_str(text: str) -> ArchEncoding:
-    groups = text.split("+")
-    if len(groups) != 3:
-        raise ArchParseError(f"expected 3 '+'-separated node groups, got {len(groups)}: {text!r}")
-    ops: list[OpKind] = []
-    for gi, group in enumerate(groups):
-        dest = gi + 1
-        if not (group.startswith("|") and group.endswith("|")) or len(group) < 2:
-            raise ArchParseError(f"group {gi} must be '|'-delimited, got {group!r}")
-        tokens = group[1:-1].split("|")
-        if len(tokens) != dest:
-            raise ArchParseError(
-                f"group {gi} expects {dest} edge token(s) (edges into node {dest}), got {len(tokens)}"
-            )
-        for ti, token in enumerate(tokens):
-            name, sep, src_text = token.partition("~")
-            if not sep:
-                raise ArchParseError(f"token {token!r} (group {gi}, position {ti}) is missing '~<source>'")
-            if name not in _NAME_TO_OP:
-                raise ArchParseError(f"unknown op name {name!r} in token {token!r} (group {gi}, position {ti})")
-            try:
-                src = int(src_text)
-            except ValueError:
-                raise ArchParseError(f"bad source index {src_text!r} in token {token!r}") from None
-            if src != ti:
-                raise ArchParseError(
-                    f"token {token!r} (group {gi}, position {ti}) has source {src}, expected {ti}"
-                )
-            ops.append(_NAME_TO_OP[name])
-    return _table()[_fold(ops)]
+    if arch is not None:
+        return arch
+    fields = text.split("|")
+    bad = [f"field {i} is {field!r}, expected one of {sorted(allowed)}"
+           for i, (field, allowed) in enumerate(zip(fields, _fields())) if field not in allowed]
+    reason = bad[0] if bad else f"expected {len(_fields())} '|'-separated fields, got {len(fields)}"
+    raise ArchParseError(f"not an architecture string: {text!r}: {reason}")

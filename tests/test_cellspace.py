@@ -1,8 +1,10 @@
 import copy
 import itertools
 import json
+import math
 import operator
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from evonas.cellspace import (
     mutate,
     random_arch,
 )
+from evonas.cellspace import _fields, _strings
 from evonas.evolution import Individual, SearchConfig, spawn_generation
 from evonas.rng import RngStream
 from evonas.zeroproxy import ProxyScore
@@ -145,12 +148,12 @@ def test_roundtrip_exhaustive():
 @pytest.mark.parametrize(
     "text,fragment",
     [
-        ("|bogus~0|+|none~0|none~1|+|none~0|none~1|none~2|", "unknown op name"),
-        ("|none~0|+|none~0|none~1|", "3 '+'-separated"),
-        ("|none~0|none~1|+|none~0|none~1|+|none~0|none~1|none~2|", "expects 1 edge token"),
-        ("|none~0|+|none~0|none~1|+|none~0|none~1|none~1|", "source 1, expected 2"),
-        ("|none|+|none~0|none~1|+|none~0|none~1|none~2|", "missing '~<source>'"),
-        ("none~0+|none~0|none~1|+|none~0|none~1|none~2|", "'|'-delimited"),
+        ("|bogus~0|+|none~0|none~1|+|none~0|none~1|none~2|", "field 1 is 'bogus~0'"),
+        ("|none~0|+|none~0|none~1|", "field 5 is ''"),
+        ("|none~0|none~1|+|none~0|none~1|+|none~0|none~1|none~2|", "field 2 is 'none~1'"),
+        ("|none~0|+|none~0|none~1|+|none~0|none~1|none~1|", "field 8 is 'none~1'"),
+        ("|none|+|none~0|none~1|+|none~0|none~1|none~2|", "field 1 is 'none'"),
+        ("none~0+|none~0|none~1|+|none~0|none~1|none~2|", "field 0 is 'none~0+'"),
     ],
 )
 def test_decode_rejects_malformed(text, fragment):
@@ -188,41 +191,61 @@ def test_string_table_matches_reference_formatter():
         assert encode_str(ArchEncoding(arch.edge_ops)) == text
 
 
-# messages and results as the parser gave them before canonical strings
-# were looked up in a table; non-canonical spellings still decode
+# the inputs of the former hand parser's tests, plus the source spellings
+# its int() read as 0: no writer produces them, so each now fails, naming
+# the first field no canonical string has there (or the field count)
+SRC = {src: "['avg_pool_3x3~{0}', 'none~{0}', 'nor_conv_1x1~{0}', 'nor_conv_3x3~{0}', 'skip_connect~{0}']".format(src)
+       for src in range(3)}
 PARSE_CASES = [
-    ("|bogus~0|+|none~0|none~1|+|none~0|none~1|none~2|",
-     "unknown op name 'bogus' in token 'bogus~0' (group 0, position 0)"),
-    ("|none~0|+|none~0|none~1|",
-     "expected 3 '+'-separated node groups, got 2: '|none~0|+|none~0|none~1|'"),
-    ("|none~0|none~1|+|none~0|none~1|+|none~0|none~1|none~2|",
-     "group 0 expects 1 edge token(s) (edges into node 1), got 2"),
-    ("|none~0|+|none~0|none~1|+|none~0|none~1|none~1|",
-     "token 'none~1' (group 2, position 2) has source 1, expected 2"),
-    ("|none|+|none~0|none~1|+|none~0|none~1|none~2|",
-     "token 'none' (group 0, position 0) is missing '~<source>'"),
-    ("none~0+|none~0|none~1|+|none~0|none~1|none~2|",
-     "group 0 must be '|'-delimited, got 'none~0'"),
-    ("|none~x|+|none~0|none~1|+|none~0|none~1|none~2|",
-     "bad source index 'x' in token 'none~x'"),
-    ("", "expected 3 '+'-separated node groups, got 1: ''"),
-    ("|+|none~0|none~1|+|none~0|none~1|none~2|", "group 0 must be '|'-delimited, got '|'"),
-    ("|NONE~0|+|none~0|none~1|+|none~0|none~1|none~2|",
-     "unknown op name 'NONE' in token 'NONE~0' (group 0, position 0)"),
-    ("|none~00|+|none~0|none~1|+|none~0|none~1|none~2|", 0),
-    ("|none~0 |+|none~0|none~1|+|none~0|none~1|none~2|", 0),
-    ("|nor_conv_3x3~0_0|+|none~0|none~1|+|none~0|none~1|none~2|", 9375),
+    ("|bogus~0|+|none~0|none~1|+|none~0|none~1|none~2|", f"field 1 is 'bogus~0', expected one of {SRC[0]}"),
+    ("|none~0|+|none~0|none~1|", "field 5 is '', expected one of ['+']"),
+    ("|none~0|none~1|+|none~0|none~1|+|none~0|none~1|none~2|", "field 2 is 'none~1', expected one of ['+']"),
+    ("|none~0|+|none~0|none~1|+|none~0|none~1|none~1|", f"field 8 is 'none~1', expected one of {SRC[2]}"),
+    ("|none|+|none~0|none~1|+|none~0|none~1|none~2|", f"field 1 is 'none', expected one of {SRC[0]}"),
+    ("none~0+|none~0|none~1|+|none~0|none~1|none~2|", "field 0 is 'none~0+', expected one of ['']"),
+    ("|none~x|+|none~0|none~1|+|none~0|none~1|none~2|", f"field 1 is 'none~x', expected one of {SRC[0]}"),
+    ("", "expected 10 '|'-separated fields, got 1"),
+    ("|+|none~0|none~1|+|none~0|none~1|none~2|", f"field 1 is '+', expected one of {SRC[0]}"),
+    ("|NONE~0|+|none~0|none~1|+|none~0|none~1|none~2|", f"field 1 is 'NONE~0', expected one of {SRC[0]}"),
+    ("|none~00|+|none~0|none~1|+|none~0|none~1|none~2|", f"field 1 is 'none~00', expected one of {SRC[0]}"),
+    ("|none~0 |+|none~0|none~1|+|none~0|none~1|none~2|", f"field 1 is 'none~0 ', expected one of {SRC[0]}"),
+    ("|nor_conv_3x3~0_0|+|none~0|none~1|+|none~0|none~1|none~2|",
+     f"field 1 is 'nor_conv_3x3~0_0', expected one of {SRC[0]}"),
+    ("|none~ 0|+|none~0|none~1|+|none~0|none~1|none~2|", f"field 1 is 'none~ 0', expected one of {SRC[0]}"),
+    ("|none~-0|+|none~0|none~1|+|none~0|none~1|none~2|", f"field 1 is 'none~-0', expected one of {SRC[0]}"),
+    ("|none~\u0660|+|none~0|none~1|+|none~0|none~1|none~2|", f"field 1 is 'none~\u0660', expected one of {SRC[0]}"),
 ]
 
 
 @pytest.mark.parametrize("text,expected", PARSE_CASES)
 def test_decode_str_parses_as_before(text, expected):
-    if isinstance(expected, int):
-        assert decode_str(text) is ArchEncoding.from_index(expected)
-        return
     with pytest.raises(ArchParseError) as err:
         decode_str(text)
-    assert str(err.value) == expected
+    assert str(err.value) == f"not an architecture string: {text!r}: {expected}"
+
+
+@pytest.mark.parametrize("k", [0, 5**6 - 1, 9375, 4242])
+def test_decode_names_the_one_corrupted_field(k):
+    fields = encode_str(ArchEncoding.from_index(k)).split("|")
+    assert len(fields) == len(_fields()) == 10
+    for i in range(len(fields)):
+        bad = "|".join(fields[:i] + [fields[i] + "x"] + fields[i + 1:])
+        with pytest.raises(ArchParseError, match=re.escape(f": field {i} is {fields[i] + 'x'!r}, expected")):
+            decode_str(bad)
+
+
+def test_string_table_is_the_product_of_its_field_sets():
+    # the strings are distinct and each lies in the product, so equal sizes
+    # make the table the whole product: a string whose every field is
+    # allowed is canonical
+    assert len(set(_strings())) == len(_strings()) == math.prod(len(values) for values in _fields())
+    assert [len(values) for values in _fields()] == [1, 5, 1, 5, 5, 1, 5, 5, 5, 1]
+
+
+@pytest.mark.parametrize("k", [-1, -SPACE_SIZE, SPACE_SIZE, SPACE_SIZE + 7])
+def test_encode_rejects_an_index_outside_the_space(k):
+    with pytest.raises(IndexError, match=re.escape(f"no genotype {k}: indices lie in [0, {SPACE_SIZE})")):
+        encode_str(k)
 
 
 # Reference bodies: random_arch and mutate as they were before they worked

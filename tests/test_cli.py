@@ -242,7 +242,7 @@ def test_error_is_machine_readable(tmp_path, capsys):
 def test_unknown_arch_string_error(capsys):
     code, _, stderr = run_cli(capsys, "score", "|bogus~0|+|none~0|none~1|+|none~0|none~1|none~2|")
     assert code == 1
-    assert "unknown op name" in json.loads(stderr.strip())["message"]
+    assert "field 1 is 'bogus~0'" in json.loads(stderr.strip())["message"]
 
 
 def small_config_doc(out):

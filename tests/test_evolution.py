@@ -665,6 +665,18 @@ def test_checkpoint_shape_errors(tmp_path):
             load_checkpoint(path)
 
 
+def test_checkpoint_rejects_a_non_canonical_arch_string(tmp_path):
+    import json
+
+    path = tmp_path / "pop.json"
+    save_checkpoint(individuals([1.0, 2.0]), path)
+    doc = json.loads(path.read_text())
+    doc["individuals"][1]["arch"] = "|none~00|+|none~0|none~1|+|none~0|none~1|none~2|"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="individual 1 is malformed: not an architecture string: .*field 1"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_birth_order_enforced(tmp_path):
     import json
 

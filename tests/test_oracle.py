@@ -358,6 +358,17 @@ def test_load_rejects_a_record_whose_arch_is_not_a_string(arch, tmp_path):
         load_tabular(path)
 
 
+def test_load_rejects_a_record_with_a_non_canonical_arch_string(tmp_path):
+    # `none~00` names genotype 0's first edge, but no writer spells it so
+    path = tmp_path / "bench.json"
+    save_tabular(constant_benchmark(), path)
+    doc = json.loads(path.read_text())
+    doc["records"][0]["arch"] = doc["records"][0]["arch"].replace("none~0", "none~00", 1)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BenchmarkError, match="record 0 is malformed: not an architecture string: .* 'none~00'"):
+        load_tabular(path)
+
+
 def test_load_rejects_bad_json_with_position(tmp_path):
     path = tmp_path / "bench.json"
     path.write_text('{"space": [broken')
