@@ -220,7 +220,7 @@ def decode_str(text: str) -> ArchEncoding:
     if arch is not None:
         return arch
     fields = text.split("|")
-    bad = [f"field {i} is {field!r}, expected one of {sorted(allowed)}"
-           for i, (field, allowed) in enumerate(zip(fields, _fields())) if field not in allowed]
-    reason = bad[0] if bad else f"expected {len(_fields())} '|'-separated fields, got {len(fields)}"
+    reason = next((f"field {i} is {field!r}, expected one of {sorted(allowed)}"
+                   for i, (field, allowed) in enumerate(zip(fields, _fields())) if field not in allowed),
+                  f"expected {len(_fields())} '|'-separated fields, got {len(fields)}")
     raise ArchParseError(f"not an architecture string: {text!r}: {reason}")
